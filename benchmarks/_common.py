@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import functools
 import time
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from repro.api import Params, build
 from repro.api.session import StreamSession
-from repro.streams.engine import ReplayStats, replay_many, replay_timed
+from repro.streams.engine import replay, replay_many
 from repro.streams.generators import (
     bounded_deletion_stream,
     sensor_occupancy_stream,
@@ -64,6 +65,19 @@ def median_estimate(make_and_estimate, seeds) -> float:
     return float(np.median([make_and_estimate(s) for s in seeds]))
 
 
+@dataclass(frozen=True)
+class ReplayStats:
+    """Wall-clock result of a timed replay."""
+
+    updates: int
+    seconds: float
+    chunk_size: int
+
+    @property
+    def updates_per_sec(self) -> float:
+        return self.updates / self.seconds if self.seconds > 0 else float("inf")
+
+
 def measure_throughput(
     stream,
     make_sketch,
@@ -75,19 +89,28 @@ def measure_throughput(
     """Replay ``stream`` into a fresh sketch; returns the timing stats
     (``stats.updates_per_sec`` is the headline number).  ``coalesce``
     toggles the chunk-planning layer — the two sides of the coalescing
-    comparisons in ``bench_throughput.py``.  ``repeats`` returns the
-    best of N fresh replays: the fastest structures finish a replay in
-    ~100s of microseconds, where single-shot wall clocks are dominated
-    by cache state and scheduler noise."""
+    comparisons in ``bench_throughput.py``.  ``force_scalar`` times the
+    raw per-update loop instead: the baseline side of every throughput
+    comparison.  ``repeats`` returns the best of N fresh replays: the
+    fastest structures finish a replay in ~100s of microseconds, where
+    single-shot wall clocks are dominated by cache state and scheduler
+    noise."""
+    items, deltas = stream.as_arrays()
     best = None
     for _ in range(max(1, repeats)):
-        _, stats = replay_timed(
-            stream, make_sketch(), chunk_size=chunk_size,
-            force_scalar=force_scalar, coalesce=coalesce,
-        )
-        if best is None or stats.seconds < best.seconds:
-            best = stats
-    return best
+        sketch = make_sketch()
+        start = time.perf_counter()
+        if force_scalar:
+            update = sketch.update
+            for item, delta in zip(items.tolist(), deltas.tolist()):
+                update(item, delta)
+        else:
+            replay(stream, sketch, chunk_size=chunk_size, coalesce=coalesce)
+        elapsed = time.perf_counter() - start
+        if best is None or elapsed < best:
+            best = elapsed
+    return ReplayStats(updates=len(items), seconds=best,
+                       chunk_size=chunk_size)
 
 
 def measure_offline_many(stream, factories, chunk_size: int = 4096,
@@ -104,7 +127,7 @@ def measure_offline_many(stream, factories, chunk_size: int = 4096,
         if best is None or elapsed < best:
             best = elapsed
     return ReplayStats(updates=len(items), seconds=best,
-                       chunk_size=chunk_size, batched=True)
+                       chunk_size=chunk_size)
 
 
 def measure_session_throughput(
@@ -134,7 +157,7 @@ def measure_session_throughput(
         if best is None or elapsed < best:
             best = elapsed
     return ReplayStats(updates=len(items), seconds=best,
-                       chunk_size=chunk_size, batched=True)
+                       chunk_size=chunk_size)
 
 
 def record_throughput(benchmark, label: str, stats: ReplayStats) -> None:

@@ -55,7 +55,6 @@ from repro.api import (
 from repro.batch import (
     BatchSketch,
     Mergeable,
-    ScalarLoopBatchUpdateMixin,
     as_update_arrays,
     consume_stream,
     supports_batch,
@@ -95,14 +94,12 @@ from repro.sketches import (
 from repro.streams import (
     DEFAULT_CHUNK_SIZE,
     FrequencyVector,
-    ReplayStats,
     Stream,
     Update,
     iter_chunks,
     replay,
     replay_many,
     replay_sharded,
-    replay_timed,
     shard_bounds,
     adversarial_cancellation_stream,
     bounded_deletion_stream,
@@ -138,18 +135,15 @@ __all__ = [
     "specs",
     "BatchSketch",
     "Mergeable",
-    "ScalarLoopBatchUpdateMixin",
     "as_update_arrays",
     "consume_stream",
     "supports_batch",
     "supports_merge",
     "DEFAULT_CHUNK_SIZE",
-    "ReplayStats",
     "iter_chunks",
     "replay",
     "replay_many",
     "replay_sharded",
-    "replay_timed",
     "shard_bounds",
     "CSSS",
     "CSSSWithTailEstimate",

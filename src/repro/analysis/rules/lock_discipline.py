@@ -37,7 +37,7 @@ GUARDED: dict[str, dict[str, frozenset[str]]] = {
     "repro.api.session": {
         "StreamSession": frozenset({
             "_sketches", "_queries", "_spec_names", "_custom_query",
-            "_planner", "_plan_dirty", "_buf_items", "_buf_deltas",
+            "_driver", "_buf_items", "_buf_deltas",
             "_fill", "_ingest_watermarks", "updates_processed",
         }),
     },

@@ -6,10 +6,11 @@ or stream path either (a) leaks nondeterminism into state, or (b) makes
 the path untestable without real sleeps.  The house idiom is the
 injected seam::
 
-    def replay_timed(..., clock: Callable[[], float] = time.perf_counter):
-        t0 = clock()
+    class Checkpointer:
+        def __init__(..., clock: Callable[[], float] = time.monotonic):
+            self._clock = clock
 
-The *reference* ``time.perf_counter`` as a default argument is fine (no
+The *reference* ``time.monotonic`` as a default argument is fine (no
 call happens at import); what this rule flags is *calling*
 ``time.time()`` / ``time.monotonic()`` / ``time.perf_counter()`` /
 ``datetime.now()`` directly inside the deterministic modules

@@ -15,7 +15,7 @@ lambda tables, and constructor signatures disagreed about ``rng`` vs
   (``batch`` / ``plan`` / ``coalesce`` / ``merge``), and an optional
   uniform ``query`` hook (the headline estimate
   :meth:`repro.api.session.StreamSession.query` dispatches to);
-* :func:`shard_factory` — picklable shard builders for
+* :func:`shard_factory` — ``factory(shard_index)`` shard builders for
   :func:`repro.streams.engine.replay_sharded`: every shard rebuilds
   the same hash seeds from the root seed while sampling structures get
   per-shard ``sampling_seed`` (shard 0 keeps the single-replay
@@ -303,10 +303,10 @@ def shard_factory(name: str, params: Params | None = None,
                   **overrides) -> Callable[[int], Any]:
     """A picklable ``factory(shard_index)`` for ``replay_sharded``.
 
-    The returned callable *requires* the shard index (the engine's
-    opt-in signal for per-shard sampling seeds): every shard rebuilds
-    identical hash seeds from the root seed, and shards > 0 reroot
-    their sampling streams via ``params.sampling_seed``.
+    The returned callable requires the shard index ``replay_sharded``
+    passes: every shard rebuilds identical hash seeds from the root
+    seed, and shards > 0 reroot their sampling streams via
+    ``params.sampling_seed``.
     """
     return functools.partial(
         _shard_build, name, params, tuple(sorted(overrides.items()))
@@ -344,7 +344,7 @@ def _build_countmin(p: Params, shard: int, **kw) -> CountMin:
 
 
 @_register("ams", AMSSketch, "AMS F2 / L2 norm estimator",
-           query=lambda s: s.l2_estimate())
+           query=lambda s: float(np.sqrt(s.f2_estimate())))
 def _build_ams(p: Params, shard: int, **kw) -> AMSSketch:
     kw.setdefault("per_group", max(1, int(np.ceil(1.0 / p.eps**2))))
     kw.setdefault("groups", p.depth)

@@ -8,9 +8,10 @@ wire delivers, keep every registered sketch current, and still hit the
 batch pipeline's throughput.  :class:`StreamSession` is that surface:
 
 * ``push(items, deltas)`` buffers partial chunks and dispatches full
-  ones through one shared :class:`~repro.streams.plan.ChunkPlan` per
-  chunk, exactly like ``replay_many`` — every registered consumer
-  shares the chunk's unique items and cached hash evaluations;
+  ones through the engine's :class:`~repro.streams.engine.ChunkDriver`,
+  exactly like ``replay_many`` — when a chunk is planned, every
+  registered consumer shares its unique items and cached hash
+  evaluations;
 * by the batch/plan contracts (state equals the scalar loop for every
   chunking, randomness included) the sketches are **bit-identical to
   an offline ``replay_many``** of the concatenated pushes, at every
@@ -54,14 +55,8 @@ from repro.api.registry import (
 )
 from repro.api.serialize import FORMAT_VERSION, restore as _restore_state
 from repro.api.serialize import snapshot as _snapshot_state
-from repro.batch import (
-    DEFAULT_CHUNK_SIZE,
-    as_update_arrays,
-    supports_merge,
-    supports_plan,
-)
-from repro.streams.engine import _feed
-from repro.streams.plan import ChunkPlanner
+from repro.batch import as_update_arrays, supports_merge
+from repro.streams.engine import ChunkDriver
 
 
 def _query_for_type(cls: type) -> Callable[[Any], Any] | None:
@@ -161,10 +156,6 @@ class StreamSession:
         coalesce: bool = True,
         node: int = 0,
     ) -> None:
-        if chunk_size is None:
-            chunk_size = DEFAULT_CHUNK_SIZE
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
         if params is None:
             params = Params(n=int(n), seed=seed)
         elif params.n != int(n):
@@ -177,8 +168,11 @@ class StreamSession:
         self.n = int(n)
         self.params = params
         self.node = int(node)
-        self.chunk_size = int(chunk_size)
         self.coalesce = bool(coalesce)
+        #: The engine's chunk loop over the registered consumers,
+        #: rebuilt by add() so the plan policy sees the current set.
+        self._driver = ChunkDriver((), self.n, chunk_size, self.coalesce)
+        self.chunk_size = self._driver.chunk_size
         self.updates_processed = 0
         self._sketches: dict[str, Any] = {}
         self._queries: dict[str, Callable[[Any], Any] | None] = {}
@@ -186,8 +180,6 @@ class StreamSession:
         #: Which consumers carry a user-supplied query hook (functions
         #: cannot travel in a pickle-free snapshot; restore() warns).
         self._custom_query: dict[str, bool] = {}
-        self._planner: ChunkPlanner | None = None
-        self._plan_dirty = True
         self._buf_items = np.empty(self.chunk_size, dtype=np.int64)
         self._buf_deltas = np.empty(self.chunk_size, dtype=np.int64)
         self._fill = 0
@@ -225,7 +217,8 @@ class StreamSession:
             self._queries[name] = query or _query_for_type(type(sketch))
             self._spec_names[name] = None
             self._custom_query[name] = query is not None
-            self._plan_dirty = True
+            self._driver = ChunkDriver(self._sketches.values(), self.n,
+                                       self.chunk_size, self.coalesce)
         return self
 
     def track(self, name: str, spec: str | SketchSpec | None = None,
@@ -302,32 +295,12 @@ class StreamSession:
         return out
 
     # -- ingestion -----------------------------------------------------------
-    def _refresh_planner(self) -> None:
-        if self._plan_dirty:
-            wants_plan = self.coalesce and any(
-                supports_plan(s) for s in self._sketches.values()
-            )
-            if wants_plan and self._planner is None:
-                self._planner = ChunkPlanner(self.n)
-            elif not wants_plan:
-                self._planner = None
-            self._plan_dirty = False
-
-    def _dispatch(self, items: np.ndarray, deltas: np.ndarray) -> None:
-        plan = (
-            self._planner.plan(items, deltas)
-            if self._planner is not None
-            else None
-        )
-        for sketch in self._sketches.values():
-            _feed(sketch, items, deltas, plan)
-
     def push(self, items, deltas) -> "StreamSession":
         """Ingest a batch of updates of any size.
 
         Updates accumulate in a partial-chunk buffer; every full
-        ``chunk_size`` worth dispatches through one shared plan to all
-        registered consumers.  The resulting sketch states are
+        ``chunk_size`` worth goes through the engine's chunk driver to
+        all registered consumers.  The resulting sketch states are
         bit-identical to an offline ``replay_many`` over the
         concatenation of every push, whatever the push sizes — the
         batch contract makes chunk boundaries unobservable.
@@ -344,7 +317,6 @@ class StreamSession:
                     "no consumers registered; track() or add() "
                     "before push()"
                 )
-            self._refresh_planner()
             m = len(items_arr)
             self.updates_processed += m
             chunk = self.chunk_size
@@ -358,16 +330,14 @@ class StreamSession:
                 self._fill += take
                 pos = take
                 if self._fill == chunk:
-                    self._dispatch(self._buf_items, self._buf_deltas)
+                    self._driver.feed(self._buf_items, self._buf_deltas)
                     self._fill = 0
-            while pos + chunk <= m:
-                self._dispatch(items_arr[pos:pos + chunk],
-                               deltas_arr[pos:pos + chunk])
-                pos += chunk
-            if pos < m:
-                tail = m - pos
-                self._buf_items[:tail] = items_arr[pos:]
-                self._buf_deltas[:tail] = deltas_arr[pos:]
+            whole = pos + (m - pos) // chunk * chunk
+            self._driver.feed(items_arr[pos:whole], deltas_arr[pos:whole])
+            if whole < m:
+                tail = m - whole
+                self._buf_items[:tail] = items_arr[whole:]
+                self._buf_deltas[:tail] = deltas_arr[whole:]
                 self._fill = tail
         return self
 
@@ -444,7 +414,6 @@ class StreamSession:
         """
         with self._lock:
             if self._fill:
-                self._refresh_planner()
                 items = self._buf_items[:self._fill].copy()
                 deltas = self._buf_deltas[:self._fill].copy()
                 # Dispatch *then* clear: if a consumer raises
@@ -452,7 +421,7 @@ class StreamSession:
                 # re-delivers it.  Consumers ordered before the raiser
                 # will then see the chunk twice — delivery is
                 # at-least-once on failure, never a silent drop.
-                self._dispatch(items, deltas)
+                self._driver.feed(items, deltas)
                 self._fill = 0
         return self
 

@@ -12,12 +12,6 @@ from "as fast as the hardware allows".  This module defines the package's
 * :func:`as_update_arrays` — the shared validator that turns arbitrary
   ``(items, deltas)`` column inputs into checked ``int64`` arrays with the
   same rejection rules as :class:`repro.streams.model.Update`;
-* :class:`ScalarLoopBatchUpdateMixin` — a **test-only shim** whose
-  ``update_batch`` is a literal scalar loop.  No production structure
-  inherits it any more: the order-insensitive schedule core
-  (:mod:`repro.core.schedules`) vectorised every remaining estimator.
-  It survives as the definitional reference the equivalence harness and
-  ad-hoc experiments compare against;
 * :class:`Mergeable` — a :class:`typing.Protocol` for sketches that can
   absorb a same-seeded sibling via ``merge(other)``, the contract behind
   :func:`repro.streams.engine.replay_sharded`;
@@ -136,8 +130,9 @@ class Mergeable(Protocol):
     returns ``self``; afterwards ``self`` summarises the concatenation of
     both input streams.  Implementations MUST verify compatibility (same
     dimensions and, where applicable, equal hash functions *by value* —
-    worker processes rebuild seeds from the same factory, so object
-    identity cannot be assumed) and raise :class:`ValueError` otherwise.
+    shards, sibling sessions and restored snapshots rebuild seeds from
+    the same factory, so object identity cannot be assumed) and raise
+    :class:`ValueError` otherwise.
 
     >>> import numpy as np
     >>> from repro.sketches.countmin import CountMin
@@ -206,27 +201,6 @@ def as_update_arrays(
     return items_arr, deltas_arr
 
 
-class ScalarLoopBatchUpdateMixin:
-    """Test-only shim: ``update_batch`` as the validated scalar loop.
-
-    Historically the fallback for sequential update paths; since the
-    schedule core (:mod:`repro.core.schedules`) landed, every production
-    structure has a genuinely vectorised ``update_batch`` and nothing in
-    ``src/`` inherits this.  It remains the *definitional reference*:
-    tests (and one-off experiments) can wrap a structure with it to
-    state "the batch contract means exactly this loop".
-    """
-
-    #: Universe attribute consulted for validation, when present.
-    _batch_universe_attr = "n"
-
-    def update_batch(self, items, deltas) -> None:
-        universe = getattr(self, self._batch_universe_attr, None)
-        items_arr, deltas_arr = as_update_arrays(items, deltas, universe)
-        for item, delta in zip(items_arr.tolist(), deltas_arr.tolist()):
-            self.update(item, delta)
-
-
 def supports_batch(sketch) -> bool:
     """True when ``sketch`` exposes the batch half of the protocol.
 
@@ -251,8 +225,9 @@ def supports_plan_solo(sketch) -> bool:
     """True when ``sketch`` should be planned even as a replay's *only*
     consumer.  Structures marked ``plan_shared_only`` (FrequencyVector:
     already a dense per-item sum) profit from plans only when another
-    consumer shares the cost, so single-sketch drivers skip planning
-    for them — a plan must never cost more than it saves.
+    consumer shares the cost, so the engine plans a chunk only when
+    some consumer plans solo — a plan must never cost more than it
+    saves.
 
     >>> from repro.streams.model import FrequencyVector
     >>> from repro.sketches.countmin import CountMin
@@ -315,14 +290,12 @@ def consume_stream(sketch, stream, chunk_size: int | None = None,
                    coalesce: bool = True):
     """The shared ``consume`` body: chunked batch replay when possible.
 
-    The canonical dispatch (the engine's ``replay`` and every sketch's
-    ``consume`` route through it): for array-backed streams, chunks are
-    pre-planned (:class:`repro.streams.plan.ChunkPlan` — duplicate
-    coalescing for ℤ-linear structures, shared hash evaluations) and fed
-    to ``update_plan`` where implemented, falling back to
-    ``update_batch`` and then to the scalar loop.  Identical final state
-    on every path, by the batch/plan contracts, while keeping per-chunk
-    scratch memory O(chunk) instead of O(stream).  ``coalesce=False``
+    Array-backed streams replay through the engine's chunk driver
+    (:func:`repro.streams.engine.replay`: planned chunks where the plan
+    policy says so, else ``update_batch``, else the scalar loop), which
+    keeps per-chunk scratch memory O(chunk) instead of O(stream); plain
+    update iterables take the scalar loop.  Identical final state on
+    every path, by the batch/plan contracts.  ``coalesce=False``
     disables the planning layer entirely (the CLI's ``--no-coalesce``
     escape hatch).  Returns the sketch for chaining.
 
@@ -331,28 +304,13 @@ def consume_stream(sketch, stream, chunk_size: int | None = None,
     >>> int(consume_stream(FrequencyVector(8), s, chunk_size=2).f[1])
     5
     """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    if hasattr(stream, "as_arrays") and supports_batch(sketch):
-        items, deltas = stream.as_arrays()
-        planner = None
-        if coalesce and supports_plan_solo(sketch):
-            # Imported here: the plan module sits above this substrate.
-            from repro.streams.plan import ChunkPlanner
+    if hasattr(stream, "as_arrays"):
+        # Imported here: the engine sits above this substrate.
+        from repro.streams.engine import replay
 
-            planner = ChunkPlanner(getattr(stream, "n", None))
-        for start in range(0, len(items), chunk_size):
-            chunk_items = items[start:start + chunk_size]
-            chunk_deltas = deltas[start:start + chunk_size]
-            if planner is not None:
-                sketch.update_plan(planner.plan(chunk_items, chunk_deltas))
-            else:
-                sketch.update_batch(chunk_items, chunk_deltas)
-    else:
-        for u in stream:
-            sketch.update(u.item, u.delta)
+        return replay(stream, sketch, chunk_size, coalesce=coalesce)
+    for u in stream:
+        sketch.update(u.item, u.delta)
     return sketch
 
 

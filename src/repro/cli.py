@@ -22,7 +22,7 @@ throughput knob), ``--no-coalesce`` (bypass the chunk-planning layer),
 ``--workers N`` (sharded replay + merge) — are registry-level: every
 estimator subcommand gets the same set from one helper.
 
-``--workers N`` shards the replay across N processes and merges the
+``--workers N`` shards the replay across N threads and merges the
 shard sketches (``repro.streams.engine.replay_sharded``).  The one
 documented holdout is ``support``: its suffix-positivity certificate
 needs every prefix of its input to be strict-turnstile, which
@@ -55,12 +55,7 @@ from repro.streams.generators import (
     sensor_occupancy_stream,
     traffic_difference_stream,
 )
-from repro.streams.engine import (
-    DEFAULT_CHUNK_SIZE,
-    ReplayStats,
-    replay_sharded_timed,
-    replay_timed,
-)
+from repro.streams.engine import DEFAULT_CHUNK_SIZE, replay, replay_sharded
 from repro.streams.io import load_stream
 from repro.streams.model import Stream
 
@@ -126,7 +121,7 @@ def add_engine_args(parser: argparse.ArgumentParser) -> None:
                              "estimates are identical either way — this "
                              "is a throughput escape hatch")
     parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="shard the replay across N processes and merge "
+                        help="shard the replay across N threads and merge "
                              "the shard sketches (all subcommands except "
                              "support, the documented order-sensitive "
                              "holdout, which notes the fallback)")
@@ -168,12 +163,12 @@ def add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _print_throughput(stats) -> None:
-    mode = "batched" if stats.batched else "scalar"
-    if getattr(stats, "workers", 1) > 1:
-        mode += f", {stats.workers} workers"
-    print(f"throughput             : {stats.updates_per_sec:,.0f} updates/s "
-          f"(chunk={stats.chunk_size}, {mode})")
+def _print_throughput(updates: int, seconds: float, chunk_size: int,
+                      workers: int = 1) -> None:
+    rate = updates / seconds if seconds > 0 else float("inf")
+    mode = f"batched, {workers} workers" if workers > 1 else "batched"
+    print(f"throughput             : {rate:,.0f} updates/s "
+          f"(chunk={chunk_size}, {mode})")
 
 
 @dataclass(frozen=True)
@@ -243,10 +238,7 @@ def _run_estimator_checkpointed(cmd: _EstimatorCommand,
           f"written to {args.checkpoint_dir} "
           f"(every {args.checkpoint_every} updates, "
           f"keep {args.checkpoint_keep})")
-    _print_throughput(ReplayStats(
-        updates=len(items) - done, seconds=elapsed,
-        chunk_size=args.chunk_size, batched=True,
-    ))
+    _print_throughput(len(items) - done, elapsed, args.chunk_size)
     return 0
 
 
@@ -262,20 +254,22 @@ def _run_estimator(cmd: _EstimatorCommand, args: argparse.Namespace) -> int:
         print(f"note: {note} is provably order-sensitive (its certificate "
               f"needs strict prefixes, which shards of a strict stream are "
               f"not); --workers ignored, replaying single-shard")
-    if cmd.sharded and args.workers > 1:
-        sketch, stats = replay_sharded_timed(
-            stream, shard_factory(spec_name, params, **overrides),
-            workers=args.workers, chunk_size=args.chunk_size,
-            coalesce=args.coalesce,
-        )
+    workers = args.workers if cmd.sharded else 1
+    if workers > 1:
+        factory = shard_factory(spec_name, params, **overrides)
+        start = time.perf_counter()
+        sketch = replay_sharded(stream, factory, workers=workers,
+                                chunk_size=args.chunk_size,
+                                coalesce=args.coalesce)
     else:
-        sketch, stats = replay_timed(
-            stream, build(spec_name, params, **overrides),
-            chunk_size=args.chunk_size, coalesce=args.coalesce,
-        )
+        sketch = build(spec_name, params, **overrides)
+        start = time.perf_counter()
+        replay(stream, sketch, chunk_size=args.chunk_size,
+               coalesce=args.coalesce)
+    elapsed = time.perf_counter() - start
     cmd.report(sketch, truth, args, spec_name)
     print(f"sketch space           : {sketch.space_bits()} bits")
-    _print_throughput(stats)
+    _print_throughput(len(stream), elapsed, args.chunk_size, workers)
     return 0
 
 

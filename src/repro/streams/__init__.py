@@ -20,12 +20,10 @@ from repro.streams.model import (
 )
 from repro.streams.engine import (
     DEFAULT_CHUNK_SIZE,
-    ReplayStats,
     iter_chunks,
     replay,
     replay_many,
     replay_sharded,
-    replay_timed,
     shard_bounds,
 )
 from repro.streams.alpha import (
@@ -53,12 +51,10 @@ __all__ = [
     "FrequencyVector",
     "stream_from_updates",
     "DEFAULT_CHUNK_SIZE",
-    "ReplayStats",
     "iter_chunks",
     "replay",
     "replay_many",
     "replay_sharded",
-    "replay_timed",
     "shard_bounds",
     "lp_alpha",
     "l0_alpha",

@@ -1,12 +1,22 @@
-"""Chunked batch-replay engine: the package's high-throughput stream driver.
+"""Chunked batch-replay engine: the package's one chunk driver.
 
 The scalar path — ``for u in stream: sketch.update(u.item, u.delta)`` —
 costs a Python call (plus per-item hash polynomial evaluations) per
 update.  This module replays :class:`~repro.streams.model.Stream` objects
-as ``(items, deltas)`` column chunks instead, dispatching each chunk to
-``update_batch`` on sketches that implement it (see :mod:`repro.batch`)
-and falling back to the scalar loop otherwise.  The batch contract
-guarantees the final sketch state is identical to the scalar replay for
+as ``(items, deltas)`` column chunks instead.  :class:`ChunkDriver` holds
+the only chunk loop and the only plan policy in the package, and every
+driver routes through it:
+
+* :func:`replay` — one sketch (every sketch's ``consume`` on an
+  array-backed stream, via :func:`repro.batch.consume_stream`);
+* :func:`replay_many` — several sketches in one chunk-major pass, so the
+  stream columns are materialised once;
+* :func:`replay_sharded` — contiguous shards replayed on a thread pool
+  and folded with ``merge`` (the CLI's ``--workers``);
+* :class:`repro.api.session.StreamSession` — live pushes, buffered into
+  whole chunks.
+
+The batch contract guarantees the final sketch state is identical for
 every chunk size, so ``--chunk-size`` is purely a throughput knob.
 
 Typical use::
@@ -15,42 +25,27 @@ Typical use::
 
     sketch = replay(stream, CountSketch(n, 96, 6, rng), chunk_size=4096)
 
-``replay_many`` feeds several sketches in one pass (chunk-major, so the
-stream columns are materialised once), and ``replay_timed`` wraps a replay
-with wall-clock measurement, returning the updates/sec figure the
-benchmarks record in ``BENCH_throughput.json``.
-
-Chunks are *pre-planned* before dispatch (:mod:`repro.streams.plan`):
-one :class:`~repro.streams.plan.ChunkPlan` per chunk carries the unique
-items, per-item summed deltas, and a value-keyed hash-evaluation cache,
-shared across every consumer fed in that chunk.  Structures implementing
-``update_plan`` coalesce duplicates (ℤ-linear sketches) and reuse hash
-evaluations; everything else takes ``update_batch`` unchanged.  The
-``coalesce=False`` escape hatch (CLI ``--no-coalesce``) bypasses
-planning entirely.
-
-``replay_sharded`` scales past one core: the stream's column arrays are
-split into contiguous shards, each worker builds a sketch from the same
-deterministic ``factory`` (so every shard shares hash seeds) and replays
-its shard through the chunked batch path, and the shard sketches are
-folded together with ``merge`` (see :class:`repro.batch.Mergeable`).  For
-linear integer sketches the merged result is bit-identical to a
-single-pass replay; the CLI exposes this as ``--workers``.
+**The plan policy.**  A chunk is pre-planned (:mod:`repro.streams.plan`:
+unique items, per-item summed deltas, a value-keyed hash-evaluation
+cache) iff ``coalesce`` is on and some consumer plans solo
+(:func:`repro.batch.supports_plan_solo`).  That one plan feeds every
+consumer implementing ``update_plan``; the rest take ``update_batch``,
+else the scalar loop.  ``plan_shared_only`` consumers (FrequencyVector,
+MisraGries) only reuse views a solo-planning consumer already paid for,
+so a consumer set made of them alone is never planned — a plan must
+never cost more than it saves.  ``coalesce=False`` (CLI
+``--no-coalesce``) bypasses planning entirely.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import inspect
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.batch import (
     DEFAULT_CHUNK_SIZE,
-    consume_stream,
     supports_batch,
     supports_merge,
     supports_plan,
@@ -58,6 +53,14 @@ from repro.batch import (
 )
 from repro.streams.plan import ChunkPlanner
 from repro.streams.model import Stream
+
+
+def _chunk_size(chunk_size: int | None) -> int:
+    if chunk_size is None:
+        return DEFAULT_CHUNK_SIZE
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    return int(chunk_size)
 
 
 def iter_chunks(
@@ -70,14 +73,13 @@ def iter_chunks(
     >>> [items.tolist() for items, _ in iter_chunks(s, chunk_size=2)]
     [[1, 3], [5]]
     """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    items, deltas = stream.as_arrays()
-    for start in range(0, len(items), chunk_size):
-        stop = start + chunk_size
-        yield items[start:stop], deltas[start:stop]
+    return _chunks(*stream.as_arrays(), _chunk_size(chunk_size))
+
+
+def _chunks(items: np.ndarray, deltas: np.ndarray,
+            size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    for start in range(0, len(items), size):
+        yield items[start:start + size], deltas[start:start + size]
 
 
 def _feed(
@@ -93,24 +95,69 @@ def _feed(
             update(item, delta)
 
 
+class ChunkDriver:
+    """The chunk loop and plan policy behind every replay and session.
+
+    :meth:`feed` cuts ``(items, deltas)`` columns into ``chunk_size``
+    chunks and hands each chunk to every consumer in order.  A chunk is
+    planned iff ``coalesce`` is on and some consumer plans solo, and
+    that one plan feeds every consumer (the module's plan policy).  A
+    driver persists across ``feed`` calls (a session keeps one per
+    consumer set), so the planner's dense workspaces are allocated once.
+
+    >>> import numpy as np
+    >>> from repro.streams.model import FrequencyVector
+    >>> fv = FrequencyVector(8)
+    >>> driver = ChunkDriver([fv], universe=8, chunk_size=2)
+    >>> driver.planner is None  # plan_shared_only alone: never planned
+    True
+    >>> driver.feed(np.array([1, 1, 4]), np.array([2, 3, -1]))
+    >>> fv.f.tolist()
+    [0, 5, 0, 0, -1, 0, 0, 0]
+    """
+
+    def __init__(self, consumers: Iterable[Any], universe: int | None,
+                 chunk_size: int | None = None,
+                 coalesce: bool = True) -> None:
+        self.consumers = list(consumers)
+        self.chunk_size = _chunk_size(chunk_size)
+        self.planner = (
+            ChunkPlanner(universe)
+            if coalesce and any(supports_plan_solo(c) for c in self.consumers)
+            else None
+        )
+
+    def feed(self, items: np.ndarray, deltas: np.ndarray) -> None:
+        """Feed every consumer the columns, one chunk at a time."""
+        for chunk_items, chunk_deltas in _chunks(items, deltas,
+                                                 self.chunk_size):
+            plan = (
+                self.planner.plan(chunk_items, chunk_deltas)
+                if self.planner is not None
+                else None
+            )
+            for consumer in self.consumers:
+                _feed(consumer, chunk_items, chunk_deltas, plan)
+
+
 def replay(stream: Stream, sketch: Any, chunk_size: int | None = None,
            coalesce: bool = True):
     """Replay ``stream`` into ``sketch`` in chunks; returns the sketch.
 
-    Uses ``update_plan`` (pre-planned chunks: duplicate coalescing and
-    shared hash evaluations, see :mod:`repro.streams.plan`) when the
-    sketch implements it, else ``update_batch``, else the scalar loop —
-    every path leaves the same final state as a plain ``consume``
-    (``replay`` *is* the shared :func:`repro.batch.consume_stream`
-    dispatch, argument order aside).  ``coalesce=False`` bypasses the
-    planning layer (the ``--no-coalesce`` escape hatch).
+    Uses ``update_plan`` when the sketch plans solo, else
+    ``update_batch``, else the scalar loop — every path leaves the same
+    final state as a plain ``consume``.  ``coalesce=False`` bypasses
+    the planning layer (the ``--no-coalesce`` escape hatch).
 
     >>> from repro.streams.model import FrequencyVector, stream_from_updates
     >>> s = stream_from_updates(8, [(1, 2), (1, 3), (4, -1)])
     >>> replay(s, FrequencyVector(8), chunk_size=2).f.tolist()
     [0, 5, 0, 0, -1, 0, 0, 0]
     """
-    return consume_stream(sketch, stream, chunk_size, coalesce=coalesce)
+    ChunkDriver([sketch], stream.n, chunk_size, coalesce).feed(
+        *stream.as_arrays()
+    )
+    return sketch
 
 
 def replay_many(
@@ -123,10 +170,11 @@ def replay_many(
 
     Sketches are independent structures, so interleaving their chunk
     updates leaves each in exactly the state a dedicated replay would.
-    All sketches are fed from *one* :class:`~repro.streams.plan.ChunkPlan`
-    per chunk, so the chunk's unique items are computed once and
-    value-equal hash functions (same-seeded sketches, shared contexts)
-    are evaluated once per chunk instead of once per consumer.
+    When a chunk is planned, all sketches are fed from *one*
+    :class:`~repro.streams.plan.ChunkPlan`, so the chunk's unique items
+    are computed once and value-equal hash functions (same-seeded
+    sketches, shared contexts) are evaluated once per chunk instead of
+    once per consumer.
 
     >>> from repro.streams.model import FrequencyVector, stream_from_updates
     >>> s = stream_from_updates(4, [(0, 1), (2, 5)])
@@ -134,74 +182,9 @@ def replay_many(
     >>> a.f.tolist() == b.f.tolist() == [1, 0, 5, 0]
     True
     """
-    sketches = list(sketches)
-    planner = (
-        ChunkPlanner(stream.n)
-        if coalesce and any(supports_plan(s) for s in sketches)
-        else None
-    )
-    for items, deltas in iter_chunks(stream, chunk_size):
-        plan = planner.plan(items, deltas) if planner is not None else None
-        for sketch in sketches:
-            _feed(sketch, items, deltas, plan)
-    return sketches
-
-
-def _build_shard_sketch(factory: Callable, shard_index: int) -> Any:
-    """Instantiate a shard's sketch, passing the shard index when the
-    factory accepts one.
-
-    Factories callable with no arguments keep working unchanged —
-    including ones with optional/defaulted parameters, whose defaults
-    are respected.  Only a factory that *requires* one positional
-    argument (e.g. ``functools.partial`` leaving a trailing
-    ``shard_index`` parameter unbound) receives the shard's index — the
-    explicit opt-in hook for per-shard *sampling* seeds while hash
-    seeds stay shared (see :class:`repro.core.csss.CSSS`'s
-    ``sampling_seed``)."""
-    try:
-        signature = inspect.signature(factory)
-    except (TypeError, ValueError):  # builtins/objects without signatures
-        return factory()
-    try:
-        signature.bind()
-    except TypeError:
-        pass  # cannot be called bare: fall through to the indexed form
-    else:
-        return factory()
-    try:
-        signature.bind(shard_index)
-    except TypeError:
-        return factory()  # surfaces the original signature error
-    return factory(shard_index)
-
-
-def _replay_shard(
-    factory: Callable,
-    shard_index: int,
-    items: np.ndarray,
-    deltas: np.ndarray,
-    chunk_size: int,
-    universe: int | None = None,
-    coalesce: bool = True,
-) -> Any:
-    """Worker body: build a sketch from the shared factory and replay one
-    contiguous shard through the chunked plan/batch path.  Module-level
-    so process pools can pickle it."""
-    sketch = _build_shard_sketch(factory, shard_index)
-    planner = (
-        ChunkPlanner(universe)
-        if coalesce and supports_plan_solo(sketch)
-        else None
-    )
-    for start in range(0, len(items), chunk_size):
-        chunk_items = items[start:start + chunk_size]
-        chunk_deltas = deltas[start:start + chunk_size]
-        if planner is not None:
-            sketch.update_plan(planner.plan(chunk_items, chunk_deltas))
-        else:
-            sketch.update_batch(chunk_items, chunk_deltas)
-    return sketch
+    driver = ChunkDriver(sketches, stream.n, chunk_size, coalesce)
+    driver.feed(*stream.as_arrays())
+    return driver.consumers
 
 
 def shard_bounds(m: int, workers: int) -> list[tuple[int, int]]:
@@ -225,182 +208,60 @@ def shard_bounds(m: int, workers: int) -> list[tuple[int, int]]:
 
 def replay_sharded(
     stream: Stream,
-    factory: Callable[[], Any],
+    factory: Callable[[int], Any],
     workers: int | None = None,
     chunk_size: int | None = None,
-    executor: str = "process",
     coalesce: bool = True,
 ):
     """Replay a stream as ``workers`` parallel shards and merge the shard
     sketches; returns the merged sketch.
 
-    ``factory`` is usually a zero-argument callable building the *same*
-    sketch every time it is called (same constructor arguments including
+    ``factory(shard_index)`` must build the *same* sketch for every
+    index as far as hashing goes (same constructor arguments including
     a fixed generator seed) — shards must share hash seeds or the merge
-    is meaningless, and with ``executor="process"`` it must additionally
-    be picklable (a module-level function or :func:`functools.partial`,
-    not a lambda).  The sketch must implement the
-    :class:`~repro.batch.Mergeable` protocol.
-
-    A factory that accepts one positional argument is called as
-    ``factory(shard_index)`` instead: shard indices let sampling sketches
-    decorrelate their per-shard sampling streams (e.g. CSSS's
-    ``sampling_seed``) while still deriving hash seeds from the shared
-    base seed — removing the cross-shard sampling correlation that a
-    purely deterministic factory induces.
+    is meaningless.  The index lets sampling sketches decorrelate their
+    per-shard sampling streams (e.g. CSSS's ``sampling_seed``);
+    :func:`repro.api.registry.shard_factory` builds such factories.  The
+    sketch must implement the :class:`~repro.batch.Mergeable` protocol.
 
     For linear integer sketches (CountSketch, CountMin, AMS,
     FrequencyVector) the merged result is bit-identical to a one-pass
     replay; float sketches agree to machine precision; sampling sketches
     (CSSS) merge to a valid sketch of the whole stream by rate-aligned
-    thinning.  ``workers=1`` (or a short stream) degenerates to a plain
-    in-process replay with no pool overhead.
+    thinning.  Shards run on a thread pool, which overlaps only where
+    NumPy and the compiled kernels release the GIL, so expect modest
+    scaling; ``workers=1`` (or a short stream) degenerates to a plain
+    in-thread replay with no pool.
 
-    ``executor`` selects ``"process"`` (true parallelism; fork-cheap on
-    Linux) or ``"thread"`` (no pickling requirements — useful for tests
-    and doctests; numpy releases the GIL only partially, so expect
-    modest scaling).
-
-    >>> import numpy as np
     >>> from repro.streams.model import FrequencyVector, stream_from_updates
     >>> s = stream_from_updates(8, [(1, 2), (1, 3), (4, -1), (5, 1)])
-    >>> fv = replay_sharded(s, lambda: FrequencyVector(8), workers=2,
-    ...                     executor="thread")
+    >>> fv = replay_sharded(s, lambda shard: FrequencyVector(8), workers=2)
     >>> fv.f.tolist()
     [0, 5, 0, 0, -1, 1, 0, 0]
     """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    if executor not in ("process", "thread"):
-        raise ValueError("executor must be 'process' or 'thread'")
-    if workers is None:
-        workers = 1
-    if workers < 1:
-        raise ValueError("workers must be positive")
     items, deltas = stream.as_arrays()
-    bounds = shard_bounds(len(items), workers)
-    if len(bounds) <= 1:
-        return _replay_shard(
-            factory, 0, items, deltas, chunk_size, stream.n, coalesce
-        )
-    pool_cls = (
-        concurrent.futures.ProcessPoolExecutor
-        if executor == "process"
-        else concurrent.futures.ThreadPoolExecutor
-    )
-    with pool_cls(max_workers=len(bounds)) as pool:
-        shards = list(
-            pool.map(
-                _replay_shard,
-                (factory for _ in bounds),
-                range(len(bounds)),
-                (items[a:b] for a, b in bounds),
-                (deltas[a:b] for a, b in bounds),
-                (chunk_size for _ in bounds),
-                (stream.n for _ in bounds),
-                (coalesce for _ in bounds),
-            )
-        )
-    merged = shards[0]
-    if not supports_merge(merged):
+    bounds = shard_bounds(len(items), 1 if workers is None else workers)
+    bounds = bounds or [(0, 0)]  # an empty stream: one empty shard
+    shards = [factory(index) for index in range(len(bounds))]
+    if len(shards) > 1 and not supports_merge(shards[0]):
         raise TypeError(
-            f"{type(merged).__name__} does not implement merge(); "
+            f"{type(shards[0]).__name__} does not implement merge(); "
             "sharded replay needs the Mergeable protocol"
         )
+    drivers = [
+        ChunkDriver([shard], stream.n, chunk_size, coalesce)
+        for shard in shards
+    ]
+
+    def run(driver: ChunkDriver, bound: tuple[int, int]) -> None:
+        driver.feed(items[bound[0]:bound[1]], deltas[bound[0]:bound[1]])
+
+    if len(drivers) == 1:
+        run(drivers[0], bounds[0])
+    else:
+        with concurrent.futures.ThreadPoolExecutor(len(drivers)) as pool:
+            list(pool.map(run, drivers, bounds))
+    merged = shards[0]
     for shard in shards[1:]:
         merged.merge(shard)
     return merged
-
-
-@dataclass(frozen=True)
-class ReplayStats:
-    """Wall-clock result of a timed replay."""
-
-    updates: int
-    seconds: float
-    chunk_size: int
-    batched: bool
-    workers: int = 1
-
-    @property
-    def updates_per_sec(self) -> float:
-        return self.updates / self.seconds if self.seconds > 0 else float("inf")
-
-
-def replay_timed(
-    stream: Stream,
-    sketch: Any,
-    chunk_size: int | None = None,
-    force_scalar: bool = False,
-    coalesce: bool = True,
-    clock: Callable[[], float] = time.perf_counter,
-) -> tuple[Any, ReplayStats]:
-    """Replay with wall-clock measurement.
-
-    The clock is an injected seam (``clock=``, defaulting to
-    ``time.perf_counter``) so timing behaviour is testable without
-    sleeping and the replay core itself stays wall-clock-free.
-
-    ``force_scalar`` drives the per-update path even on batch-capable
-    sketches — the baseline side of every throughput comparison.
-    ``coalesce=False`` measures the un-planned batch path (the other
-    side of the coalescing comparisons in ``bench_throughput.py``).
-
-    >>> from repro.streams.model import FrequencyVector, stream_from_updates
-    >>> s = stream_from_updates(4, [(0, 1), (2, 5)])
-    >>> fv, stats = replay_timed(s, FrequencyVector(4))
-    >>> stats.updates, stats.batched, stats.updates_per_sec > 0
-    (2, True, True)
-    """
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    items, deltas = stream.as_arrays()
-    batched = supports_batch(sketch) and not force_scalar
-    start = clock()
-    if batched:
-        consume_stream(sketch, stream, chunk_size, coalesce=coalesce)
-    else:
-        # The force_scalar baseline deliberately times the raw per-update
-        # loop (what the scalar path costs), not the dispatch helper.
-        update = sketch.update
-        for item, delta in zip(items.tolist(), deltas.tolist()):
-            update(item, delta)
-    elapsed = clock() - start
-    return sketch, ReplayStats(
-        updates=len(items),
-        seconds=elapsed,
-        chunk_size=chunk_size,
-        batched=batched,
-    )
-
-
-def replay_sharded_timed(
-    stream: Stream,
-    factory: Callable[[], Any],
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    executor: str = "process",
-    coalesce: bool = True,
-    clock: Callable[[], float] = time.perf_counter,
-) -> tuple[Any, ReplayStats]:
-    """:func:`replay_sharded` with wall-clock measurement (pool spawn and
-    merge costs included — that is the honest sharding overhead).
-    ``clock`` is the injected timing seam, as in :func:`replay_timed`."""
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    items, _ = stream.as_arrays()
-    start = clock()
-    sketch = replay_sharded(
-        stream, factory, workers=workers, chunk_size=chunk_size,
-        executor=executor, coalesce=coalesce,
-    )
-    elapsed = clock() - start
-    return sketch, ReplayStats(
-        updates=len(items),
-        seconds=elapsed,
-        chunk_size=chunk_size,
-        batched=True,
-        workers=workers if workers else 1,
-    )

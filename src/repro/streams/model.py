@@ -189,20 +189,10 @@ class FrequencyVector:
     coalescable_updates = True
 
     #: A frequency vector IS a dense per-item sum already, so a plan
-    #: built solely for it can only cost; the engine's single-sketch
-    #: drivers skip planning for it, and `update_plan` coalesces only
-    #: off plans another consumer already paid for (`replay_many`).
-    #: ROADMAP lever (f) measured the alternative (the fused fold of
-    #: :meth:`update_plan_fused`, which avoids the boolean-mask copies
-    #: by deriving the insertion/deletion split arithmetically from the
-    #: plan's shared |Δ| view): parity on mixed-sign streams (104.6 vs
-    #: 104.0 M upd/s at chunk 4096) and 0.88x on insertion-only streams
-    #: (the masked path's deletion scatter is empty there, the fused
-    #: one never is), while the coalesced solo fold runs 0.44x (the
-    #: unique pass costs more than three scatter-adds).  Verdict: solo
-    #: plans cannot pay for themselves here; the flag stays.  The
-    #: ``fv_solo_plan`` section of ``bench_throughput.py`` re-measures
-    #: all three paths so the verdict stays visible across PRs.
+    #: built solely for it can only cost (the coalesced solo fold ran
+    #: 0.44x the batch scatter: the unique pass costs more than three
+    #: scatter-adds); `update_plan` coalesces only off plans another
+    #: consumer already paid for.
     plan_shared_only = True
 
     def __init__(self, n: int) -> None:
@@ -263,32 +253,6 @@ class FrequencyVector:
         np.add.at(self.f, unique, plan.summed_deltas)
         np.add.at(self.insertions, unique, plan.summed_positive)
         np.add.at(self.deletions, unique, plan.summed_negative_magnitudes)
-        self.num_updates += plan.size
-
-    def update_plan_fused(self, plan) -> None:
-        """The ROADMAP lever (f) experiment: a fused plan-workspace fold.
-
-        Replaces the boolean-mask insertion/deletion split of
-        :meth:`update_batch` with three unmasked scatter-adds, deriving
-        the split arithmetically from the plan's shared ``|Δ|`` view:
-        ``(Δ + |Δ|) >> 1`` is ``Δ`` for insertions and ``0`` for
-        deletions, so no ``Δ > 0`` mask and no fancy-index copies are
-        needed.  Bit-identical to :meth:`update_batch` (integer adds
-        commute; the identity is exact for int64 deltas).
-
-        Measured (see the ``plan_shared_only`` note): parity on mixed
-        streams, 0.88x on insertion-only ones — so this is *not* the
-        default solo path; it exists as the documented, benchmarked
-        outcome of the lever, re-measured by ``bench_throughput.py``'s
-        ``fv_solo_plan`` section.
-        """
-        plan.check_universe(self.n)
-        items, deltas = plan.items, plan.deltas
-        abs_deltas = plan.abs_deltas
-        positive_part = (deltas + abs_deltas) >> 1
-        np.add.at(self.f, items, deltas)
-        np.add.at(self.insertions, items, positive_part)
-        np.add.at(self.deletions, items, abs_deltas - positive_part)
         self.num_updates += plan.size
 
     def merge(self, other: "FrequencyVector") -> "FrequencyVector":

@@ -5,7 +5,7 @@ deterministic (the property shard merges and snapshots rest on)."""
 from __future__ import annotations
 
 import inspect
-# repro: allow[pickle-ban] -- pins that shard factories are picklable (multiprocessing needs them to cross process boundaries); never loads untrusted bytes
+# repro: allow[pickle-ban] -- pins that shard factories stay picklable (callers may ship them to their own worker processes); never loads untrusted bytes
 import pickle
 
 import numpy as np
@@ -195,7 +195,7 @@ class TestShardFactories:
     def test_factory_requires_shard_index_and_is_picklable(self):
         factory = shard_factory("csss", PROBE, depth=3)
         with pytest.raises(TypeError):
-            factory()  # the engine's opt-in signal: index is required
+            factory()  # replay_sharded always passes the index
         rebuilt = pickle.loads(pickle.dumps(factory))
         a, b = factory(0), rebuilt(0)
         assert np.array_equal(a.pos, b.pos)
@@ -222,7 +222,6 @@ class TestShardFactories:
                                                seed=6, strict=False)
         merged = repro.replay_sharded(
             stream, shard_factory("countmin", PROBE), workers=3,
-            executor="thread",
         )
         single = repro.replay(stream, build("countmin", PROBE))
         assert np.array_equal(merged.table, single.table)

@@ -287,6 +287,63 @@ def test_frequency_vector_coalesces_only_on_shared_plans():
     assert_same_state(reference, shared)
 
 
+#: Consumer sets with a solo-planning member get plans; sets made only
+#: of ``plan_shared_only`` consumers do not.
+PLANNED_SETS = [("countsketch",), ("frequency_vector", "countsketch")]
+UNPLANNED_SETS = [("frequency_vector",), ("frequency_vector", "misra_gries")]
+
+
+@pytest.mark.parametrize("coalesce", [True, False])
+@pytest.mark.parametrize("names", PLANNED_SETS + UNPLANNED_SETS)
+def test_every_driver_follows_one_plan_policy(monkeypatch, names, coalesce):
+    """replay, replay_many, replay_sharded and StreamSession plan the
+    same consumer sets: a chunk is planned iff coalescing is on and some
+    consumer plans solo (replay and replay_sharded take the
+    one-consumer sets)."""
+    from repro.api import Params, StreamSession, build, shard_factory
+    from repro.streams.engine import replay_sharded
+
+    chunk = 128
+    stream = zipfian_insertion_stream(N, 4 * chunk, skew=1.5, seed=303)
+    params = Params(n=N, seed=SEED)
+    calls = []
+    original = ChunkPlanner.plan
+
+    def counting(self, items, deltas):
+        calls.append(len(items))
+        return original(self, items, deltas)
+
+    monkeypatch.setattr(ChunkPlanner, "plan", counting)
+
+    def plans(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    def push_session():
+        session = StreamSession(N, params=params, chunk_size=chunk,
+                                coalesce=coalesce)
+        for name in names:
+            session.track(name)
+        session.push_stream(stream).flush()
+
+    counts = {
+        "replay_many": plans(lambda: replay_many(
+            stream, [build(name, params) for name in names],
+            chunk_size=chunk, coalesce=coalesce)),
+        "session": plans(push_session),
+    }
+    if len(names) == 1:
+        counts["replay"] = plans(lambda: replay(
+            stream, build(names[0], params), chunk_size=chunk,
+            coalesce=coalesce))
+        counts["replay_sharded"] = plans(lambda: replay_sharded(
+            stream, shard_factory(names[0], params), workers=2,
+            chunk_size=chunk, coalesce=coalesce))
+    expected = 4 if coalesce and names in PLANNED_SETS else 0
+    assert counts == dict.fromkeys(counts, expected)
+
+
 # -- cross-sketch hash memoization -------------------------------------------
 
 def _count_hash_calls(monkeypatch):
@@ -516,28 +573,11 @@ class TestMisraGriesPlanUpsert:
             MisraGries(N, eps=1 / 16).update_plan(plan)
 
 
-# -- FrequencyVector fused fold (ROADMAP lever f verdict) ---------------------
+# -- FrequencyVector stays plan_shared_only (ROADMAP lever f verdict) ---------
 
 class TestFrequencyVectorFusedFold:
-    """The lever (f) experiment path must stay bit-identical to
-    update_batch (the bench re-measures its rates; equivalence lives
-    here)."""
-
-    @pytest.mark.parametrize("chunk", [1, 7, 1024])
-    def test_fused_fold_bit_identical(self, chunk):
-        planner = ChunkPlanner(N)
-        items, deltas = STREAM.as_arrays()
-        reference = FrequencyVector(N)
-        fused = FrequencyVector(N)
-        for start in range(0, len(items), chunk):
-            chunk_items = items[start:start + chunk]
-            chunk_deltas = deltas[start:start + chunk]
-            reference.update_batch(chunk_items, chunk_deltas)
-            fused.update_plan_fused(planner.plan(chunk_items, chunk_deltas))
-        assert np.array_equal(reference.f, fused.f)
-        assert np.array_equal(reference.insertions, fused.insertions)
-        assert np.array_equal(reference.deletions, fused.deletions)
-        assert reference.num_updates == fused.num_updates
+    """Lever (f), a fused solo plan fold, measured no gain and was
+    closed; what remains is the flag that verdict justified."""
 
     def test_frequency_vector_stays_shared_only(self):
         from repro.batch import supports_plan_solo

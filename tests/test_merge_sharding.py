@@ -14,16 +14,17 @@ concatenation of both input streams.  This harness checks, for every
   the whole stream — rate-aligned thinning preserves the sampling
   invariants and the Theorem 1 error guarantee (bit-identity is
   impossible: each shard consumes its own sampling randomness);
-* cross-process realism: merges still work after a pickle round-trip
-  (hash functions compare by value, not identity), and
-  :func:`repro.streams.engine.replay_sharded` with a process pool
-  produces the same tables as the in-process replay.
+* shard realism: merges still work after a pickle round-trip (hash
+  functions compare by value, not identity), and
+  :func:`repro.streams.engine.replay_sharded` on its thread pool
+  produces the same tables as a single replay.
 """
 
 from __future__ import annotations
 
-# repro: allow[pickle-ban] -- pins that shard factories are picklable (multiprocessing needs them to cross process boundaries); never loads untrusted bytes
+# repro: allow[pickle-ban] -- pins that merges survive a pickle round-trip (hash functions compare by value, not identity); never loads untrusted bytes
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -125,8 +126,8 @@ def strict_stream():
 
 
 def _shard_replay(stream, factory, workers):
-    """In-process sharded replay: explicit shards + merge (the engine's
-    process pool does exactly this; here we keep it deterministic and
+    """Sequential sharded replay: explicit shards + merge (the engine's
+    thread pool does exactly this; here we keep it deterministic and
     debuggable)."""
     items, deltas = stream.as_arrays()
     shards = []
@@ -270,21 +271,30 @@ class TestFloatAndSamplingMerges:
         assert a.merge(b).value == 10
 
 
-class TestReplaySharded:
-    def test_process_pool_matches_in_process(self, stream):
-        merged = replay_sharded(stream, _make_countsketch, workers=3,
-                                executor="process")
-        single = replay(stream, _make_countsketch())
-        assert np.array_equal(merged.table, single.table)
+def _unindexed(make):
+    """A ``factory(shard_index)`` that ignores the index: every shard
+    gets the identical sketch."""
+    return lambda shard_index: make()
 
+
+class TestReplaySharded:
     def test_thread_pool_matches_in_process(self, stream):
-        merged = replay_sharded(stream, _make_countmin, workers=3,
-                                executor="thread")
+        """More shards than cores and a short switch interval, so the
+        shard threads interleave inside the hash and scatter paths: a
+        lost or crossed update would break table equality."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            merged = replay_sharded(stream, _unindexed(_make_countmin),
+                                    workers=8, chunk_size=64)
+        finally:
+            sys.setswitchinterval(interval)
         single = replay(stream, _make_countmin())
         assert np.array_equal(merged.table, single.table)
 
     def test_single_worker_is_plain_replay(self, stream):
-        merged = replay_sharded(stream, _make_countsketch, workers=1)
+        merged = replay_sharded(stream, _unindexed(_make_countsketch),
+                                workers=1)
         single = replay(stream, _make_countsketch())
         assert np.array_equal(merged.table, single.table)
 
@@ -293,19 +303,19 @@ class TestReplaySharded:
         it deliberately implements no merge()."""
         from repro.core.support_sampler import AlphaSupportSampler
 
-        def make():
+        def make(shard_index):
             return AlphaSupportSampler(N, k=4, alpha=2,
                                        rng=np.random.default_rng(5))
 
-        assert not supports_merge(make())
+        assert not supports_merge(make(0))
         strict = bounded_deletion_stream(N, 200, alpha=2, seed=5, strict=True)
         with pytest.raises(TypeError):
-            replay_sharded(strict, make, workers=2, executor="thread")
+            replay_sharded(strict, make, workers=2)
 
     def test_shard_indexed_factory_receives_index(self, stream):
-        """A factory accepting one positional argument gets the shard
-        index; per-shard CSSS sampling seeds decorrelate the shards while
-        hash seeds stay shared, so the merge still validates."""
+        """The factory gets the shard index; per-shard CSSS sampling
+        seeds decorrelate the shards while hash seeds stay shared, so
+        the merge still validates."""
         seen = []
 
         def factory(shard_index):
@@ -314,8 +324,7 @@ class TestReplaySharded:
                         rng=np.random.default_rng(SEED), depth=4,
                         sampling_seed=(SEED, shard_index))
 
-        merged = replay_sharded(stream, factory, workers=3,
-                                executor="thread")
+        merged = replay_sharded(stream, factory, workers=3)
         assert sorted(seen) == [0, 1, 2]
         for r in range(merged.depth):
             assert int(merged._row_weight[r]) <= merged.budget
@@ -340,10 +349,7 @@ class TestReplaySharded:
 
     def test_invalid_arguments(self, stream):
         with pytest.raises(ValueError):
-            replay_sharded(stream, _make_countsketch, workers=0)
-        with pytest.raises(ValueError):
-            replay_sharded(stream, _make_countsketch, workers=2,
-                           executor="mpi")
+            replay_sharded(stream, _unindexed(_make_countsketch), workers=0)
 
 
 # -- the schedule-core ports: merge + pickle round-trips ----------------------
@@ -550,19 +556,3 @@ class TestPortedStructureMerges:
         single = replay(stream, make())
         merged = _shard_replay(stream, make, 4)
         assert merged._smallest == single._smallest
-
-
-class TestShardFactoryContract:
-    def test_factory_with_optional_param_keeps_defaults(self, stream):
-        """Zero-arg-callable factories — including ones with defaulted
-        parameters — must NOT receive the shard index (regression: the
-        signature sniffing once bound shard_index to any optional
-        first parameter)."""
-        def factory(width=48):
-            return CountSketch(N, width, 4, np.random.default_rng(SEED))
-
-        merged = replay_sharded(stream, factory, workers=3,
-                                executor="thread")
-        single = replay(stream, factory())
-        assert merged.table.shape == (4, 48)
-        assert np.array_equal(merged.table, single.table)

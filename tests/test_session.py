@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Params, StreamSession, build
+from repro.api import Params, StreamSession, build, specs
 from repro.streams.engine import replay_many
 from repro.streams.generators import (
     bounded_deletion_stream,
@@ -240,6 +240,16 @@ class TestSessionSurface:
         session.push_stream(general_stream)
         truth = general_stream.frequency_vector().l1()
         assert session.query("l1_strict") == pytest.approx(truth, rel=0.5)
+
+    @pytest.mark.parametrize("name", sorted(
+        spec.name for spec in specs() if spec.query is not None))
+    def test_every_query_hook_answers(self, insertion_stream, name):
+        """Every registry query hook runs on a tracked consumer (the
+        stream is insertion-only, so misra_gries stays valid)."""
+        items, deltas = insertion_stream.as_arrays()
+        session = StreamSession(N, params=PARAMS).track(name)
+        session.push(items[:500], deltas[:500])
+        session.query(name)
 
     def test_query_point_structures_raise_helpfully(self):
         session = StreamSession(N, params=PARAMS).track("countmin")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.batch import as_update_arrays
-from repro.streams.engine import iter_chunks, replay, replay_many, replay_timed
+from repro.streams.engine import iter_chunks, replay, replay_many
 from repro.streams.generators import bounded_deletion_stream
 from repro.streams.model import FrequencyVector, Stream, Update
 
@@ -152,13 +152,3 @@ class TestEngine:
             chunk_size=200)
         assert np.array_equal(a.f, b.f)
         assert a.l1() == stream.frequency_vector().l1()
-
-    def test_replay_timed_reports_throughput(self, stream):
-        _, stats = replay_timed(stream, FrequencyVector(stream.n),
-                                chunk_size=256)
-        assert stats.updates == len(stream)
-        assert stats.batched and stats.chunk_size == 256
-        assert stats.updates_per_sec > 0
-        _, scalar_stats = replay_timed(
-            stream, FrequencyVector(stream.n), force_scalar=True)
-        assert not scalar_stats.batched
