@@ -5,25 +5,28 @@ End-to-end measurement of the network ingest path: one in-process
 :class:`~repro.service.server.ServerThread`, N concurrent WebSocket
 clients each pushing a contiguous shard of the stream into its *own*
 named session (distinct ``node`` indices, the distributed-sibling
-setup), frames pipelined so the wire — not ack round-trips — is the
-bottleneck.  After ingest, the sibling sessions are folded into
-session 0 over the wire (snapshot container + merge endpoint), the
-aggregate is snapshotted back out, and the restored state is compared
-**bit-identically** against an offline mirror: local sibling sessions
-fed the same shards and merged in the same order.  The batch contract
-end to end — HTTP, frames, WebSocket messages, and merges in the
-middle change nothing.
+setup) as stamped, exactly-once frames, pipelined so the wire — not
+ack round-trips — is the bottleneck.  After ingest, the sibling
+sessions are folded into session 0 over the wire (snapshot container +
+merge endpoint), the aggregate is snapshotted back out, and the
+restored state is compared **bit-identically** against an offline
+mirror: local sibling sessions fed the same shards through
+``push_once`` with the same stamps and merged in the same order.  The
+batch contract end to end — HTTP, frames, WebSocket messages, and
+merges in the middle change nothing.
 
-Recorded: end-to-end updates/sec (wall clock from first frame to last
-ack, all clients), the per-client rate, the offline ``replay_many``
-rate for the same battery as context, and the bit-identity verdict.
+Recorded, as the median and the best of :data:`RUNS` runs:
+end-to-end updates/sec (wall clock from first frame to last ack, all
+clients) and its ratio to the offline replay rate for the same
+battery, timed in the same run; plus the median per-client and offline
+rates.  Every run is hard-gated on bit-identity.
 
 Run as a script to update the artifact in place::
 
     PYTHONPATH=src python benchmarks/bench_service.py
 
-``--smoke`` runs a tiny stream, writes nothing, and hard-fails unless
-the served state is bit-identical — the CI gate.
+``--smoke`` runs a tiny stream once, writes nothing, and hard-fails
+unless the served state is bit-identical — the CI gate.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -59,6 +63,7 @@ M = 400_000
 PUSH = 4096
 SEED = 0xBDE5
 SMOKE_M = 8_000
+RUNS = 5
 
 FAULT_RATES = (0.0, 0.01, 0.05)
 FAULT_M = 100_000
@@ -80,75 +85,107 @@ def offline_session(node: int) -> StreamSession:
     return session
 
 
-def measure_service(m: int, clients: int, push: int) -> dict:
-    items, deltas = make_stream(m)
-    bounds = np.linspace(0, m, clients + 1).astype(int)
-    shards = [(items[bounds[i]:bounds[i + 1]],
-               deltas[bounds[i]:bounds[i + 1]])
-              for i in range(clients)]
+def shard_batches(items: np.ndarray, deltas: np.ndarray, clients: int,
+                  push: int) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Client ``i``'s batches: its contiguous shard cut into pushes."""
+    bounds = np.linspace(0, len(items), clients + 1).astype(int)
+    return [[(items[pos:min(pos + push, hi)],
+              deltas[pos:min(pos + push, hi)])
+             for pos in range(lo, hi, push)]
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
+
+def mirror_snapshot(shards) -> dict:
+    """The offline mirror of :func:`serve_once`: sibling sessions fed
+    the same shards through ``push_once`` with the same stamps, on the
+    same nodes, merged in the same order."""
+    siblings = []
+    for i, batches in enumerate(shards):
+        sibling = offline_session(i)
+        for seq, (b_items, b_deltas) in enumerate(batches, start=1):
+            sibling.push_once(f"load_{i}", seq, b_items, b_deltas)
+        siblings.append(sibling)
+    for sibling in siblings[1:]:
+        siblings[0].merge(sibling)
+    return siblings[0].snapshot()
+
+
+def serve_once(shards, expected: dict) -> float:
+    """One served run: client ``i`` pipelines ``shards[i]`` into session
+    ``load_i`` under client id ``load_i``, then the siblings fold into
+    ``load_0`` over the wire.  Returns the ingest wall time; exits
+    unless the aggregate is bit-identical to ``expected``."""
     service = SketchService(ServiceMetrics(MetricsRegistry()))
     with ServerThread(service) as handle:
         http = ServiceClient(handle.host, handle.port)
-        for i in range(clients):
+        for i in range(len(shards)):
             http.create_session(f"load_{i}", n=N_UNIVERSE,
                                 seed=SEED & 0xFFFF, node=i,
                                 track=list(BATTERY))
 
         async def one_client(i: int) -> int:
-            shard_items, shard_deltas = shards[i]
             async with AsyncSessionClient(handle.host, handle.port,
-                                          f"load_{i}") as ws:
-                batches = [
-                    (shard_items[pos:pos + push],
-                     shard_deltas[pos:pos + push])
-                    for pos in range(0, len(shard_items), push)
-                ]
-                return await ws.ingest_many(batches)
+                                          f"load_{i}",
+                                          client_id=f"load_{i}") as ws:
+                return await ws.ingest_many(shards[i])
 
         async def drive() -> float:
             start = time.perf_counter()
-            await asyncio.gather(*(one_client(i) for i in range(clients)))
+            await asyncio.gather(*(one_client(i)
+                                   for i in range(len(shards))))
             return time.perf_counter() - start
 
         elapsed = asyncio.run(drive())
-
-        # Fold the siblings into session 0 over the wire.
-        for i in range(1, clients):
+        for i in range(1, len(shards)):
             http.merge("load_0", http.snapshot(f"load_{i}"))
         served = StreamSession.restore(
             payload_from_bytes(http.snapshot("load_0"))
         )
         http.close()
+    if not payload_equal(served.snapshot(), expected):
+        raise SystemExit(
+            "service: served state diverged from the offline mirror; "
+            "not writing the artifact"
+        )
+    return elapsed
 
-    # The offline mirror: same shards, same nodes, same merge order.
-    mirror = offline_session(0)
-    mirror.push(*shards[0])
-    for i in range(1, clients):
-        sibling = offline_session(i)
-        sibling.push(*shards[i])
-        mirror.merge(sibling)
-    identical = payload_equal(served.snapshot(), mirror.snapshot())
 
-    # Offline replay context: one session, whole stream, no network.
-    offline = offline_session(0)
-    start = time.perf_counter()
-    for pos in range(0, m, push):
-        offline.push(items[pos:pos + push], deltas[pos:pos + push])
-    offline.flush()
-    offline_elapsed = time.perf_counter() - start
+def measure_service(m: int, clients: int, push: int) -> dict:
+    items, deltas = make_stream(m)
+    shards = shard_batches(items, deltas, clients, push)
+    expected = mirror_snapshot(shards)
+    rates, offline_rates, ratios = [], [], []
+    for _ in range(RUNS):
+        elapsed = serve_once(shards, expected)
+        # Offline replay context: one session, whole stream, no network.
+        offline = offline_session(0)
+        start = time.perf_counter()
+        for pos in range(0, m, push):
+            offline.push(items[pos:pos + push], deltas[pos:pos + push])
+        offline.flush()
+        offline_elapsed = time.perf_counter() - start
+        rates.append(m / elapsed)
+        offline_rates.append(m / offline_elapsed)
+        ratios.append(offline_elapsed / elapsed)
 
     return {
         "transport": "websocket+frames",
+        "delivery": "exactly-once (stamped frames, cumulative acks)",
         "clients": clients,
         "m": m,
         "push_size": push,
         "battery": list(BATTERY),
-        "updates_per_sec": int(m / elapsed),
-        "per_client_updates_per_sec": int(m / elapsed / clients),
-        "offline_updates_per_sec": int(m / offline_elapsed),
-        "service_over_offline": round(offline_elapsed / elapsed, 4),
-        "identical_states": bool(identical),
+        "runs": RUNS,
+        "updates_per_sec": {"median": int(statistics.median(rates)),
+                            "best": int(max(rates))},
+        "per_client_updates_per_sec": int(
+            statistics.median(rates) / clients),
+        "offline_updates_per_sec": int(statistics.median(offline_rates)),
+        "service_over_offline": {
+            "median": round(statistics.median(ratios), 4),
+            "best": round(max(ratios), 4),
+        },
+        "identical_states": True,
         "merged_sessions": clients,
     }
 
@@ -229,12 +266,9 @@ def measure_faults(m: int, push: int,
 
 
 def run_smoke() -> int:
-    report = measure_service(SMOKE_M, clients=2, push=512)
-    assert report["identical_states"], (
-        "service smoke: served state diverged from the offline mirror"
-    )
-    assert report["updates_per_sec"] > 0
-    print(f"service smoke ok: {report['updates_per_sec']:,} updates/s "
+    shards = shard_batches(*make_stream(SMOKE_M), clients=2, push=512)
+    elapsed = serve_once(shards, mirror_snapshot(shards))
+    print(f"service smoke ok: {int(SMOKE_M / elapsed):,} updates/s "
           f"end-to-end, bit-identical to the offline mirror")
     faults = measure_faults(SMOKE_FAULT_M, push=256, rates=(0.05,))
     run = faults["runs"][0]
@@ -257,22 +291,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.smoke:
         return run_smoke()
     report = measure_service(args.m, clients=args.clients, push=PUSH)
-    if not report["identical_states"]:
-        raise SystemExit(
-            "served state diverged from the offline mirror; not writing "
-            "the artifact"
-        )
     faults = measure_faults(FAULT_M, push=FAULT_PUSH)
     artifact = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
     artifact["service"] = report
     artifact["service_faults"] = faults
     ARTIFACT.write_text(json.dumps(artifact, indent=2) + "\n")
+    rate, ratio = report["updates_per_sec"], report["service_over_offline"]
     print(
-        f"service: {report['clients']} clients x "
-        f"{report['per_client_updates_per_sec']:,}/s = "
-        f"{report['updates_per_sec']:,} updates/s end-to-end "
-        f"(offline replay {report['offline_updates_per_sec']:,}/s, "
-        f"ratio x{report['service_over_offline']:.3f}, "
+        f"service ({report['runs']} runs): {report['clients']} clients, "
+        f"median {rate['median']:,} / best {rate['best']:,} updates/s "
+        f"end-to-end (offline replay "
+        f"{report['offline_updates_per_sec']:,}/s, ratio median "
+        f"x{ratio['median']:.3f} / best x{ratio['best']:.3f}, "
         f"identical={report['identical_states']})"
     )
     for run in faults["runs"]:

@@ -70,8 +70,8 @@ def main() -> None:
     half = len(items) // 2
     with ServerThread() as handle:
         print(f"service up at http://{handle.host}:{handle.port}")
-        east = ServiceClient(handle.host, handle.port)
-        west = ServiceClient(handle.host, handle.port)
+        east = ServiceClient(handle.host, handle.port, client_id="probe-east")
+        west = ServiceClient(handle.host, handle.port, client_id="probe-west")
         for client, name, node in [(east, "east", 0), (west, "west", 1)]:
             client.create_session(name, n=n, seed=11, node=node,
                                   params=session_params, track=TRACK)

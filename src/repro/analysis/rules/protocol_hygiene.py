@@ -6,8 +6,7 @@ untrusted sockets.  Three properties keep that safe and complete:
 * every ``FrameType`` member has an ``encode_<name>`` constructor — a
   frame the server can emit but a client library cannot build (or vice
   versa) is an interop bug waiting for a third-party implementation;
-* every member has a ``decode_<name>`` validator (aliases allowed for
-  shared decoders, e.g. both ack types route through ``decode_ack``);
+* every member has a ``decode_<name>`` validator;
 * every ``decode_*`` function performs a length/bounds check guarding a
   ``ProtocolError`` raise *before* trusting payload bytes — directly or
   through a helper it calls (the rule follows same-module calls), so a
@@ -22,12 +21,6 @@ from typing import Iterator
 from repro.analysis.core import Finding, Project, Rule
 
 _PROTOCOL_MODULE = "repro.service.protocol"
-
-#: FrameType member -> acceptable decoder names beyond decode_<member>.
-_DECODE_ALIASES: dict[str, tuple[str, ...]] = {
-    "ingest_ack": ("decode_ack", "decode_ack_info"),
-    "merge_ack": ("decode_ack", "decode_ack_info"),
-}
 
 
 def _has_bounds_guard(fn: ast.FunctionDef) -> bool:
@@ -112,13 +105,11 @@ class ProtocolHygiene(Rule):
                     f"FrameType.{member.upper()} has no"
                     f" encode_{member}() constructor",
                 )
-            decoders = (f"decode_{member}",) + \
-                _DECODE_ALIASES.get(member, ())
-            if not any(name in functions for name in decoders):
+            if f"decode_{member}" not in functions:
                 yield Finding(
                     f.path, line, col, self.id,
-                    f"FrameType.{member.upper()} has no decoder"
-                    f" (looked for {', '.join(decoders)})",
+                    f"FrameType.{member.upper()} has no"
+                    f" decode_{member}() decoder",
                 )
 
     def _check_guards(self, f, functions) -> Iterator[Finding]:

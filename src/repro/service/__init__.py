@@ -11,10 +11,10 @@ drivers.
 
 State served over the network path is bit-identical to an offline
 ``replay_many`` of the same updates — the session's batch contract,
-now with a wire in the middle.  PR 9 hardens the wire: stamped
-``(client_id, seq)`` ingest is exactly-once end to end, clients retry
-with capped jittered backoff (:class:`RetryPolicy`), served sessions
-checkpoint to disk and recover on restart, and
+now with a wire in the middle.  The wire is hardened: every ingest
+frame is stamped ``(client_id, seq)`` and applied exactly once end to
+end, clients retry with capped jittered backoff (:class:`RetryPolicy`),
+served sessions checkpoint to disk and recover on restart, and
 :mod:`repro.service.testing` ships a fault-injecting chaos proxy the
 soak suite drives to prove bit-identity survives a hostile network.
 """

@@ -9,19 +9,19 @@ server's acks carry the session's cumulative ``updates_processed``
 watermark, so a client always knows exactly how much of its stream the
 remote state reflects.
 
-Reliability (PR 9).  Both clients take a :class:`RetryPolicy`
-(capped exponential backoff with seeded jitter) and gate every retry
-on idempotency.  Connection *setup* never touches server state, so it
+Reliability.  Both clients take a :class:`RetryPolicy` (capped
+exponential backoff with seeded jitter) and gate every retry on
+idempotency.  Connection *setup* never touches server state, so it
 retries for all verbs; a request that may already have reached the
 server is replayed only when replaying is harmless — reads, flushes,
-and **stamped** ingest.  Stamping means passing a ``client_id``: each
-batch then carries ``(client_id, seq)`` and the server applies it
-exactly once, acking duplicates idempotently, so a retry after a lost
-ack cannot double-count.  The async client keeps every stamped batch
-it has ever sent and, on reconnect, asks the server where the stream
-stands (HELLO), rewinds to that watermark, and resends — which makes a
-server crash+recover (which may legally *rewind* the watermark to the
-last checkpoint) invisible to the caller.
+and ingest.  Ingest needs a ``client_id``: each batch carries
+``(client_id, seq)`` and the server applies it exactly once, acking
+duplicates idempotently, so a retry after a lost ack cannot
+double-count.  The async client keeps every batch it has ever sent
+and, on reconnect, asks the server where the stream stands (HELLO),
+rewinds to that watermark, and resends — which makes a server
+crash+recover (which may legally *rewind* the watermark to the last
+checkpoint) invisible to the caller.
 
 >>> with ServerThread() as handle:                      # doctest: +SKIP
 ...     client = ServiceClient(handle.host, handle.port,
@@ -118,10 +118,11 @@ _TRANSPORT_ERRORS = (http.client.HTTPException, ConnectionError, OSError)
 class ServiceClient:
     """Synchronous HTTP client over one keep-alive connection.
 
-    Pass ``client_id`` to stamp ingest batches for exactly-once
-    delivery; sequence numbers are assigned automatically per session
-    (see :meth:`ingest`).  ``retry`` tunes the backoff policy;
-    ``RetryPolicy(attempts=1)`` disables retries entirely.
+    :meth:`ingest` stamps each batch with a ``client_id`` (per call or
+    from the constructor; the other verbs need none) for exactly-once
+    delivery; sequence numbers are assigned automatically per session.
+    ``retry`` tunes the backoff policy; ``RetryPolicy(attempts=1)``
+    disables retries entirely.
     """
 
     def __init__(self, host: str, port: int, *,
@@ -275,35 +276,33 @@ class ServiceClient:
                seq: int | None = None) -> dict:
         """Push one update batch as a single INGEST frame.
 
-        With a ``client_id`` (per call or from the constructor) the
-        frame is stamped ``(client_id, seq)`` and delivered exactly
-        once: the server deduplicates by sequence number, so the batch
-        is *idempotent* and retried freely across lost connections and
+        The frame is stamped ``(client_id, seq)`` — ``client_id`` per
+        call or from the constructor — and delivered exactly once: the
+        server deduplicates by sequence number, so the batch is
+        *idempotent* and retried freely across lost connections and
         lost responses.  ``seq`` defaults to one past the highest
         sequence this client object has sent to ``name`` (starting at
         1); pass it explicitly to resume an older identity — see
-        :meth:`resync`.  Unstamped ingest (no client id anywhere) stays
-        byte-identical to the v1 protocol and is never replayed once
-        the request may have reached the server.
+        :meth:`resync`.  A ``bad_frame`` refusal consumed its seq on
+        the server (the refusal is deterministic), so the next batch
+        moves past it; every other failure consumed nothing.
         """
         cid = client_id if client_id is not None else self.client_id
         if cid is None:
-            if seq is not None:
-                raise ValueError("seq requires a client_id")
-            return json.loads(self._request(
-                "POST", f"/v1/sessions/{name}/ingest",
-                protocol.encode_ingest(items, deltas),
-                content_type="application/octet-stream",
-            ))
-        if seq is None:
-            seq = self._seqs.get((name, cid), 0) + 1
-        out = json.loads(self._request(
-            "POST", f"/v1/sessions/{name}/ingest",
-            protocol.encode_ingest(items, deltas, client_id=cid, seq=seq),
-            content_type="application/octet-stream",
-            idempotent=True,
-        ))
+            raise ValueError("ingest needs a client_id")
         key = (name, cid)
+        if seq is None:
+            seq = self._seqs.get(key, 0) + 1
+        frame = protocol.encode_ingest(items, deltas, client_id=cid, seq=seq)
+        try:
+            out = json.loads(self._request(
+                "POST", f"/v1/sessions/{name}/ingest", frame,
+                content_type="application/octet-stream", idempotent=True,
+            ))
+        except ServiceClientError as exc:
+            if exc.code == "bad_frame":
+                self._seqs[key] = max(self._seqs.get(key, 0), int(seq))
+            raise
         self._seqs[key] = max(self._seqs.get(key, 0), int(seq))
         return out
 
@@ -369,8 +368,8 @@ class AsyncSessionClient:
     (frame out, ack in); :meth:`ingest_many` pipelines a whole sequence
     of batches before collecting acks — the load generator's mode.
 
-    With a ``client_id`` the client turns into a reliable stream:
-    every batch is stamped with a sequence number and **retained**, and
+    The client is a reliable stream under its ``client_id``: every
+    batch is stamped with a sequence number and **retained**, and
     :meth:`ingest_many` drives the server to the end of the stream no
     matter what the connection does in between.  On any transport
     fault it tears the socket down, backs off per ``retry``, reconnects,
@@ -386,7 +385,7 @@ class AsyncSessionClient:
     """
 
     def __init__(self, host: str, port: int, session: str, *,
-                 client_id: str | None = None,
+                 client_id: str,
                  retry: RetryPolicy | None = None,
                  timeout: float = 30.0) -> None:
         self.host = host
@@ -401,7 +400,7 @@ class AsyncSessionClient:
         self._writer: asyncio.StreamWriter | None = None
         self._decoder = protocol.FrameDecoder()
         self._frames: list[protocol.Frame] = []
-        #: Encoded stamped frames; ``_history[i]`` carries seq ``i+1``.
+        #: Encoded frames; ``_history[i]`` carries seq ``i+1``.
         self._history: list[bytes] = []
         #: Highest seq this client knows the server has applied.
         self._done = 0
@@ -540,13 +539,11 @@ class AsyncSessionClient:
         from an interrupted exchange) is always safe to absorb — the
         watermarks are monotone within a connection."""
         if frame.type is protocol.FrameType.INGEST_ACK:
-            ack = protocol.decode_ack_info(frame.payload)
-            if ack.seq is None:
-                return False
-            if ack.seq > self._done:
-                self._done = ack.seq
-            if ack.applied > self._updates:
-                self._updates = ack.applied
+            applied, seq, _ = protocol.decode_ingest_ack(frame.payload)
+            if seq > self._done:
+                self._done = seq
+            if applied > self._updates:
+                self._updates = applied
             return True
         if frame.type is protocol.FrameType.HELLO_ACK:
             watermark, updates = protocol.decode_hello_ack(frame.payload)
@@ -559,20 +556,17 @@ class AsyncSessionClient:
 
     async def _recv_expect(self, ftype: protocol.FrameType,
                            ) -> protocol.Frame:
-        """``recv_frame`` that, for stamped clients, absorbs stray
-        cumulative acks instead of tripping over them."""
+        """``recv_frame`` that absorbs stray cumulative acks instead of
+        tripping over them."""
         while True:
             frame = await self.recv_frame()
-            if (self.client_id is not None and frame.type is not ftype
-                    and self._absorb(frame)):
+            if frame.type is not ftype and self._absorb(frame):
                 continue
             return self._expect(frame, ftype)
 
     async def hello(self) -> tuple[int, int]:
         """Ask the server where this client's stream stands; returns
         ``(seq_watermark, updates_processed)``."""
-        if self.client_id is None:
-            raise ValueError("hello needs a client_id")
         await self.send_raw(protocol.encode_hello(self.client_id))
         frame = await self._recv_expect(protocol.FrameType.HELLO_ACK)
         return protocol.decode_hello_ack(frame.payload)
@@ -667,47 +661,31 @@ class AsyncSessionClient:
 
     # -- verbs ---------------------------------------------------------------
     async def ingest(self, items, deltas) -> int:
-        """One batch; returns the server's cumulative updates-processed
-        watermark.  Stamped clients get exactly-once delivery with
-        automatic reconnect+resend; unstamped clients are lockstep on
-        the raw protocol."""
-        if self.client_id is not None:
-            return await self.ingest_many([(items, deltas)])
-        await self.send_raw(protocol.encode_ingest(items, deltas))
-        frame = await self._recv_expect(protocol.FrameType.INGEST_ACK)
-        return protocol.decode_ack(frame.payload)
+        """One batch, delivered exactly once with automatic
+        reconnect+resend; returns the server's cumulative
+        updates-processed watermark."""
+        return await self.ingest_many([(items, deltas)])
 
     async def ingest_many(self, batches) -> int:
         """Pipeline a sequence of ``(items, deltas)`` batches; returns
         the final updates-processed watermark.
 
-        Stamped (``client_id`` set): batches join the retained history
-        and :meth:`_drive_to` guarantees every one is applied exactly
-        once, surviving drops, duplicates, timeouts, reconnects, and
-        server restarts.  Unstamped: all frames go out, then all acks
-        come in — fast, but a lost connection loses track of what
-        landed.
+        The batches join the retained history and :meth:`_drive_to`
+        guarantees every one is applied exactly once, surviving drops,
+        duplicates, timeouts, reconnects, and server restarts.  All of
+        them are encoded before any joins the history, so a batch the
+        encoder refuses (raising
+        :class:`~repro.service.protocol.ProtocolError`) leaves the
+        stream untouched.
         """
-        if self.client_id is not None:
-            for items, deltas in batches:
-                self._history.append(protocol.encode_ingest(
-                    items, deltas,
-                    client_id=self.client_id, seq=len(self._history) + 1,
-                ))
-            return await self._drive_to(len(self._history))
-        assert self._writer is not None, "connect() first"
-        count = 0
-        for items, deltas in batches:
-            self._writer.write(encode_ws_frame(
-                OP_BINARY, protocol.encode_ingest(items, deltas), mask=True
-            ))
-            count += 1
-        await self._writer.drain()
-        watermark = 0
-        for _ in range(count):
-            frame = await self._recv_expect(protocol.FrameType.INGEST_ACK)
-            watermark = protocol.decode_ack(frame.payload)
-        return watermark
+        base = len(self._history)
+        frames = [
+            protocol.encode_ingest(items, deltas, client_id=self.client_id,
+                                   seq=seq)
+            for seq, (items, deltas) in enumerate(batches, start=base + 1)
+        ]
+        self._history.extend(frames)
+        return await self._drive_to(len(self._history))
 
     async def query(self, consumer: str) -> Any:
         await self.send_raw(protocol.encode_query(consumer))
@@ -724,4 +702,4 @@ class AsyncSessionClient:
         """Fold a snapshot container into the remote session."""
         await self.send_raw(protocol.encode_merge(container))
         frame = await self._recv_expect(protocol.FrameType.MERGE_ACK)
-        return protocol.decode_ack(frame.payload)
+        return protocol.decode_merge_ack(frame.payload)

@@ -7,24 +7,37 @@ WebSocket binary message, or an HTTP request body — is one **frame**:
 offset size     field
 ====== ======== =========================================================
 0      2        magic ``b"SK"`` (rejects foreign traffic immediately)
-2      1        protocol version (``1`` or ``2``; see below)
+2      1        protocol version (always :data:`PROTOCOL_VERSION`)
 3      1        frame type (:class:`FrameType`)
 4      4        payload length, unsigned little-endian
 8      length   payload
 ====== ======== =========================================================
 
-Frame payloads (version 1 forms; every v1 frame still decodes):
+Frame payloads:
 
-* ``INGEST`` — ``count:u32`` then ``count`` little-endian int64 items
-  followed by ``count`` little-endian int64 deltas: the exact
-  ``(items, deltas)`` columns :meth:`repro.api.StreamSession.push`
-  takes.  Decoding applies the same untrusted-input rules as
-  :func:`repro.streams.io.load_stream`: exact length, integral dtypes
-  by construction, non-negative items, nonzero deltas.  (The universe
-  bound needs the target session and is enforced server-side by
-  ``push`` itself.)
-* ``INGEST_ACK`` — ``applied:u64``: the session's cumulative
-  ``updates_processed`` after the ingest.
+* ``INGEST`` — a dedup stamp, then the ``(items, deltas)`` columns
+  :meth:`repro.api.StreamSession.push` takes::
+
+      cid_len:u8 | client_id (1..64 utf-8 bytes) | seq:u64 |
+      count:u32  | items i64[count] | deltas i64[count]
+
+  ``seq`` starts at 1 and increments per frame per ``client_id``; the
+  server applies a frame iff ``seq`` is exactly one past its
+  per-``(session, client)`` watermark, acks ``seq <= watermark``
+  idempotently as a duplicate, and refuses ``seq > watermark + 1`` with
+  a typed ``seq_gap`` error.  Decoding applies the same untrusted-input
+  rules as :func:`repro.streams.io.load_stream`: exact length, integral
+  dtypes by construction, non-negative items, nonzero deltas — and
+  :func:`encode_ingest` refuses the same columns, so a client never
+  stamps a frame the decoder would reject.  (The universe bound needs
+  the target session and is enforced server-side by ``push`` itself.)
+* ``INGEST_ACK`` — ``applied:u64 | seq:u64 | flags:u8``: the session's
+  cumulative ``updates_processed``, the acked seq, and bit 0 set when
+  the frame was a duplicate.
+* ``HELLO`` — a client_id (same length-prefixed form) asking where the
+  client's stream stands; ``HELLO_ACK`` answers
+  ``seq_watermark:u64 | updates:u64`` (the reconnect-and-resume
+  handshake).
 * ``QUERY`` — the utf-8 consumer name; ``QUERY_RESULT`` — a JSON
   object ``{"name": ..., "value": ...}`` (:func:`json_safe` maps numpy
   scalars, sets, and tuples onto JSON types).
@@ -35,31 +48,14 @@ Frame payloads (version 1 forms; every v1 frame still decodes):
   ``MERGE_ACK`` — ``applied:u64`` cumulative updates after the fold.
 * ``ERROR`` — JSON ``{"code": ..., "message": ...}``.
 
-**Version 2** adds exactly-once ingest.  A v2 ``INGEST`` payload
-carries a dedup stamp before the v1 columns::
-
-    cid_len:u8 | client_id (1..64 utf-8 bytes) | seq:u64 |
-    count:u32  | items i64[count] | deltas i64[count]
-
-``seq`` starts at 1 and increments per frame per ``client_id``; the
-server applies a stamped frame iff ``seq`` is exactly one past its
-per-``(session, client)`` watermark, acks ``seq <= watermark``
-idempotently as a duplicate, and refuses ``seq > watermark + 1`` with
-a typed ``seq_gap`` error.  The matching v2 ``INGEST_ACK`` payload is
-``applied:u64 | seq:u64 | flags:u8`` (bit 0 = duplicate).  Two v2-only
-frame types support reconnect-and-resume: ``HELLO`` (a client_id, same
-length-prefixed form) asks where a client's stream stands, and
-``HELLO_ACK`` answers ``seq_watermark:u64 | updates:u64``.  Unstamped
-ingest still travels as v1 frames — byte-identical to the PR 7 wire
-format — so v1 clients interoperate unchanged.
-
 All refusals raise :class:`ProtocolError` (a ``ValueError``): truncated
-or trailing bytes, foreign magic, foreign versions, lengths beyond
-:data:`MAX_PAYLOAD`, and malformed payloads never reach a session.
-:class:`FrameDecoder` reassembles frames from an arbitrarily chunked
-byte stream (the WebSocket loop feeds it message by message), so a
-frame split across transport reads is delivered exactly once and a
-connection dropped mid-frame delivers nothing.
+or trailing bytes, foreign magic, every version but
+:data:`PROTOCOL_VERSION`, lengths beyond :data:`MAX_PAYLOAD`, and
+malformed payloads never reach a session.  :class:`FrameDecoder`
+reassembles frames from an arbitrarily chunked byte stream (the
+WebSocket loop feeds it message by message), so a frame split across
+transport reads is delivered exactly once and a connection dropped
+mid-frame delivers nothing.
 """
 
 from __future__ import annotations
@@ -75,14 +71,9 @@ import numpy as np
 #: First bytes of every frame; foreign traffic fails before any parse.
 MAGIC = b"SK"
 
-#: Version byte of frames this side *emits* by default; decoders accept
-#: every version in :data:`SUPPORTED_VERSIONS` and refuse the rest, so
+#: Version byte of every frame; decoders refuse every other version, so
 #: the format can evolve without silent misreads.
 PROTOCOL_VERSION = 2
-
-#: Versions a decoder accepts.  v1 is the PR 7 wire format (unstamped
-#: ingest); v2 adds the dedup stamp and the HELLO handshake.
-SUPPORTED_VERSIONS = frozenset({1, 2})
 
 #: magic(2) | version(1) | type(1) | payload length(4, LE).
 HEADER = struct.Struct("<2sBBI")
@@ -103,10 +94,10 @@ MAX_QUERY_NAME = 4096
 MAX_CLIENT_ID = 64
 
 _COUNT = struct.Struct("<I")
-_ACK = struct.Struct("<Q")
 _SEQ = struct.Struct("<Q")
-_ACK2 = struct.Struct("<QQB")       # applied | seq | flags (bit 0: dup)
-_HELLO_ACK = struct.Struct("<QQ")   # seq watermark | updates processed
+_INGEST_ACK = struct.Struct("<QQB")  # applied | seq | flags (bit 0: dup)
+_MERGE_ACK = struct.Struct("<Q")     # applied
+_HELLO_ACK = struct.Struct("<QQ")    # seq watermark | updates processed
 
 
 class ProtocolError(ValueError):
@@ -125,66 +116,52 @@ class FrameType(enum.IntEnum):
     HELLO_ACK = 9
 
 
-#: Frame types that only exist in protocol v2.
-_V2_ONLY = frozenset({FrameType.HELLO, FrameType.HELLO_ACK})
-
-
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame: its type, raw payload bytes, and the wire
-    version it arrived with (payload interpretation is per-version for
-    INGEST and INGEST_ACK)."""
+    """One decoded frame: its type and raw payload bytes."""
 
     type: FrameType
     payload: bytes
-    version: int = PROTOCOL_VERSION
 
 
 # -- framing -----------------------------------------------------------------
 
-def encode_frame(ftype: FrameType, payload: bytes = b"", *,
-                 version: int = PROTOCOL_VERSION) -> bytes:
+def encode_frame(ftype: FrameType, payload: bytes = b"") -> bytes:
     """Serialize one frame (header + payload).
 
     >>> encode_frame(FrameType.QUERY, b"countmin")[:4]
     b'SK\\x02\\x03'
     """
     payload = bytes(payload)
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"cannot encode protocol version {version}")
     if len(payload) > MAX_PAYLOAD:
         raise ProtocolError(
             f"payload of {len(payload)} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame ceiling"
         )
     return HEADER.pack(
-        MAGIC, int(version), int(FrameType(ftype)), len(payload)
+        MAGIC, PROTOCOL_VERSION, int(FrameType(ftype)), len(payload)
     ) + payload
 
 
-def _decode_header(data: bytes) -> tuple[FrameType, int, int]:
+def _decode_header(data: bytes) -> tuple[FrameType, int]:
     magic, version, ftype, length = HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version} "
-            f"(this side speaks {sorted(SUPPORTED_VERSIONS)})"
+            f"(this side speaks {PROTOCOL_VERSION})"
         )
     try:
         ftype = FrameType(ftype)
     except ValueError:
         raise ProtocolError(f"unknown frame type {ftype}") from None
-    if ftype in _V2_ONLY and version < 2:
-        raise ProtocolError(
-            f"{ftype.name} frames require protocol version 2, got {version}"
-        )
     if length > MAX_PAYLOAD:
         raise ProtocolError(
             f"declared payload of {length} bytes exceeds the "
             f"{MAX_PAYLOAD}-byte frame ceiling"
         )
-    return ftype, length, version
+    return ftype, length
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -200,13 +177,13 @@ def decode_frame(data: bytes) -> Frame:
             f"truncated frame: {len(data)} bytes is shorter than the "
             f"{HEADER_SIZE}-byte header"
         )
-    ftype, length, version = _decode_header(data)
+    ftype, length = _decode_header(data)
     if len(data) != HEADER_SIZE + length:
         raise ProtocolError(
             f"frame length mismatch: header declares {length} payload "
             f"bytes, got {len(data) - HEADER_SIZE}"
         )
-    return Frame(ftype, data[HEADER_SIZE:], version)
+    return Frame(ftype, data[HEADER_SIZE:])
 
 
 class FrameDecoder:
@@ -240,15 +217,13 @@ class FrameDecoder:
 
     def _drain(self) -> Iterator[Frame]:
         while len(self._buf) >= HEADER_SIZE:
-            ftype, length, version = _decode_header(
-                bytes(self._buf[:HEADER_SIZE])
-            )
+            ftype, length = _decode_header(bytes(self._buf[:HEADER_SIZE]))
             end = HEADER_SIZE + length
             if len(self._buf) < end:
                 return
             payload = bytes(self._buf[HEADER_SIZE:end])
             del self._buf[:end]
-            yield Frame(ftype, payload, version)
+            yield Frame(ftype, payload)
 
 
 # -- ingest payloads ---------------------------------------------------------
@@ -281,6 +256,15 @@ def _decode_client_id(payload: bytes, what: str) -> tuple[str, int]:
     return cid, 1 + cid_len
 
 
+def _check_columns(items: np.ndarray, deltas: np.ndarray) -> None:
+    """The value rules both ends enforce on ingest columns, so the
+    encoder refuses exactly what the decoder would."""
+    if items.min() < 0:
+        raise ProtocolError("ingest frame carries a negative item")
+    if not deltas.all():
+        raise ProtocolError("ingest frame carries a zero delta")
+
+
 def _encode_columns(items, deltas) -> bytes:
     items_arr = np.ascontiguousarray(items, dtype="<i8")
     deltas_arr = np.ascontiguousarray(deltas, dtype="<i8")
@@ -296,6 +280,7 @@ def _encode_columns(items, deltas) -> bytes:
             f"ingest frames carry 1..{MAX_INGEST_UPDATES} updates, "
             f"got {len(items_arr)}"
         )
+    _check_columns(items_arr, deltas_arr)
     return (
         _COUNT.pack(len(items_arr))
         + items_arr.tobytes()
@@ -325,57 +310,38 @@ def _decode_columns(payload: bytes,
     deltas = np.frombuffer(payload, dtype="<i8", count=count,
                            offset=base + 8 * count
                            ).astype(np.int64, copy=False)
-    if items.min() < 0:
-        raise ProtocolError("ingest frame carries a negative item")
-    if not deltas.all():
-        raise ProtocolError("ingest frame carries a zero delta")
+    _check_columns(items, deltas)
     return items, deltas
 
 
-def encode_ingest(items, deltas, *, client_id: str | None = None,
-                  seq: int | None = None) -> bytes:
-    """An INGEST frame for ``(items, deltas)`` update columns.
+def encode_ingest(items, deltas, *, client_id: str, seq: int) -> bytes:
+    """An INGEST frame for ``(items, deltas)`` update columns, stamped
+    ``(client_id, seq)`` so the server applies it exactly once.
 
-    Unstamped (the default) emits the v1 wire form, byte-identical to
-    PR 7, so existing peers interoperate.  Passing ``client_id`` and
-    ``seq`` emits a v2 frame carrying the dedup stamp, which the
-    server applies exactly once.
-
-    >>> frame = encode_ingest([3, 1], [2, -1])
-    >>> decode_ingest(decode_frame(frame).payload)[0].tolist()
-    [3, 1]
-    >>> stamped = decode_frame(encode_ingest([3], [2], client_id="edge-7",
-    ...                                      seq=12))
-    >>> decode_ingest_v2(stamped.payload)[2:]
-    ('edge-7', 12)
+    >>> frame = encode_ingest([3, 1], [2, -1], client_id="edge-7", seq=12)
+    >>> items, deltas, client_id, seq = decode_ingest(
+    ...     decode_frame(frame).payload)
+    >>> items.tolist(), client_id, seq
+    ([3, 1], 'edge-7', 12)
     """
-    if (client_id is None) != (seq is None):
-        raise ProtocolError("client_id and seq travel together")
-    columns = _encode_columns(items, deltas)
-    if client_id is None:
-        return encode_frame(FrameType.INGEST, columns, version=1)
     if not 1 <= int(seq) <= (1 << 64) - 1:
         raise ProtocolError(f"seq must be a u64 >= 1, got {seq}")
-    payload = _encode_client_id(client_id) + _SEQ.pack(int(seq)) + columns
-    return encode_frame(FrameType.INGEST, payload, version=2)
+    payload = (_encode_client_id(client_id) + _SEQ.pack(int(seq))
+               + _encode_columns(items, deltas))
+    return encode_frame(FrameType.INGEST, payload)
 
 
-def decode_ingest(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and unpack a **v1** INGEST payload to int64 columns.
+def decode_ingest(
+    payload: bytes,
+) -> tuple[np.ndarray, np.ndarray, str, int]:
+    """Validate and unpack an INGEST payload:
+    ``(items, deltas, client_id, seq)``.
 
     Mirrors ``load_stream``'s untrusted-input rules: the count must
     match the payload length exactly, items must be non-negative, and
     deltas nonzero.  The universe upper bound is the target session's
     and is enforced by ``push``.
     """
-    return _decode_columns(payload, 0)
-
-
-def decode_ingest_v2(
-    payload: bytes,
-) -> tuple[np.ndarray, np.ndarray, str, int]:
-    """Unpack a **v2** (stamped) INGEST payload:
-    ``(items, deltas, client_id, seq)``."""
     client_id, offset = _decode_client_id(payload, "ingest")
     if len(payload) < offset + _SEQ.size:
         raise ProtocolError("ingest payload shorter than its seq field")
@@ -386,77 +352,31 @@ def decode_ingest_v2(
     return items, deltas, client_id, seq
 
 
-def decode_ingest_frame(
-    frame: Frame,
-) -> tuple[np.ndarray, np.ndarray, str | None, int | None]:
-    """Version-dispatching INGEST decode: v1 payloads come back
-    unstamped (``client_id is None``), v2 payloads stamped."""
-    if frame.type is not FrameType.INGEST:
-        raise ProtocolError(f"expected an INGEST frame, got {frame.type.name}")
-    if frame.version < 2:
-        items, deltas = decode_ingest(frame.payload)
-        return items, deltas, None, None
-    return decode_ingest_v2(frame.payload)
+def encode_ingest_ack(applied: int, seq: int, *,
+                      duplicate: bool = False) -> bytes:
+    """The ack for an INGEST frame: the session's cumulative
+    updates-processed watermark, the acked seq, and a duplicate flag
+    (set when the frame was deduplicated, not applied)."""
+    payload = _INGEST_ACK.pack(int(applied), int(seq), 1 if duplicate else 0)
+    return encode_frame(FrameType.INGEST_ACK, payload)
 
 
-def encode_ingest_ack(applied: int) -> bytes:
-    """The v1 ack: just the cumulative updates-processed watermark."""
-    return encode_frame(FrameType.INGEST_ACK, _ACK.pack(int(applied)),
-                        version=1)
-
-
-def encode_ingest_ack_v2(applied: int, seq: int, *,
-                         duplicate: bool = False) -> bytes:
-    """The v2 ack for a stamped frame: watermark, the acked seq, and a
-    duplicate flag (set when the frame was deduplicated, not applied)."""
-    payload = _ACK2.pack(int(applied), int(seq), 1 if duplicate else 0)
-    return encode_frame(FrameType.INGEST_ACK, payload, version=2)
-
-
-def encode_merge_ack(applied: int) -> bytes:
-    return encode_frame(FrameType.MERGE_ACK, _ACK.pack(int(applied)))
-
-
-def decode_ack(payload: bytes) -> int:
-    """The cumulative updates-processed watermark in an ACK payload
-    (either version; v2's extra fields are via :func:`decode_ack_info`)."""
-    if len(payload) == _ACK2.size:
-        return _ACK2.unpack(payload)[0]
-    if len(payload) != _ACK.size:
+def decode_ingest_ack(payload: bytes) -> tuple[int, int, bool]:
+    """``(applied, seq, duplicate)`` from an INGEST_ACK."""
+    if len(payload) != _INGEST_ACK.size:
         raise ProtocolError(
-            f"ack payload must be {_ACK.size} or {_ACK2.size} bytes, "
+            f"ingest-ack payload must be {_INGEST_ACK.size} bytes, "
             f"got {len(payload)}"
         )
-    return _ACK.unpack(payload)[0]
-
-
-@dataclass(frozen=True)
-class AckInfo:
-    """A decoded INGEST_ACK: cumulative watermark plus, for v2 acks,
-    the acked seq and whether the frame was deduplicated."""
-
-    applied: int
-    seq: int | None = None
-    duplicate: bool = False
-
-
-def decode_ack_info(payload: bytes) -> AckInfo:
-    if len(payload) == _ACK.size:
-        return AckInfo(_ACK.unpack(payload)[0])
-    if len(payload) != _ACK2.size:
-        raise ProtocolError(
-            f"ack payload must be {_ACK.size} or {_ACK2.size} bytes, "
-            f"got {len(payload)}"
-        )
-    applied, seq, flags = _ACK2.unpack(payload)
-    return AckInfo(applied, seq, bool(flags & 1))
+    applied, seq, flags = _INGEST_ACK.unpack(payload)
+    return applied, seq, bool(flags & 1)
 
 
 # -- hello / resume ----------------------------------------------------------
 
 def encode_hello(client_id: str) -> bytes:
-    """Ask the server where ``client_id``'s stream stands (v2 only) —
-    the reconnect-and-resume handshake."""
+    """Ask the server where ``client_id``'s stream stands — the
+    reconnect-and-resume handshake."""
     return encode_frame(FrameType.HELLO, _encode_client_id(client_id))
 
 
@@ -586,6 +506,20 @@ def decode_merge(payload: bytes) -> bytes:
             f"{MAX_PAYLOAD}-byte frame ceiling"
         )
     return payload
+
+
+def encode_merge_ack(applied: int) -> bytes:
+    return encode_frame(FrameType.MERGE_ACK, _MERGE_ACK.pack(int(applied)))
+
+
+def decode_merge_ack(payload: bytes) -> int:
+    """The cumulative updates-processed watermark after a merge."""
+    if len(payload) != _MERGE_ACK.size:
+        raise ProtocolError(
+            f"merge-ack payload must be {_MERGE_ACK.size} bytes, "
+            f"got {len(payload)}"
+        )
+    return _MERGE_ACK.unpack(payload)[0]
 
 
 def encode_error(code: str, message: str) -> bytes:

@@ -50,8 +50,8 @@ first, so every answer reflects every acked update.  A merge folds the
 posted snapshot entirely or not at all (``StreamSession.merge``
 validates every consumer before mutating any).
 
-Delivery semantics (PR 9): a v2 INGEST frame stamped ``(client_id,
-seq)`` is applied **exactly once** — the per-session watermark
+Delivery semantics: every INGEST frame is stamped ``(client_id, seq)``
+and applied **exactly once** — the per-session watermark
 (:meth:`StreamSession.push_once`) dedups retries and refuses gaps with
 a typed ``seq_gap`` error; HELLO answers where a client's stream
 stands so a reconnecting client can rewind and resend.  With
@@ -107,6 +107,12 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]{1,128}$")
 _SESSION_PATH_RE = re.compile(
     r"^/v1/sessions/([A-Za-z0-9_.\-]{1,128})"
     r"(?:/(ingest|flush|query/([^/]+)|snapshot|merge|ws))?$"
+)
+
+#: Fields a ``POST /v1/sessions`` body may carry besides ``name``: the
+#: keyword arguments of :meth:`SketchService.create_session`.
+_SESSION_FIELDS = frozenset(
+    {"n", "seed", "chunk_size", "node", "coalesce", "params", "track"}
 )
 
 #: Largest HTTP body we accept: a protocol frame plus header slack.
@@ -257,6 +263,12 @@ class SketchService:
                 "bad_name",
                 "session names are 1-128 chars of [A-Za-z0-9_.-]",
             )
+        if not (isinstance(params or {}, dict)
+                and isinstance(track or {}, (dict, list, tuple))):
+            raise ServiceError(
+                "bad_session",
+                "params is an object; track an object or a list of specs",
+            )
         with self._lock:
             if name in self.sessions:
                 raise ServiceError(
@@ -337,15 +349,15 @@ class SketchService:
             return [self.info(name) for name in sorted(self.sessions)]
 
     # -- the verbs -----------------------------------------------------------
-    def ingest(self, name: str, payload: bytes, *, version: int = 1,
+    def ingest(self, name: str, payload: bytes, *,
                received_at: float | None = None) -> dict:
-        """Apply one INGEST frame payload (v1 unstamped, v2 stamped).
+        """Apply one INGEST frame payload exactly once.
 
         Returns ``{"applied": updates watermark, "seq": ...,
         "duplicate": ..., "client_id": ...}``.  Every frame lands in
         ``repro_ingest_frames_total`` and in exactly one of
         ``repro_ingest_applied_total``,
-        ``repro_ingest_duplicates_total`` (stamped retries: acked
+        ``repro_ingest_duplicates_total`` (retries: acked
         idempotently, nothing re-applied),
         ``repro_ingest_refused_total``, or ``repro_ingest_shed_total``
         (shedding/deadline BUSY — the only *retryable* refusal: it
@@ -371,36 +383,20 @@ class SketchService:
             self.metrics.ingest_refused.inc()
             raise
         try:
-            if version >= 2:
-                items, deltas, client_id, seq = (
-                    protocol.decode_ingest_v2(payload)
-                )
-            else:
-                items, deltas = protocol.decode_ingest(payload)
-                client_id = seq = None
+            items, deltas, client_id, seq = protocol.decode_ingest(payload)
         except protocol.ProtocolError as exc:
             self.metrics.ingest_refused.inc()
             raise ServiceError("bad_frame", str(exc)) from exc
-        duplicate = False
-        if client_id is None:
-            try:
-                session.push(items, deltas)
-            except (ValueError, TypeError) as exc:
-                self.metrics.ingest_refused.inc()
-                raise ServiceError("bad_frame", str(exc)) from exc
-        else:
-            try:
-                duplicate = not session.push_once(
-                    client_id, seq, items, deltas
-                )
-            except SequenceGapError as exc:
-                self.metrics.ingest_refused.inc()
-                raise ServiceError("seq_gap", str(exc), 409) from exc
-            except (ValueError, TypeError) as exc:
-                # push_once consumed the seq: the refusal is
-                # deterministic, so the client must not resend.
-                self.metrics.ingest_refused.inc()
-                raise ServiceError("bad_frame", str(exc)) from exc
+        try:
+            duplicate = not session.push_once(client_id, seq, items, deltas)
+        except SequenceGapError as exc:
+            self.metrics.ingest_refused.inc()
+            raise ServiceError("seq_gap", str(exc), 409) from exc
+        except (ValueError, TypeError) as exc:
+            # push_once consumed the seq: the refusal is
+            # deterministic, so the client must not resend.
+            self.metrics.ingest_refused.inc()
+            raise ServiceError("bad_frame", str(exc)) from exc
         if duplicate:
             self.metrics.ingest_duplicates.inc()
         else:
@@ -564,13 +560,12 @@ class ServiceServer:
                     await writer.drain()
                     return
                 try:
-                    method, path, headers = self._parse_head(head)
+                    method, path, headers, length = self._parse_head(head)
                 except ValueError as exc:
                     writer.write(self._error(
                         400, "bad_request", str(exc), close=True))
                     await writer.drain()
                     return
-                length = int(headers.get("content-length", "0") or "0")
                 if length > _MAX_BODY:
                     writer.write(self._error(
                         413, "body_too_large",
@@ -613,7 +608,7 @@ class ServiceServer:
                 pass
 
     @staticmethod
-    def _parse_head(head: bytes) -> tuple[str, str, dict[str, str]]:
+    def _parse_head(head: bytes) -> tuple[str, str, dict[str, str], int]:
         try:
             text = head.decode("latin-1")
         except UnicodeDecodeError:
@@ -631,7 +626,10 @@ class ServiceServer:
             if not sep:
                 raise ValueError(f"malformed header line {line!r}")
             headers[key.strip().lower()] = value.strip()
-        return method.upper(), path, headers
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"malformed Content-Length {length!r}")
+        return method.upper(), path, headers, int(length)
 
     # -- routing -------------------------------------------------------------
     def _route(self, method: str, path: str, body: bytes, *,
@@ -680,6 +678,13 @@ class ServiceServer:
                 if "n" not in spec:
                     raise ServiceError("bad_session",
                                        "session spec needs a universe 'n'")
+                unknown = set(spec) - _SESSION_FIELDS
+                if unknown:
+                    raise ServiceError(
+                        "bad_session",
+                        f"unknown session fields {sorted(unknown)}; "
+                        f"allowed: {sorted(_SESSION_FIELDS)}",
+                    )
                 return self._json(
                     201, service.create_session(name, **spec), close=close
                 )
@@ -697,8 +702,7 @@ class ServiceServer:
                 return self._json(200, {"deleted": name}, close=close)
         elif action == "ingest" and method == "POST":
             frame = self._body_frame(body, protocol.FrameType.INGEST)
-            result = service.ingest(name, frame.payload,
-                                    version=frame.version)
+            result = service.ingest(name, frame.payload)
             return self._json(200, {
                 "applied": result["applied"],
                 "pending": service.get(name).pending,
@@ -863,16 +867,12 @@ class ServiceServer:
         service = self.service
         try:
             if frame.type is protocol.FrameType.INGEST:
-                result = service.ingest(
-                    name, frame.payload, version=frame.version,
-                    received_at=received_at,
+                result = service.ingest(name, frame.payload,
+                                        received_at=received_at)
+                return protocol.encode_ingest_ack(
+                    result["applied"], result["seq"],
+                    duplicate=result["duplicate"],
                 )
-                if result["client_id"] is not None:
-                    return protocol.encode_ingest_ack_v2(
-                        result["applied"], result["seq"],
-                        duplicate=result["duplicate"],
-                    )
-                return protocol.encode_ingest_ack(result["applied"])
             if frame.type is protocol.FrameType.HELLO:
                 client_id = protocol.decode_hello(frame.payload)
                 seq_watermark, updates = service.hello(name, client_id)

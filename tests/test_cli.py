@@ -278,6 +278,7 @@ class TestServe:
         service.create_session("edge", n=512, seed=3, node=0,
                                track=["countmin", "frequency_vector"])
         with ServerThread(service) as handle:
-            with ServiceClient(handle.host, handle.port) as client:
+            with ServiceClient(handle.host, handle.port,
+                               client_id="cli") as client:
                 client.ingest("edge", [1, 2], [5, 5])
                 assert client.query("edge", "frequency_vector") == 10

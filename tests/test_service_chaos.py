@@ -52,10 +52,10 @@ from tests.test_service_endtoend import (
     N,
     SEED,
     make_updates,
+    mirror_session,
     scrape,
     served_session,
 )
-from tests.test_service_reliability import mirror_session
 
 import _service_child as child
 

@@ -6,7 +6,9 @@ full HTTP + WebSocket surface; clients ingest over the wire and every
 test closes the loop by restoring the served snapshot and deep-
 comparing its sketch state (``assert_same_state`` from the batch
 harness — arrays bit-equal, RNG states equal) against an offline
-:class:`~repro.api.session.StreamSession` fed the same updates.
+:class:`~repro.api.session.StreamSession` fed the same updates through
+``push_once`` with the same ``(client_id, seq)`` stamps, so the dedup
+watermarks in the snapshot match too.
 
 Concurrency strategy: the ℤ-linear consumers (countmin, countsketch,
 ams, frequency_vector) are order-insensitive at the state level, so
@@ -48,6 +50,8 @@ from tests.test_batch_equivalence import assert_same_state
 N = 1 << 10
 SEED = 41
 LINEAR = ["countmin", "countsketch", "ams", "frequency_vector"]
+#: The client id the ``client`` fixture stamps its ingest with.
+CLIENT_ID = "probe"
 
 
 @pytest.fixture()
@@ -60,7 +64,7 @@ def server():
 
 @pytest.fixture()
 def client(server):
-    with ServiceClient(server.host, server.port) as c:
+    with ServiceClient(server.host, server.port, client_id=CLIENT_ID) as c:
         yield c
 
 
@@ -75,6 +79,23 @@ def offline_session(track, *, node=0, seed=SEED, n=N):
     session = StreamSession(n, seed=seed, node=node)
     for spec in track:
         session.track(spec)
+    return session
+
+
+def stamp(client_id, batches):
+    """``(client_id, seq, items, deltas)`` for consecutive batches, the
+    stamps a client assigns them (seq from 1)."""
+    return [(client_id, seq, items, deltas)
+            for seq, (items, deltas) in enumerate(batches, start=1)]
+
+
+def mirror_session(track, stamped_batches, **kw):
+    """The offline reference for a stamped stream: same updates pushed
+    through ``push_once`` with the same stamps, so the dedup watermarks
+    land in the snapshot meta identically."""
+    session = offline_session(track, **kw)
+    for client_id, seq, items, deltas in stamped_batches:
+        session.push_once(client_id, seq, items, deltas)
     return session
 
 
@@ -128,11 +149,12 @@ class TestHttpPath:
         offline replay (chunk boundaries are unobservable)."""
         track = LINEAR + ["csss"]
         client.create_session("edge", n=N, seed=SEED, track=track)
-        offline = offline_session(track)
         items, deltas = make_updates(4000)
-        for lo, hi in [(0, 1), (1, 38), (38, 1500), (1500, 4000)]:
-            client.ingest("edge", items[lo:hi], deltas[lo:hi])
-        offline.push(items, deltas)
+        batches = [(items[lo:hi], deltas[lo:hi])
+                   for lo, hi in [(0, 1), (1, 38), (38, 1500), (1500, 4000)]]
+        for batch in batches:
+            client.ingest("edge", *batch)
+        offline = mirror_session(track, stamp(CLIENT_ID, batches))
         restored = served_session(client, "edge")
         assert_served_matches(restored, offline, track)
         assert payload_equal(restored.snapshot(), offline.snapshot())
@@ -149,7 +171,8 @@ class TestHttpPath:
         mid = client.query("edge", "frequency_vector")
         assert mid == int(deltas[:1700].sum())
         client.ingest("edge", items[1700:], deltas[1700:])
-        offline = offline_session(track).push(items, deltas)
+        offline = mirror_session(track, stamp(CLIENT_ID, [
+            (items[:1700], deltas[:1700]), (items[1700:], deltas[1700:])]))
         restored = served_session(client, "edge")
         assert_served_matches(restored, offline, track)
         assert client.query("edge", "frequency_vector") == int(deltas.sum())
@@ -160,28 +183,30 @@ class TestHttpPath:
         bit-identical to one offline replay of the concatenation."""
         client.create_session("edge", n=N, seed=SEED, track=LINEAR)
         items, deltas = make_updates(8000)
-        shards = [(items[i::8], deltas[i::8]) for i in range(8)]
+        shards = [[(items[i::8][pos:pos + 100], deltas[i::8][pos:pos + 100])
+                   for pos in range(0, 1000, 100)] for i in range(8)]
         errors = []
 
-        def work(shard):
-            it, dl = shard
+        def work(i):
             try:
-                with ServiceClient(server.host, server.port) as mine:
-                    for pos in range(0, len(it), 100):
-                        mine.ingest("edge", it[pos:pos + 100],
-                                    dl[pos:pos + 100])
-                        if pos == 300:
+                with ServiceClient(server.host, server.port,
+                                   client_id=f"shard-{i}") as mine:
+                    for seq, batch in enumerate(shards[i], start=1):
+                        mine.ingest("edge", *batch)
+                        if seq == 4:
                             mine.query("edge", "frequency_vector")
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=work, args=(s,)) for s in shards]
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert not errors
-        offline = offline_session(LINEAR).push(items, deltas)
+        offline = mirror_session(LINEAR, [
+            s for i in range(8) for s in stamp(f"shard-{i}", shards[i])])
         restored = served_session(client, "edge")
         assert_served_matches(restored, offline, LINEAR)
         assert restored.updates_processed == len(items)
@@ -199,10 +224,10 @@ class TestHttpPath:
         merged = client.merge("a", client.snapshot("b"))
         assert merged["updates_processed"] == len(items)
 
-        local_a = offline_session(track, node=0).push(
-            items[:2500], deltas[:2500])
-        local_b = offline_session(track, node=1).push(
-            items[2500:], deltas[2500:])
+        local_a = mirror_session(
+            track, [(CLIENT_ID, 1, items[:2500], deltas[:2500])], node=0)
+        local_b = mirror_session(
+            track, [(CLIENT_ID, 1, items[2500:], deltas[2500:])], node=1)
         local_a.merge(local_b)
         restored = served_session(client, "a")
         assert_served_matches(restored, local_a, track)
@@ -242,19 +267,21 @@ class TestWebSocketPath:
         client.create_session("edge", n=N, seed=SEED, track=track)
         items, deltas = make_updates(3000)
 
+        batches = [(items[:1000], deltas[:1000])] + [
+            (items[pos:pos + 250], deltas[pos:pos + 250])
+            for pos in range(1000, 3000, 250)]
+
         async def drive():
-            async with AsyncSessionClient(server.host, server.port,
-                                          "edge") as ws:
-                wm = await ws.ingest(items[:1000], deltas[:1000])
+            async with AsyncSessionClient(server.host, server.port, "edge",
+                                          client_id=CLIENT_ID) as ws:
+                wm = await ws.ingest(*batches[0])
                 assert wm == 1000
                 value = await ws.query("frequency_vector")
                 assert value == int(deltas[:1000].sum())
-                batches = [(items[pos:pos + 250], deltas[pos:pos + 250])
-                           for pos in range(1000, 3000, 250)]
-                return await ws.ingest_many(batches)
+                return await ws.ingest_many(batches[1:])
 
         assert asyncio.run(drive()) == 3000
-        offline = offline_session(track).push(items, deltas)
+        offline = mirror_session(track, stamp(CLIENT_ID, batches))
         restored = served_session(client, "edge")
         assert_served_matches(restored, offline, track)
 
@@ -263,21 +290,21 @@ class TestWebSocketPath:
         battery lands bit-identical to the offline concatenation."""
         client.create_session("edge", n=N, seed=SEED, track=LINEAR)
         items, deltas = make_updates(6000)
+        shards = [[(items[i::6][pos:pos + 200], deltas[i::6][pos:pos + 200])
+                   for pos in range(0, 1000, 200)] for i in range(6)]
 
-        async def one(shard_items, shard_deltas):
-            async with AsyncSessionClient(server.host, server.port,
-                                          "edge") as ws:
-                for pos in range(0, len(shard_items), 200):
-                    await ws.ingest(shard_items[pos:pos + 200],
-                                    shard_deltas[pos:pos + 200])
+        async def one(i):
+            async with AsyncSessionClient(server.host, server.port, "edge",
+                                          client_id=f"ws-{i}") as ws:
+                for batch in shards[i]:
+                    await ws.ingest(*batch)
 
         async def drive():
-            await asyncio.gather(*(
-                one(items[i::6], deltas[i::6]) for i in range(6)
-            ))
+            await asyncio.gather(*(one(i) for i in range(6)))
 
         asyncio.run(drive())
-        offline = offline_session(LINEAR).push(items, deltas)
+        offline = mirror_session(LINEAR, [
+            s for i in range(6) for s in stamp(f"ws-{i}", shards[i])])
         restored = served_session(client, "edge")
         assert_served_matches(restored, offline, LINEAR)
 
@@ -289,17 +316,17 @@ class TestWebSocketPath:
         container = client.snapshot("b")
 
         async def drive():
-            async with AsyncSessionClient(server.host, server.port,
-                                          "a") as ws:
+            async with AsyncSessionClient(server.host, server.port, "a",
+                                          client_id="ws") as ws:
                 await ws.ingest(items[:1000], deltas[:1000])
                 return await ws.merge(container)
 
         assert asyncio.run(drive()) == 2000
         restored = served_session(client, "a")
-        local_a = offline_session(LINEAR, node=0).push(
-            items[:1000], deltas[:1000])
-        local_b = offline_session(LINEAR, node=1).push(
-            items[1000:], deltas[1000:])
+        local_a = mirror_session(
+            LINEAR, [("ws", 1, items[:1000], deltas[:1000])], node=0)
+        local_b = mirror_session(
+            LINEAR, [(CLIENT_ID, 1, items[1000:], deltas[1000:])], node=1)
         local_a.merge(local_b)
         assert_served_matches(restored, local_a, LINEAR)
         single = offline_session(LINEAR).push(items, deltas)
@@ -309,7 +336,7 @@ class TestWebSocketPath:
         async def drive():
             with pytest.raises(ServiceClientError) as err:
                 async with AsyncSessionClient(server.host, server.port,
-                                              "ghost"):
+                                              "ghost", client_id=CLIENT_ID):
                     pass
             assert "404" in str(err.value)
 
@@ -338,22 +365,21 @@ class TestMetricsConservation:
         refused += 1
         # A structurally corrupt INGEST frame: declared count does not
         # match the payload length.
-        bad = protocol.encode_frame(protocol.FrameType.INGEST,
-                                    protocol._COUNT.pack(50) + b"\x00" * 8)
-        try:
-            client._request("POST", "/v1/sessions/edge/ingest", bad,
-                            content_type="application/octet-stream")
-        except ServiceClientError as exc:
-            assert exc.code == "bad_frame"
-        refused += 1
-        # Not a frame at all.
-        try:
-            client._request("POST", "/v1/sessions/edge/ingest",
-                            b"\x00garbage",
-                            content_type="application/octet-stream")
-        except ServiceClientError as exc:
-            assert exc.code == "bad_frame"
-        refused += 1
+        good = protocol.encode_ingest([1], [1], client_id="old", seq=1)
+        bad = protocol.encode_frame(
+            protocol.FrameType.INGEST,
+            good[protocol.HEADER_SIZE:] + b"\x00" * 8)
+        # A v1 header is refused from the header alone, like any
+        # foreign version.
+        v1 = bytearray(good)
+        v1[2] = 1
+        # The last is not a frame at all.
+        for raw in (bad, bytes(v1), b"\x00garbage"):
+            with pytest.raises(ServiceClientError) as err:
+                client._request("POST", "/v1/sessions/edge/ingest", raw,
+                                content_type="application/octet-stream")
+            assert err.value.code == "bad_frame"
+            refused += 1
 
         frames = scrape(client, "repro_ingest_frames_total")
         updates = scrape(client, "repro_ingest_updates_total")

@@ -8,8 +8,12 @@ Covered faults, each asserting the *session* contract afterwards:
   client normally;
 * a frame split across several WebSocket messages — applied exactly
   once (the decoder reassembles, never duplicates);
-* undecodable framing (foreign magic) — an ERROR frame comes back and
-  the connection closes, but the server and session live on;
+* undecodable framing (foreign magic, a v1 header) — an ERROR frame
+  comes back and the connection closes, but the server and session
+  live on;
+* a malformed HTTP request (bad ``Content-Length``, a session spec of
+  the wrong shape) — a typed 400, counted, and the server answers the
+  next request normally;
 * an application error mid-connection (unknown consumer, refused
   ingest) — an ERROR frame, connection stays usable;
 * a raising query hook — the error is contained, the flush that
@@ -23,6 +27,8 @@ Covered faults, each asserting the *session* contract afterwards:
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 
 import numpy as np
 import pytest
@@ -40,6 +46,7 @@ from repro.service import (
 from repro.service._ws import OP_BINARY, encode_ws_frame
 
 N = 1 << 10
+CLIENT_ID = "probe"
 
 
 @pytest.fixture()
@@ -55,7 +62,7 @@ def server(service):
 
 @pytest.fixture()
 def client(server):
-    with ServiceClient(server.host, server.port) as c:
+    with ServiceClient(server.host, server.port, client_id=CLIENT_ID) as c:
         yield c
 
 
@@ -66,9 +73,10 @@ def test_disconnect_mid_frame_applies_nothing(server, client):
     client.ingest("edge", [1, 2], [1, 1])
 
     async def die_mid_frame():
-        async with AsyncSessionClient(server.host, server.port,
-                                      "edge") as ws:
-            frame = protocol.encode_ingest([5] * 100, [1] * 100)
+        async with AsyncSessionClient(server.host, server.port, "edge",
+                                      client_id="ws") as ws:
+            frame = protocol.encode_ingest([5] * 100, [1] * 100,
+                                           client_id="ws", seq=1)
             half = encode_ws_frame(OP_BINARY, frame[:20], mask=True,
                                    fin=False)
             ws._writer.write(half)
@@ -89,14 +97,15 @@ def test_frame_split_across_messages_applies_once(server, client):
     client.create_session("edge", n=N, track=["frequency_vector"])
 
     async def split_send():
-        async with AsyncSessionClient(server.host, server.port,
-                                      "edge") as ws:
-            frame = protocol.encode_ingest([3, 4, 5], [2, 2, 2])
+        async with AsyncSessionClient(server.host, server.port, "edge",
+                                      client_id="ws") as ws:
+            frame = protocol.encode_ingest([3, 4, 5], [2, 2, 2],
+                                           client_id="ws", seq=1)
             for lo, hi in [(0, 5), (5, 11), (11, len(frame))]:
                 await ws.send_raw(frame[lo:hi])
             ack = ws._expect(await ws.recv_frame(),
                              protocol.FrameType.INGEST_ACK)
-            return protocol.decode_ack(ack.payload)
+            return protocol.decode_ingest_ack(ack.payload)[0]
 
     assert asyncio.run(split_send()) == 3
     assert client.info("edge")["updates_processed"] == 3
@@ -104,14 +113,17 @@ def test_frame_split_across_messages_applies_once(server, client):
 
 
 def test_undecodable_framing_errors_and_closes(server, client):
-    """Foreign magic can never resynchronise: the server answers with
-    an ERROR frame, closes that connection, and keeps serving."""
+    """Foreign magic or a foreign version (a v1 header) can never
+    resynchronise: the server answers with an ERROR frame, closes that
+    connection, and keeps serving."""
     client.create_session("edge", n=N, track=["frequency_vector"])
+    v1 = bytearray(protocol.encode_ingest([1], [1], client_id="old", seq=1))
+    v1[2] = 1
 
-    async def send_garbage():
-        async with AsyncSessionClient(server.host, server.port,
-                                      "edge") as ws:
-            await ws.send_raw(b"XXnot-a-frame-at-all")
+    async def send_garbage(garbage):
+        async with AsyncSessionClient(server.host, server.port, "edge",
+                                      client_id="ws") as ws:
+            await ws.send_raw(garbage)
             frame = await ws.recv_frame()
             assert frame.type is protocol.FrameType.ERROR
             code, _ = protocol.decode_error(frame.payload)
@@ -120,7 +132,8 @@ def test_undecodable_framing_errors_and_closes(server, client):
             with pytest.raises(ServiceClientError, match="closed"):
                 await ws.recv_frame()
 
-    asyncio.run(send_garbage())
+    for garbage in (b"XXnot-a-frame-at-all", bytes(v1)):
+        asyncio.run(send_garbage(garbage))
     client.ingest("edge", [1], [1])
     assert client.info("edge")["updates_processed"] == 1
 
@@ -131,8 +144,8 @@ def test_application_errors_keep_connection_usable(server, client):
     client.create_session("edge", n=N, track=["frequency_vector"])
 
     async def drive():
-        async with AsyncSessionClient(server.host, server.port,
-                                      "edge") as ws:
+        async with AsyncSessionClient(server.host, server.port, "edge",
+                                      client_id="ws") as ws:
             # Out-of-universe item: frame decodes, push refuses.
             with pytest.raises(ServiceClientError, match="bad_frame"):
                 await ws.ingest([N + 5], [1])
@@ -161,8 +174,8 @@ def test_raising_query_hook_leaves_session_consistent(service, server):
     service.sessions["edge"].add("boom", FrequencyVector(N), query=boom)
 
     async def drive(handle):
-        async with AsyncSessionClient(handle.host, handle.port,
-                                      "edge") as ws:
+        async with AsyncSessionClient(handle.host, handle.port, "edge",
+                                      client_id="ws") as ws:
             await ws.ingest([1, 2, 3], [1, 1, 1])
             with pytest.raises(ServiceClientError, match="internal"):
                 await ws.query("boom")
@@ -189,8 +202,8 @@ def test_slow_consumer_backpressure(server, client):
     queries = 300
 
     async def drive():
-        async with AsyncSessionClient(server.host, server.port,
-                                      "edge") as slow:
+        async with AsyncSessionClient(server.host, server.port, "edge",
+                                      client_id="slow") as slow:
             # Fire a burst of queries without reading any response.
             for _ in range(queries):
                 slow._writer.write(encode_ws_frame(
@@ -202,8 +215,9 @@ def test_slow_consumer_backpressure(server, client):
             # While the slow client sits on its responses, a second
             # connection must answer promptly.
             async def probe():
-                async with AsyncSessionClient(server.host, server.port,
-                                              "edge") as other:
+                async with AsyncSessionClient(
+                        server.host, server.port, "edge",
+                        client_id="other") as other:
                     return await other.query("frequency_vector")
 
             assert await asyncio.wait_for(probe(), timeout=10) == 200
@@ -227,10 +241,9 @@ def test_slow_consumer_backpressure(server, client):
 
 def test_http_disconnect_mid_body_applies_nothing(server, client):
     """An HTTP ingest whose body never finishes applies nothing."""
-    import socket
-
     client.create_session("edge", n=N, track=["frequency_vector"])
-    frame = protocol.encode_ingest([1] * 50, [1] * 50)
+    frame = protocol.encode_ingest([1] * 50, [1] * 50, client_id="raw",
+                                   seq=1)
     head = (
         f"POST /v1/sessions/edge/ingest HTTP/1.1\r\n"
         f"Host: x\r\nContent-Length: {len(frame)}\r\n\r\n"
@@ -241,6 +254,48 @@ def test_http_disconnect_mid_body_applies_nothing(server, client):
     assert client.info("edge")["updates_processed"] == 0
     client.ingest("edge", [1], [1])
     assert client.info("edge")["updates_processed"] == 1
+
+
+def _post_sessions(spec: dict) -> bytes:
+    body = json.dumps(spec).encode("utf-8")
+    return (f"POST /v1/sessions HTTP/1.1\r\nConnection: close\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii") + body
+
+
+def _errors_total(client, code: str) -> float:
+    prefix = f'repro_errors_total{{code="{code}"}} '
+    for line in client.metrics().splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix):])
+    return 0.0
+
+
+@pytest.mark.parametrize("request_bytes, code", [
+    (b"GET /healthz HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+     "bad_request"),
+    (b"GET /healthz HTTP/1.1\r\nContent-Length: 1e3\r\n\r\n",
+     "bad_request"),
+    (b"GET /healthz HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+     "bad_request"),
+    (_post_sessions({"name": "s", "n": N, "bogus": 1}), "bad_session"),
+    (_post_sessions({"name": "s", "n": N, "track": 5}), "bad_session"),
+    (_post_sessions({"name": "s", "n": N, "params": [1]}), "bad_session"),
+], ids=["length_abc", "length_1e3", "length_negative", "unknown_field",
+        "track_not_a_list", "params_not_an_object"])
+def test_malformed_http_request_is_a_typed_400(server, client,
+                                               request_bytes, code):
+    """A malformed request gets a 400 with its error code, counted in
+    repro_errors_total — never a crash, a silent close, or a 500."""
+    before = _errors_total(client, code)
+    with socket.create_connection((server.host, server.port),
+                                  timeout=10) as sock:
+        sock.sendall(request_bytes)
+        head, _, body = sock.makefile("rb").read().partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0] == b"HTTP/1.1 400 Bad Request"
+    assert json.loads(body)["error"] == code
+    assert _errors_total(client, code) == before + 1
+    assert client.healthz()
+    assert client.sessions() == []
 
 class TestMergeFrameValidation:
     """Regression: SketchService.merge routes the container through

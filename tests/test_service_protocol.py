@@ -39,14 +39,24 @@ update_columns = st.lists(
                           for cols in zip(*pairs)))
 
 
+def ingest_frame(items, deltas, client_id="c", seq=1):
+    return protocol.encode_ingest(items, deltas, client_id=client_id,
+                                  seq=seq)
+
+
+#: Bytes a ``client_id="c"`` stamp puts before the count field:
+#: cid_len:u8 | b"c" | seq:u64.
+STAMP_C = 1 + 1 + 8
+
+
 class TestRoundTrips:
     @given(cols=update_columns)
     @settings(max_examples=50, deadline=None)
     def test_ingest_round_trip(self, cols):
         items, deltas = cols
-        frame = protocol.decode_frame(protocol.encode_ingest(items, deltas))
+        frame = protocol.decode_frame(ingest_frame(items, deltas))
         assert frame.type is FrameType.INGEST
-        out_items, out_deltas = protocol.decode_ingest(frame.payload)
+        out_items, out_deltas, _, _ = protocol.decode_ingest(frame.payload)
         np.testing.assert_array_equal(out_items, items)
         np.testing.assert_array_equal(out_deltas, deltas)
 
@@ -57,13 +67,16 @@ class TestRoundTrips:
         frame = protocol.decode_frame(protocol.encode_query(name))
         assert protocol.decode_query(frame.payload) == name
 
-    @given(applied=st.integers(min_value=0, max_value=2**64 - 1))
+    @given(applied=st.integers(min_value=0, max_value=2**64 - 1),
+           seq=st.integers(min_value=1, max_value=2**64 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_ack_round_trip(self, applied):
-        for encode in (protocol.encode_ingest_ack,
-                       protocol.encode_merge_ack):
-            frame = protocol.decode_frame(encode(applied))
-            assert protocol.decode_ack(frame.payload) == applied
+    def test_ack_round_trip(self, applied, seq):
+        frame = protocol.decode_frame(
+            protocol.encode_ingest_ack(applied, seq))
+        assert protocol.decode_ingest_ack(frame.payload) == (
+            applied, seq, False)
+        frame = protocol.decode_frame(protocol.encode_merge_ack(applied))
+        assert protocol.decode_merge_ack(frame.payload) == applied
 
     def test_query_result_round_trip(self):
         for value in (3, 2.5, [1, 2], {"a": [True, None]}, "text",
@@ -90,7 +103,7 @@ class TestRoundTrips:
         """A frame split at arbitrary byte boundaries arrives exactly
         once; a trailing partial frame arrives zero times."""
         items, deltas = cols
-        raw = (protocol.encode_ingest(items, deltas)
+        raw = (ingest_frame(items, deltas)
                + protocol.encode_query("countmin"))
         positions = sorted({min(c, len(raw)) for c in cut})
         pieces, prev = [], 0
@@ -158,11 +171,20 @@ class TestRefusals:
         with pytest.raises(ProtocolError, match="magic"):
             FrameDecoder().feed(bytes(raw))
 
-    def test_foreign_version(self):
-        raw = bytearray(protocol.encode_query("x"))
-        raw[2] = protocol.PROTOCOL_VERSION + 1
-        with pytest.raises(ProtocolError, match="version"):
-            protocol.decode_frame(bytes(raw))
+    @pytest.mark.parametrize("version", [1, protocol.PROTOCOL_VERSION + 1])
+    def test_foreign_version(self, version):
+        """Every version but PROTOCOL_VERSION is refused from the header
+        alone — v1 included, whatever frame type it carries."""
+        for raw in (protocol.encode_query("x"), protocol.encode_hello("a"),
+                    ingest_frame([1], [1])):
+            raw = bytearray(raw)
+            raw[2] = version
+            with pytest.raises(ProtocolError,
+                               match="unsupported protocol version"):
+                protocol.decode_frame(bytes(raw))
+            with pytest.raises(ProtocolError,
+                               match="unsupported protocol version"):
+                FrameDecoder().feed(bytes(raw))
 
     def test_unknown_frame_type(self):
         raw = bytearray(protocol.encode_query("x"))
@@ -186,34 +208,41 @@ class TestRefusals:
                                   b"\x00" * (MAX_PAYLOAD + 1))
 
     def test_ingest_count_mismatch(self):
-        frame = protocol.decode_frame(protocol.encode_ingest([1], [1]))
+        frame = protocol.decode_frame(ingest_frame([1], [1]))
         with pytest.raises(ProtocolError, match="mismatch"):
             protocol.decode_ingest(frame.payload + b"\x00" * 8)
-        too_many = protocol._COUNT.pack(MAX_INGEST_UPDATES + 1)
+        too_many = (frame.payload[:STAMP_C]
+                    + protocol._COUNT.pack(MAX_INGEST_UPDATES + 1))
         with pytest.raises(ProtocolError, match="1\\.\\."):
             protocol.decode_ingest(too_many)
 
     def test_ingest_refuses_negative_items_and_zero_deltas(self):
-        good = protocol.decode_frame(
-            protocol.encode_ingest([5, 6], [1, 2])).payload
+        """Both ends refuse the same columns: the decoder on hostile
+        bytes, the encoder before a frame is ever stamped."""
+        good = protocol.decode_frame(ingest_frame([5, 6], [1, 2])).payload
+        items_at = STAMP_C + protocol._COUNT.size
         negative = bytearray(good)
-        negative[4:12] = np.int64(-3).tobytes()
+        negative[items_at:items_at + 8] = np.int64(-3).tobytes()
         with pytest.raises(ProtocolError, match="negative"):
             protocol.decode_ingest(bytes(negative))
         zero = bytearray(good)
-        zero[20:28] = np.int64(0).tobytes()
+        zero[items_at + 16:items_at + 24] = np.int64(0).tobytes()
         with pytest.raises(ProtocolError, match="zero delta"):
             protocol.decode_ingest(bytes(zero))
+        with pytest.raises(ProtocolError, match="negative"):
+            ingest_frame([-3, 6], [1, 2])
+        with pytest.raises(ProtocolError, match="zero delta"):
+            ingest_frame([5, 6], [1, 0])
 
     def test_ingest_refuses_mismatched_columns(self):
         with pytest.raises(ProtocolError, match="lengths differ"):
-            protocol.encode_ingest([1, 2], [1])
+            ingest_frame([1, 2], [1])
         with pytest.raises(ProtocolError, match="1-D"):
-            protocol.encode_ingest([[1]], [[1]])
+            ingest_frame([[1]], [[1]])
 
     def test_empty_refusals(self):
         with pytest.raises(ProtocolError):
-            protocol.encode_ingest([], [])
+            ingest_frame([], [])
         with pytest.raises(ProtocolError):
             protocol.encode_query("")
         with pytest.raises(ProtocolError):
@@ -221,7 +250,9 @@ class TestRefusals:
         with pytest.raises(ProtocolError):
             protocol.decode_query(b"")
         with pytest.raises(ProtocolError):
-            protocol.decode_ack(b"\x00" * 7)
+            protocol.decode_ingest_ack(b"\x00" * 8)
+        with pytest.raises(ProtocolError):
+            protocol.decode_merge_ack(b"\x00" * 7)
 
     def test_corrupt_json_payloads(self):
         for decoder in (protocol.decode_query_result,
@@ -233,7 +264,7 @@ class TestRefusals:
 
 
 class TestStampedIngest:
-    """Protocol v2: the dedup stamp and the HELLO resume handshake."""
+    """The dedup stamp and the HELLO resume handshake."""
 
     @given(cols=update_columns,
            seq=st.integers(min_value=1, max_value=2**63),
@@ -246,43 +277,29 @@ class TestStampedIngest:
         frame = protocol.decode_frame(
             protocol.encode_ingest(items, deltas, client_id=cid, seq=seq)
         )
-        assert frame.version == 2
-        out_i, out_d, out_cid, out_seq = protocol.decode_ingest_frame(frame)
+        out_i, out_d, out_cid, out_seq = protocol.decode_ingest(
+            frame.payload)
         np.testing.assert_array_equal(out_i, items)
         np.testing.assert_array_equal(out_d, deltas)
         assert (out_cid, out_seq) == (cid, seq)
 
-    def test_unstamped_stays_v1_on_the_wire(self):
-        """Backward compat is a byte-level contract: an unstamped
-        encode_ingest emits exactly the PR 7 v1 frame."""
-        frame = protocol.decode_frame(protocol.encode_ingest([1], [1]))
-        assert frame.version == 1
-        items, deltas, cid, seq = protocol.decode_ingest_frame(frame)
-        assert cid is None and seq is None
-        assert items.tolist() == [1]
-
     def test_ack_v2_round_trip(self):
         frame = protocol.decode_frame(
-            protocol.encode_ingest_ack_v2(900, 7, duplicate=True)
+            protocol.encode_ingest_ack(900, 7, duplicate=True)
         )
-        assert protocol.decode_ack(frame.payload) == 900
-        info = protocol.decode_ack_info(frame.payload)
-        assert (info.applied, info.seq, info.duplicate) == (900, 7, True)
-        v1 = protocol.decode_frame(protocol.encode_ingest_ack(900))
-        info = protocol.decode_ack_info(v1.payload)
-        assert (info.applied, info.seq, info.duplicate) == (900, None, False)
+        assert protocol.decode_ingest_ack(frame.payload) == (900, 7, True)
 
     def test_hello_round_trip(self):
         frame = protocol.decode_frame(protocol.encode_hello("edge-7"))
-        assert frame.type is FrameType.HELLO and frame.version == 2
+        assert frame.type is FrameType.HELLO
         assert protocol.decode_hello(frame.payload) == "edge-7"
         ack = protocol.decode_frame(protocol.encode_hello_ack(42, 4200))
         assert protocol.decode_hello_ack(ack.payload) == (42, 4200)
 
     def test_stamp_refusals(self):
-        with pytest.raises(ProtocolError, match="travel together"):
+        with pytest.raises(TypeError, match="seq"):
             protocol.encode_ingest([1], [1], client_id="a")
-        with pytest.raises(ProtocolError, match="travel together"):
+        with pytest.raises(TypeError, match="client_id"):
             protocol.encode_ingest([1], [1], seq=1)
         with pytest.raises(ProtocolError, match="seq"):
             protocol.encode_ingest([1], [1], client_id="a", seq=0)
@@ -294,53 +311,25 @@ class TestStampedIngest:
             frame = protocol.decode_frame(protocol.encode_hello("a"))
             protocol.decode_hello(frame.payload + b"\x00")
         with pytest.raises(ProtocolError, match="seq field"):
-            protocol.decode_ingest_v2(b"\x01a\x00")
-
-    def test_hello_refused_as_v1(self):
-        """HELLO only exists in v2: a v1 header on a HELLO frame is a
-        protocol error, not a silent misparse."""
-        raw = bytearray(protocol.encode_hello("a"))
-        raw[2] = 1
-        with pytest.raises(ProtocolError, match="version 2"):
-            protocol.decode_frame(bytes(raw))
-
-
-def _reheader_v1(raw: bytes) -> bytes:
-    """Re-emit an encoded frame with a v1 header (payload unchanged)."""
-    frame = protocol.decode_frame(raw)
-    return protocol.encode_frame(frame.type, frame.payload, version=1)
+            protocol.decode_ingest(b"\x01a\x00")
 
 
 class TestGoldenFrame:
     """The byte layout is pinned: changing it without bumping
     PROTOCOL_VERSION breaks deployed peers silently — this test makes
-    the break loud instead.  The v1 pin is the PR 7 digest, unchanged:
-    v1 frames must decode forever."""
+    the break loud instead."""
 
-    GOLDEN_V1_SHA256 = (
-        "12d4baf28ff0c3e317fc220d2f330e0577a984b77dc1bdb73c100f6081b2b609"
-    )
     GOLDEN_SHA256 = (
         "d58643dc0fcdc5c27abf4dd3442cf9f737e19dfcb6c03f8c407e5558f08cf98b"
     )
-
-    def golden_v1_bytes(self) -> bytes:
-        """Exactly the PR 7 golden byte stream (every frame carried a
-        v1 header then; unstamped ingest and v1 acks still do)."""
-        return (
-            protocol.encode_ingest([3, 1, 4], [2, -1, 7])
-            + _reheader_v1(protocol.encode_query("countmin"))
-            + protocol.encode_ingest_ack(12345678901234)
-            + _reheader_v1(protocol.encode_error("bad_frame", "nope"))
-        )
 
     def golden_bytes(self) -> bytes:
         return (
             protocol.encode_ingest([3, 1, 4], [2, -1, 7],
                                    client_id="edge-1", seq=9)
             + protocol.encode_query("countmin")
-            + protocol.encode_ingest_ack_v2(12345678901234, 9,
-                                            duplicate=True)
+            + protocol.encode_ingest_ack(12345678901234, 9,
+                                         duplicate=True)
             + protocol.encode_hello("edge-1")
             + protocol.encode_hello_ack(9, 12345678901234)
             + protocol.encode_error("bad_frame", "nope")
@@ -355,13 +344,6 @@ class TestGoldenFrame:
         assert raw[8:] == b"ams"
         assert HEADER_SIZE == 8
 
-    def test_golden_v1_frame_hash(self):
-        digest = hashlib.sha256(self.golden_v1_bytes()).hexdigest()
-        assert digest == self.GOLDEN_V1_SHA256, (
-            "the v1 wire layout changed; v1 frames are a compatibility "
-            "contract and may never be re-pinned"
-        )
-
     def test_golden_frame_hash(self):
         digest = hashlib.sha256(self.golden_bytes()).hexdigest()
         assert digest == self.GOLDEN_SHA256, (
@@ -371,21 +353,20 @@ class TestGoldenFrame:
 
     def test_golden_frames_decode(self):
         dec = FrameDecoder()
-        frames = dec.feed(self.golden_v1_bytes() + self.golden_bytes())
+        frames = dec.feed(self.golden_bytes())
         assert [f.type for f in frames] == [
-            FrameType.INGEST, FrameType.QUERY,
-            FrameType.INGEST_ACK, FrameType.ERROR,
             FrameType.INGEST, FrameType.QUERY, FrameType.INGEST_ACK,
             FrameType.HELLO, FrameType.HELLO_ACK, FrameType.ERROR,
         ]
-        items, deltas = protocol.decode_ingest(frames[0].payload)
+        items, deltas, cid, seq = protocol.decode_ingest(frames[0].payload)
         assert items.tolist() == [3, 1, 4]
         assert deltas.tolist() == [2, -1, 7]
-        assert protocol.decode_ack(frames[2].payload) == 12345678901234
-        items, deltas, cid, seq = protocol.decode_ingest_frame(frames[4])
-        assert items.tolist() == [3, 1, 4]
         assert (cid, seq) == ("edge-1", 9)
-        assert protocol.decode_ack_info(frames[6].payload).duplicate
+        assert protocol.decode_ingest_ack(frames[2].payload) == (
+            12345678901234, 9, True)
+        assert protocol.decode_hello(frames[3].payload) == "edge-1"
+        assert protocol.decode_hello_ack(frames[4].payload) == (
+            9, 12345678901234)
 
 
 class TestJsonSafe:

@@ -34,6 +34,7 @@ from repro.api.session import SequenceGapError, StreamSession
 from repro.service import (
     AsyncSessionClient,
     MetricsRegistry,
+    ProtocolError,
     RetryPolicy,
     ServerThread,
     ServiceClient,
@@ -50,7 +51,7 @@ from tests.test_service_endtoend import (
     N,
     SEED,
     make_updates,
-    offline_session,
+    mirror_session,
     scrape,
     served_session,
 )
@@ -67,16 +68,6 @@ def fresh_service(**kw):
 def stamped(items, deltas, client_id, seq):
     return protocol.encode_ingest(items, deltas,
                                   client_id=client_id, seq=seq)
-
-
-def mirror_session(track, stamped_batches, **kw):
-    """The offline reference for a stamped stream: same updates pushed
-    through ``push_once`` with the same stamps, so the dedup watermarks
-    land in the snapshot meta identically."""
-    session = offline_session(track, **kw)
-    for client_id, seq, items, deltas in stamped_batches:
-        session.push_once(client_id, seq, items, deltas)
-    return session
 
 
 class TestRetryPolicy:
@@ -147,7 +138,7 @@ class TestServiceExactlyOnce:
 
     def ingest(self, service, name, frame_bytes):
         frame = protocol.FrameDecoder().feed(frame_bytes)[0]
-        return service.ingest(name, frame.payload, version=frame.version)
+        return service.ingest(name, frame.payload)
 
     def test_duplicate_acked_idempotently(self):
         service = fresh_service()
@@ -191,14 +182,13 @@ class TestGracefulDegradation:
                 "s",
                 protocol.FrameDecoder().feed(
                     stamped([1], [1], "c", 1))[0].payload,
-                version=2,
             )
         assert err.value.code == "busy" and err.value.status == 503
         assert service.metrics.ingest_shed.value == 1
         service.set_shedding(False)
         # The shed frame did not burn seq 1: the retry applies.
         frame = protocol.FrameDecoder().feed(stamped([1], [1], "c", 1))[0]
-        out = service.ingest("s", frame.payload, version=2)
+        out = service.ingest("s", frame.payload)
         assert out["duplicate"] is False and out["applied"] == 1
 
     def test_deadline_sheds_stale_frames(self):
@@ -208,13 +198,11 @@ class TestGracefulDegradation:
                                track=["frequency_vector"])
         frame = protocol.FrameDecoder().feed(stamped([1], [1], "c", 1))[0]
         # Fresh frame: inside the deadline.
-        service.ingest("s", frame.payload, version=2,
-                       received_at=now[0] - 0.4)
+        service.ingest("s", frame.payload, received_at=now[0] - 0.4)
         # Stale frame: waited longer than the deadline in the queue.
         frame2 = protocol.FrameDecoder().feed(stamped([2], [1], "c", 2))[0]
         with pytest.raises(ServiceError) as err:
-            service.ingest("s", frame2.payload, version=2,
-                           received_at=now[0] - 0.6)
+            service.ingest("s", frame2.payload, received_at=now[0] - 0.6)
         assert err.value.code == "busy"
         assert service.metrics.ingest_shed.value == 1
 
@@ -224,6 +212,8 @@ class TestGracefulDegradation:
             assert client.set_shedding(True) is True
             client.create_session("s", n=N, seed=SEED,
                                   track=["frequency_vector"])
+            with pytest.raises(ValueError, match="client_id"):
+                client.ingest("s", [1], [1])  # no id here or at init
             with pytest.raises(ServiceClientError) as err:
                 client.ingest("s", [1], [1], client_id="c")
             assert err.value.code == "busy" and err.value.status == 503
@@ -277,6 +267,58 @@ class TestConservationLaw:
             assert scrape(client, "repro_ingest_updates_total") == 600
             assert client.describe()["retries_total"] == \
                 client.retries_total == FAST.attempts - 1
+
+
+#: Batches no session applies.  The frame decoder refuses the last two,
+#: so the encoder refuses them before they are stamped; the first
+#: passes the decoder and the session refuses it, consuming its seq.
+BAD_BATCHES = {
+    "out_of_universe": ([N + 5], [1]),
+    "zero_delta": ([3], [0]),
+    "negative_item": ([-3], [1]),
+}
+
+
+class TestRefusedBatchKeepsTheStream:
+    @pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+    @pytest.mark.parametrize("transport", ["http", "ws"])
+    def test_next_good_batch_applies(self, transport, bad):
+        """A refused batch breaks neither client's stream: the next good
+        batch is applied, and the counters still conserve frames."""
+        good = [([1], [1]), ([2], [3])]
+        expected = (ServiceClientError if bad == "out_of_universe"
+                    else ProtocolError)
+        with ServerThread(fresh_service()) as h, \
+                ServiceClient(h.host, h.port, retry=FAST,
+                              client_id="edge") as http:
+            http.create_session("s", n=N, seed=SEED,
+                                track=["frequency_vector"])
+            if transport == "http":
+                http.ingest("s", *good[0])
+                with pytest.raises(expected) as err:
+                    http.ingest("s", *BAD_BATCHES[bad])
+                http.ingest("s", *good[1])
+            else:
+                async def drive():
+                    async with AsyncSessionClient(
+                            h.host, h.port, "s", client_id="edge",
+                            retry=FAST) as ws:
+                        await ws.ingest(*good[0])
+                        with pytest.raises(expected) as err:
+                            await ws.ingest(*BAD_BATCHES[bad])
+                        await ws.ingest(*good[1])
+                    return err
+
+                err = asyncio.run(drive())
+            if expected is ServiceClientError:
+                assert err.value.code == "bad_frame"
+            assert http.query("s", "frequency_vector") == 4
+            applied = scrape(http, "repro_ingest_applied_total")
+            assert applied == len(good)
+            assert scrape(http, "repro_ingest_frames_total") == (
+                applied + scrape(http, "repro_ingest_duplicates_total")
+                + scrape(http, "repro_ingest_refused_total")
+                + scrape(http, "repro_ingest_shed_total"))
 
 
 class TestHttpRetryGating:
@@ -340,7 +382,7 @@ class TestDurableService:
         for client_id, seq, items, deltas in batches:
             payload = protocol.FrameDecoder().feed(
                 stamped(items, deltas, client_id, seq))[0].payload
-            service.ingest("s", payload, version=2)
+            service.ingest("s", payload)
 
     def test_clean_shutdown_recovers_everything(self, tmp_path):
         service = fresh_service(checkpoint_dir=tmp_path,
