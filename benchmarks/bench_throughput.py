@@ -467,8 +467,17 @@ def _measure_sharded(chunk_size: int = CHUNK) -> dict:
     }
 
 
+#: Sections ``bench_service.py`` merges into the same artifact; a
+#: throughput regeneration carries them over unchanged.
+SERVICE_SECTIONS = ("service", "service_faults")
+
+
 def write_artifact(report: dict) -> None:
-    ARTIFACT.write_text(json.dumps(report, indent=2) + "\n")
+    """Write ``report`` as the artifact, replacing every section except
+    :data:`SERVICE_SECTIONS`, which are kept from the existing file."""
+    previous = json.loads(ARTIFACT.read_text()) if ARTIFACT.exists() else {}
+    kept = {key: previous[key] for key in SERVICE_SECTIONS if key in previous}
+    ARTIFACT.write_text(json.dumps({**report, **kept}, indent=2) + "\n")
 
 
 def gate_failures(report: dict) -> list[str]:

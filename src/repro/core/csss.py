@@ -209,6 +209,7 @@ class CSSS:
         buckets: np.ndarray,
         eff_signs: np.ndarray,
         mags: np.ndarray,
+        gross: int,
     ) -> None:
         """Fold one chunk into row ``r`` with vectorised acceptance.
 
@@ -217,10 +218,11 @@ class CSSS:
         the first overflow is scatter-added, the row is halved, and the
         schedule re-quantises the chunk *tail* from the same uniforms at
         the new rate.  Typically one segment per chunk — halvings are
-        logarithmically rare.
+        logarithmically rare — and a rate-1 row that cannot overflow
+        keeps the chunk whole off the shared ``gross = Σ mags``.
         """
         sched = self._schedules[r]
-        for start, stop, k_seg in sched.accept_batch(mags):
+        for start, stop, k_seg in sched.accept_batch(mags, gross):
             seg = slice(start, stop)
             # Fused segment scatter: one pass drives the kept counts
             # into the pos/neg rows and tracks the post-add maximum.
@@ -270,11 +272,12 @@ class CSSS:
         if items_arr.size == 0:
             return
         mags = np.abs(deltas_arr)
+        gross = exact_sum(mags)
         delta_signs = np.where(deltas_arr > 0, 1, -1)
         for r in range(self.depth):
             buckets = self._bucket_hashes[r].hash_array(items_arr)
             eff_signs = self._sign_hashes[r].hash_array(items_arr) * delta_signs
-            self._apply_row(r, buckets, eff_signs, mags)
+            self._apply_row(r, buckets, eff_signs, mags, gross)
 
     # NOT coalescable: every row consumes exactly one acceptance uniform
     # per *update*, so summing duplicates would change which uniforms
@@ -303,7 +306,7 @@ class CSSS:
         for r in range(self.depth):
             buckets = plan.values(self._bucket_hashes[r])
             eff_signs = plan.values(self._sign_hashes[r]) * delta_signs
-            self._apply_row(r, buckets, eff_signs, mags)
+            self._apply_row(r, buckets, eff_signs, mags, plan.gross_weight)
 
     def consume(self, stream) -> "CSSS":
         return consume_stream(self, stream)

@@ -62,13 +62,16 @@ class AlphaRoughL0Estimate:
     def update_batch(self, items, deltas) -> None:
         self._f0.update_batch(items, deltas)
 
-    def hash_values(self, items) -> np.ndarray:
-        """Vectorised KMV hash pass (for consumers that interleave the
-        rough estimate with their own per-update state machine)."""
-        return self._f0._h.hash_array(items)
+    @property
+    def kmv_hash(self):
+        """The KMV hash, for consumers that interleave the rough estimate
+        with their own per-update state machine: evaluate it vectorised
+        (``hash_array``, or as a value-equal plan cache key) and fold the
+        values with :meth:`observe_hash`."""
+        return self._f0._h
 
     def observe_hash(self, hv: int) -> None:
-        """Fold one precomputed KMV hash value (see :meth:`hash_values`)."""
+        """Fold one precomputed KMV hash value (see :attr:`kmv_hash`)."""
         self._f0._observe(hv)
 
     def fold_candidates(self, hash_values: np.ndarray) -> np.ndarray:
@@ -213,7 +216,7 @@ class AlphaConstL0Estimator:
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         if items_arr.size == 0:
             return
-        hvs = self._rough.hash_values(items_arr)
+        hvs = self._rough.kmv_hash.hash_array(items_arr)
         levels = lsb_array(self._h.hash_array(items_arr), cap=self.log_n)
         window_fn = lambda: self._window_for(self._rough.estimate())  # noqa: E731
         for a, b in windowed_segments(self._rough, hvs, window_fn):
@@ -367,34 +370,69 @@ class AlphaL0Estimator:
         """Segmented batch update with vectorised hashing and routing.
 
         All hash passes (KMV, h1-lsb row routing, h2/h3/h4 bucketing) run
-        as array operations.  The row window only moves when the rough
-        estimate moves, which only happens at KMV fold candidates
-        (:meth:`AlphaRoughL0Estimate.fold_candidates`) — so instead of
-        walking every update, the chunk is walked candidate-to-candidate:
-        each inter-candidate segment is scatter-added into the live rows
-        in one vectorised pass per row, and the window is re-synced at
-        exactly the scalar stream positions.  The window-independent
-        structures (collapsed small row, exact small L0) absorb the whole
-        chunk vectorised afterwards; they share no state with the rows,
-        so the reordering is unobservable.
+        as array operations over the chunk; :meth:`_absorb` walks it.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         if items_arr.size == 0:
             return
-        hvs = self._rough.hash_values(items_arr)
         j2 = self._h2.hash_array(items_arr)
-        scales = self._u[self._h4.hash_array(j2)]
-        incs = scaled_mod_increments(deltas_arr, scales, self.p)
-        rows = lsb_array(self._h1.hash_array(items_arr), cap=self.log_n)
-        cols = self._h3.hash_array(j2)
+        self._absorb(
+            deltas_arr,
+            self._rough.kmv_hash.hash_array(items_arr),
+            lsb_array(self._h1.hash_array(items_arr), cap=self.log_n),
+            self._h3.hash_array(j2),
+            self._h3_small.hash_array(j2),
+            self._u[self._h4.hash_array(j2)],
+        )
+        self._exact_small.update_batch(items_arr, deltas_arr)
+
+    def update_plan(self, plan) -> None:
+        """Planned update, bit-identical to :meth:`update_batch`.
+
+        Every item-keyed hash (the KMV halves, h1, h2, and h3/h4/h3-small
+        over h2's outputs) runs once over the chunk's *unique* items —
+        through the plan cache where keyed by an item hash — and the
+        per-update columns of :meth:`_absorb` are gathered back through
+        the plan's inverse index.  αL0 is not ℤ-linear as a whole (rows
+        are born mid-chunk), so the deltas stay per update.
+        """
+        plan.check_universe(self.n)
+        if plan.size == 0:
+            return
+        j2 = plan.unique_values(self._h2)
+        self._absorb(
+            plan.deltas,
+            plan.values(self._rough.kmv_hash),
+            plan.gather(
+                lsb_array(plan.unique_values(self._h1), cap=self.log_n)
+            ),
+            plan.gather(self._h3.hash_array(j2)),
+            plan.gather(self._h3_small.hash_array(j2)),
+            plan.gather(self._u[self._h4.hash_array(j2)]),
+        )
+        self._exact_small.update_plan(plan)
+
+    def _absorb(self, deltas, hvs, rows, cols, cols_s, scales) -> None:
+        """Fold one chunk given its per-update hash columns.
+
+        The row window only moves when the rough estimate moves, which
+        only happens at KMV fold candidates
+        (:meth:`AlphaRoughL0Estimate.fold_candidates`) — so instead of
+        walking every update, the chunk is walked candidate-to-candidate:
+        each inter-candidate segment is scatter-added into the live rows
+        in one vectorised pass per row, and the window is re-synced at
+        exactly the scalar stream positions.  The collapsed small row
+        absorbs the whole chunk afterwards, as does the exact small L0
+        (by the caller); they share no state with the rows, so the
+        reordering is unobservable.
+        """
+        incs = scaled_mod_increments(deltas, scales, self.p)
         for a, b in windowed_segments(self._rough, hvs, self._window):
             # Flush each constant-window segment, then sync (row creation
             # happens at exactly the scalar stream position).
             self._route_segment(rows, cols, incs, a, b)
             self._sync_rows()
-        cols_s = self._h3_small.hash_array(j2)
         mod_scatter_add(self.B_small, cols_s, incs, self.p)
-        self._exact_small.update_batch(items_arr, deltas_arr)
 
     def consume(self, stream) -> "AlphaL0Estimator":
         return consume_stream(self, stream)

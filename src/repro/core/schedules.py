@@ -165,7 +165,7 @@ class AdaptiveSamplingSchedule:
         self.weight = int(new_weight)
 
     def accept_batch(
-        self, mags: np.ndarray
+        self, mags: np.ndarray, gross: int | None = None
     ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Vectorised acceptance of a chunk of magnitudes.
 
@@ -176,11 +176,26 @@ class AdaptiveSamplingSchedule:
         structure (calling :meth:`register_halving`) before resuming the
         iterator; the tail is then re-quantised from the same uniforms
         at the new rate — exactly the scalar trajectory.
+
+        ``gross`` is the chunk's exact ``Σ mags`` (computed here when
+        omitted), so callers feeding one chunk to many schedules pay
+        for it once.  At rate 1 with ``weight + gross <= budget`` the
+        chunk is kept whole: every prefix of the non-negative ``mags``
+        is at most that sum, so the walk below would yield the same
+        single segment and book the same weight.  ``mags`` itself is
+        then the yielded segment — callers must not write to it.
         """
         m = len(mags)
         if m == 0:
             return
         u = self._rng.random(m)
+        if self.log2_inv_p <= 0:
+            if gross is None:
+                gross = exact_sum(mags)
+            if self.weight + gross <= self.budget:
+                self.weight += gross
+                yield 0, m, mags
+                return
         kept = self.quantise(u, mags)
         start = 0
         while start < m:

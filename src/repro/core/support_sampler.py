@@ -185,7 +185,7 @@ class AlphaSupportSampler:
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         if items_arr.size == 0:
             return
-        hvs = self._rough.hash_values(items_arr)
+        hvs = self._rough.kmv_hash.hash_array(items_arr)
         min_levels = self._min_levels_array(items_arr)
         for a, b in windowed_segments(self._rough, hvs, self._window):
             if a < b:

@@ -90,23 +90,44 @@ class ExactSmallL0:
         """Batch update with vectorised bucket hashing.
 
         The residue tables are dicts, so the accumulation is a loop — but
-        per trial it folds the *per-bucket sums* in, which is equivalent
-        to the scalar sequence because modular addition commutes.  The
-        per-bucket sums are folded on exact Python integers when the
-        chunk's gross weight could overflow int64 (the scalar path is a
-        Python-int fold, so the batch path must not wrap either).
+        per trial it folds the *per-bucket sums* in (:meth:`_fold`),
+        which is equivalent to the scalar sequence because modular
+        addition commutes.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        exact = (
-            float(np.abs(deltas_arr).astype(np.float64).sum()) >= 2.0**62
-        )
-        sum_deltas = deltas_arr.astype(object) if exact else deltas_arr
+        self._fold(deltas_arr, [
+            np.unique(h.hash_array(items_arr), return_inverse=True)
+            for h in self._hashes
+        ])
+
+    def update_plan(self, plan) -> None:
+        """Planned update: each trial hashes the chunk's unique items
+        once (cached on the plan) and reaches its buckets through the
+        plan's inverse index.  The per-update deltas are grouped by
+        bucket exactly as in :meth:`update_batch` (never the plan's
+        ``summed_*`` views), so the tables end bit-identical."""
+        plan.check_universe(self.n)
+        groups = []
+        for h in self._hashes:
+            buckets, index = np.unique(
+                plan.unique_values(h), return_inverse=True
+            )
+            groups.append((buckets, index[plan.inverse]))
+        self._fold(plan.deltas, groups)
+
+    def _fold(self, deltas: np.ndarray, groups) -> None:
+        """Fold per-bucket delta sums into every trial's residue table.
+
+        ``groups[t]`` holds trial ``t``'s distinct buckets and each
+        update's index among them.  The sums are taken on exact Python
+        integers when the chunk's gross weight could overflow int64 (the
+        scalar path is a Python-int fold, so this one must not wrap
+        either).
+        """
+        exact = float(np.abs(deltas).astype(np.float64).sum()) >= 2.0**62
+        sum_deltas = deltas.astype(object) if exact else deltas
         sum_dtype = object if exact else np.int64
-        for t in range(self.trials):
-            buckets = self._hashes[t].hash_array(items_arr)
-            p = self._primes[t]
-            tbl = self._tables[t]
-            uniq, inverse = np.unique(buckets, return_inverse=True)
+        for (uniq, inverse), p, tbl in zip(groups, self._primes, self._tables):
             sums = np.zeros(len(uniq), dtype=sum_dtype)
             np.add.at(sums, inverse, sum_deltas)
             for b, s in zip(uniq.tolist(), sums.tolist()):

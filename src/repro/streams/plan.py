@@ -61,6 +61,13 @@ _INT64_SAFE_BOUND = 2**62
 _DENSE_UNIVERSE_FACTOR = 8
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """Mark a cached view read-only: one plan feeds many consumers, so
+    an in-place write by one would silently corrupt every later one."""
+    arr.flags.writeable = False
+    return arr
+
+
 class ChunkPlan:
     """One validated chunk plus its lazily computed shared views.
 
@@ -99,14 +106,14 @@ class ChunkPlan:
     def abs_deltas(self) -> np.ndarray:
         """``|Δ_t|`` per update (shared by every sampling consumer)."""
         if self._abs is None:
-            self._abs = np.abs(self.deltas)
+            self._abs = _frozen(np.abs(self.deltas))
         return self._abs
 
     @property
     def delta_signs(self) -> np.ndarray:
         """``sign(Δ_t)`` in {-1, +1} per update."""
         if self._signs is None:
-            self._signs = np.where(self.deltas > 0, 1, -1)
+            self._signs = _frozen(np.where(self.deltas > 0, 1, -1))
         return self._signs
 
     @property
@@ -139,11 +146,10 @@ class ChunkPlan:
             return
         planner = self._planner
         if planner is not None and planner._dense_ok(self.n, self.size):
-            self._unique, self._inverse = planner._dense_unique(self.items)
+            unique, inverse = planner._dense_unique(self.items)
         else:
-            self._unique, self._inverse = np.unique(
-                self.items, return_inverse=True
-            )
+            unique, inverse = np.unique(self.items, return_inverse=True)
+        self._unique, self._inverse = _frozen(unique), _frozen(inverse)
 
     @property
     def unique_ready(self) -> bool:
@@ -185,7 +191,7 @@ class ChunkPlan:
             self._require_coalescable()
             sums = np.zeros(len(self.unique_items), dtype=np.int64)
             np.add.at(sums, self.inverse, self.deltas)
-            self._sums = sums
+            self._sums = _frozen(sums)
         return self._sums
 
     @property
@@ -195,7 +201,7 @@ class ChunkPlan:
         skip the fancy-index copy)."""
         if not self._nonzero_known:
             mask = self.summed_deltas != 0
-            self._nonzero = None if mask.all() else mask
+            self._nonzero = None if mask.all() else _frozen(mask)
             self._nonzero_known = True
         return self._nonzero
 
@@ -204,7 +210,7 @@ class ChunkPlan:
         self._require_coalescable()
         out = np.zeros(len(self.unique_items), dtype=np.int64)
         np.add.at(out, self.inverse[select], values[select])
-        return out
+        return _frozen(out)
 
     @property
     def summed_magnitudes(self) -> np.ndarray:
@@ -214,7 +220,7 @@ class ChunkPlan:
             self._require_coalescable()
             sums = np.zeros(len(self.unique_items), dtype=np.int64)
             np.add.at(sums, self.inverse, self.abs_deltas)
-            self._cache[key] = sums
+            self._cache[key] = _frozen(sums)
         return self._cache[key]
 
     @property
@@ -246,8 +252,7 @@ class ChunkPlan:
         mod-``p`` reducer) compare and hash by *value* — same seed
         coefficients, same field — so value-equal hash functions held by
         different consumers share one evaluation per chunk.  ``fn``
-        defaults to ``key.hash_array``.  Results are cached; callers
-        must not mutate them.
+        defaults to ``key.hash_array``.  Results are cached read-only.
         """
         cache = self._cache
         try:
@@ -256,7 +261,7 @@ class ChunkPlan:
             pass
         except TypeError:  # unhashable key: evaluate uncached
             return (fn or key.hash_array)(self.unique_items)
-        values = (fn or key.hash_array)(self.unique_items)
+        values = _frozen((fn or key.hash_array)(self.unique_items))
         cache[key] = values
         return values
 

@@ -99,7 +99,9 @@ class TestRegistryPins:
         "heavy_hitters_general": (True, True,  False, True),
         "l1_general":           (True,  True,  False, True),
         "l1_strict":            (True,  False, False, True),
-        "alpha_l0":             (True,  False, False, True),
+        # Unique-item hashing for Figure 7 (not coalesced: rows are born
+        # mid-chunk).
+        "alpha_l0":             (True,  True,  False, True),
         # Satellite (e): the plan-aware fill-phase upsert.
         "misra_gries":          (True,  True,  False, True),
         # The documented order-sensitive holdout: no merge.

@@ -31,6 +31,7 @@ from repro.batch import supports_coalescing, supports_plan
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
 from repro.core.inner_product import AlphaInnerProduct
+from repro.core.l0_estimation import AlphaL0Estimator
 from repro.core.l1_estimation import AlphaL1EstimatorGeneral
 from repro.core.l2_heavy_hitters import AlphaL2HeavyHitters
 from repro.core.sampling import SampledFrequencies
@@ -40,6 +41,7 @@ from repro.sketches.cauchy import CauchyL1Sketch
 from repro import kernels
 from repro.sketches.countmin import CountMin
 from repro.sketches.countsketch import CountSketch
+from repro.sketches.knw_l0 import ExactSmallL0
 from repro.streams.engine import replay, replay_many
 from repro.streams.generators import (
     bounded_deletion_stream,
@@ -91,6 +93,11 @@ PLAN_CASES = {
     "alpha_l1_general": (
         lambda rng: AlphaL1EstimatorGeneral(N, eps=0.4, alpha=4, rng=rng),
         False),
+    "alpha_l0_eps4": (
+        lambda rng: AlphaL0Estimator(N, eps=1 / 4, alpha=4, rng=rng), False),
+    "alpha_l0_eps16": (
+        lambda rng: AlphaL0Estimator(N, eps=1 / 16, alpha=4, rng=rng), False),
+    "exact_small_l0": (lambda rng: ExactSmallL0(N, c=20, rng=rng), False),
 }
 
 
@@ -220,7 +227,61 @@ def test_coalescing_refused_when_sums_could_wrap_int64():
     assert_same_state(reference, planned)
 
 
+def test_l0_plan_paths_take_the_exact_paths_on_huge_chunks():
+    """A chunk whose gross weight reaches 2^62 takes the object-dtype
+    paths through update_plan (ExactSmallL0's per-bucket sums, αL0's
+    scaled increments) and lands exactly where the scalar loop does;
+    an int64 fold would wrap (item 3's deltas sum to 3 * 2^62)."""
+    big = 1 << 62
+    items = np.array([3, 3, 5, 3, 7, 5])
+    deltas = np.array([big, big, -big, big, 1, 2])
+    builders = (
+        lambda: AlphaL0Estimator(N, eps=1 / 4, alpha=4,
+                                 rng=np.random.default_rng(SEED)),
+        lambda: ExactSmallL0(N, c=20, rng=np.random.default_rng(SEED)),
+    )
+    for build in builders:
+        plan = _CoalescingForbidden(items, deltas, N, ChunkPlanner(N))
+        assert plan.gross_weight >= 1 << 62
+        scalar, batch, planned = build(), build(), build()
+        for item, delta in zip(items.tolist(), deltas.tolist()):
+            scalar.update(item, delta)
+        batch.update_batch(items, deltas)
+        planned.update_plan(plan)
+        assert_same_state(scalar, batch)
+        assert_same_state(scalar, planned)
+
+
 # -- plan internals ----------------------------------------------------------
+
+@pytest.mark.parametrize("universe", [16, None], ids=["dense", "sorted"])
+def test_plan_views_are_read_only(universe):
+    """One plan feeds every consumer of a chunk, so each cached view is
+    read-only: an in-place write raises instead of corrupting every
+    later consumer."""
+    items = np.array([7, 3, 7, 9, 3, 7, 11])
+    deltas = np.array([5, 2, -5, 1, -2, 3, -2])
+    plan = ChunkPlan(items, deltas, universe, ChunkPlanner(universe))
+    h = KWiseHash(16, 8, k=2, rng=np.random.default_rng(0))
+    views = {
+        "unique_items": plan.unique_items,
+        "inverse": plan.inverse,
+        "abs_deltas": plan.abs_deltas,
+        "delta_signs": plan.delta_signs,
+        "summed_deltas": plan.summed_deltas,
+        "nonzero_sums": plan.nonzero_sums,  # item 3 cancels
+        "summed_magnitudes": plan.summed_magnitudes,
+        "summed_positive": plan.summed_positive,
+        "summed_negative_magnitudes": plan.summed_negative_magnitudes,
+        "unique_values": plan.unique_values(h),
+    }
+    for name, view in views.items():
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = view[1]
+        assert not view.flags.writeable, name
+    # Per-update expansions are the caller's own copies.
+    plan.values(h)[0] = 0
+
 
 def test_plan_views_dense_and_sorted_paths_agree():
     """The dense (touched-flag workspace) and sort-based unique paths
@@ -289,7 +350,8 @@ def test_frequency_vector_coalesces_only_on_shared_plans():
 
 #: Consumer sets with a solo-planning member get plans; sets made only
 #: of ``plan_shared_only`` consumers do not.
-PLANNED_SETS = [("countsketch",), ("frequency_vector", "countsketch")]
+PLANNED_SETS = [("countsketch",), ("alpha_l0",),
+                ("frequency_vector", "countsketch")]
 UNPLANNED_SETS = [("frequency_vector",), ("frequency_vector", "misra_gries")]
 
 
@@ -416,6 +478,41 @@ def test_theorem2_sketch_pair_hashes_each_chunk_once(monkeypatch):
     assert len(calls) == n_chunks * 2
     est = ctx.estimate(sf, sg)
     assert np.isfinite(est)
+
+
+def test_alpha_l0_hashes_each_chunks_unique_items_once(monkeypatch):
+    """Every item-keyed hash of αL0 and its ExactSmallL0 runs once per
+    chunk, over exactly the chunk's unique items; h3, h4 and the small
+    row's h3 run once over h2's values on them."""
+    sketch = AlphaL0Estimator(N, eps=1 / 4, alpha=4,
+                              rng=np.random.default_rng(SEED))
+    kmv = sketch._rough.kmv_hash
+    item_keyed = [kmv._hi, kmv._lo, sketch._h1, sketch._h2,
+                  *sketch._exact_small._hashes]
+    h2_keyed = [sketch._h3, sketch._h4, sketch._h3_small]
+    calls: list = []
+    original = KWiseHash.hash_array
+
+    def recording(self, xs):
+        calls.append((self, np.array(xs)))
+        return original(self, xs)
+
+    monkeypatch.setattr(KWiseHash, "hash_array", recording)
+    items, deltas = STREAM.as_arrays()
+    planner = ChunkPlanner(N)
+    with kernels.override("off"):
+        for start in range(0, len(items), 256):
+            plan = planner.plan(items[start:start + 256],
+                                deltas[start:start + 256])
+            calls.clear()
+            sketch.update_plan(plan)
+            unique = plan.unique_items
+            j2 = plan.unique_values(sketch._h2)  # cached: no new call
+            assert sorted(id(h) for h, _ in calls) == sorted(
+                id(h) for h in item_keyed + h2_keyed)
+            for h, xs in calls:
+                keyed_on_items = any(h is k for k in item_keyed)
+                assert np.array_equal(xs, unique if keyed_on_items else j2)
 
 
 # -- the replay_many pin ------------------------------------------------------

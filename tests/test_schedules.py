@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.csss import CSSS
 from repro.core.sampling import binomial_from_uniform, binomial_from_uniforms
 from repro.core.schedules import (
     AdaptiveSamplingSchedule,
@@ -25,6 +26,10 @@ from repro.core.schedules import (
 )
 from repro.counters.morris import MorrisCounter
 from repro.hashing.kwise import UniformScalars
+from repro.streams.engine import replay
+from repro.streams.generators import bounded_deletion_stream
+
+from test_batch_equivalence import assert_same_state
 
 
 def _chunks_from_sizes(total: int, sizes: list[int]):
@@ -170,6 +175,91 @@ class TestAdaptiveSamplingSchedule:
         assert kept_scalar == kept_batch
         assert scalar.weight == batch.weight
         assert scalar.log2_inv_p == batch.log2_inv_p
+
+
+    #: A first chunk books some weight; the second lands on the rate-1
+    #: budget check's boundary.
+    _FIRST = np.array([2, 7, 1, 8], dtype=np.int64)
+    _CHUNK = np.array([3, 1, 4, 1, 5, 9, 2, 6], dtype=np.int64)
+
+    @staticmethod
+    def _twins(budget: int, halvings: int = 0):
+        pair = [AdaptiveSamplingSchedule(budget, np.random.default_rng(12))
+                for _ in range(2)]
+        for sched in pair:
+            for _ in range(halvings):
+                sched.register_halving(0)
+        return pair
+
+    @staticmethod
+    def _assert_twins(scalar, batch, kept_scalar, kept_batch):
+        assert kept_batch == kept_scalar
+        assert batch.weight == scalar.weight
+        assert batch.log2_inv_p == scalar.log2_inv_p
+        assert (
+            batch._rng.bit_generator.state == scalar._rng.bit_generator.state
+        )
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["on_budget", "one_over"])
+    def test_rate_one_budget_boundary_matches_scalar(self, over):
+        """``weight + gross == budget``: the row keeps the whole chunk
+        (the shortcut yields the chunk itself) with no halving.  One
+        unit more overflows at the chunk's last update and halves.
+        Both match the scalar offer loop."""
+        first, chunk = self._FIRST, self._CHUNK
+        budget = int(first.sum() + chunk.sum()) - over
+        scalar, batch = self._twins(budget)
+        kept_scalar = self._drive_scalar(
+            scalar, first.tolist() + chunk.tolist())
+        kept_batch = self._drive_batch(batch, first, [len(first)])
+        segments = []
+        for a, b, seg in batch.accept_batch(chunk, int(chunk.sum())):
+            segments.append((a, b, seg))
+            kept_batch.extend(seg.tolist())
+            while batch.needs_halving():
+                batch.register_halving(batch.weight // 2)
+        assert [(a, b) for a, b, _ in segments] == [(0, len(chunk))]
+        assert (segments[0][2] is chunk) == (over == 0)
+        assert batch.log2_inv_p == over
+        self._assert_twins(scalar, batch, kept_scalar, kept_batch)
+
+    def test_rate_one_shortcut_skipped_below_rate_one(self):
+        """A row already at ``log2_inv_p >= 1`` quantises as before."""
+        chunk = self._CHUNK
+        scalar, batch = self._twins(10**6, halvings=1)
+        kept_scalar = self._drive_scalar(scalar, chunk.tolist())
+        (a, b, seg), = batch.accept_batch(chunk, int(chunk.sum()))
+        assert (a, b) == (0, len(chunk)) and seg is not chunk
+        assert batch.log2_inv_p == 1
+        self._assert_twins(scalar, batch, kept_scalar, seg.tolist())
+
+
+def test_csss_first_chunk_landing_on_the_budget(backend):
+    """A CSSS whose sample budget equals the first chunk's gross weight:
+    every row keeps that chunk whole at rate 1 and halves in a later
+    chunk.  Scalar, batch and planned replays end bit-identical."""
+    stream = bounded_deletion_stream(256, 600, alpha=4, seed=41,
+                                     strict=False)
+    chunk = 128
+    items, deltas = stream.as_arrays()
+    budget = int(np.abs(deltas[:chunk]).sum())
+
+    def build() -> CSSS:
+        return CSSS(256, k=4, eps=0.1, alpha=4, rng=np.random.default_rng(3),
+                    depth=4, sample_budget=budget)
+
+    first = build()
+    first.update_batch(items[:chunk], deltas[:chunk])
+    assert (first._row_weight == budget).all()
+    assert not first.log2_inv_p.any()
+    scalar = build()
+    for u in stream:
+        scalar.update(u.item, u.delta)
+    batch = replay(stream, build(), chunk_size=chunk, coalesce=False)
+    planned = replay(stream, build(), chunk_size=chunk, coalesce=True)
+    assert (scalar.log2_inv_p > 0).all()
+    assert_same_state(scalar, batch)
+    assert_same_state(scalar, planned)
 
 
 class TestRunningSums:
