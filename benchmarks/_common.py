@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.api import Params, build
 from repro.api.session import StreamSession
-from repro.streams.engine import replay, replay_many
+from repro.streams.engine import iter_chunks, replay, replay_many
 from repro.streams.generators import (
     bounded_deletion_stream,
     sensor_occupancy_stream,
@@ -83,12 +83,13 @@ def measure_throughput(
     make_sketch,
     chunk_size: int = 4096,
     force_scalar: bool = False,
-    coalesce: bool = True,
+    planless: bool = False,
     repeats: int = 1,
 ) -> ReplayStats:
     """Replay ``stream`` into a fresh sketch; returns the timing stats
-    (``stats.updates_per_sec`` is the headline number).  ``coalesce``
-    toggles the chunk-planning layer — the two sides of the coalescing
+    (``stats.updates_per_sec`` is the headline number).  ``planless``
+    feeds ``update_batch`` chunk by chunk instead of replaying through
+    the engine's plan policy — the reference side of the coalescing
     comparisons in ``bench_throughput.py``.  ``force_scalar`` times the
     raw per-update loop instead: the baseline side of every throughput
     comparison.  ``repeats`` returns the best of N fresh replays: the
@@ -104,8 +105,11 @@ def measure_throughput(
             update = sketch.update
             for item, delta in zip(items.tolist(), deltas.tolist()):
                 update(item, delta)
+        elif planless:
+            for chunk_items, chunk_deltas in iter_chunks(stream, chunk_size):
+                sketch.update_batch(chunk_items, chunk_deltas)
         else:
-            replay(stream, sketch, chunk_size=chunk_size, coalesce=coalesce)
+            replay(stream, sketch, chunk_size=chunk_size)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best:
             best = elapsed

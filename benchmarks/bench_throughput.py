@@ -219,7 +219,7 @@ def _measure_all(chunk_size: int = CHUNK, m: int = M,
                 streams[kind],
                 make,
                 chunk_size=chunk_size,
-                coalesce=False,
+                planless=True,
                 repeats=3,
             )
             row["uncoalesced_updates_per_sec"] = int(
@@ -369,10 +369,8 @@ def _measure_session(chunk_size: int = CHUNK, m: int = M) -> dict:
 #: structures that coalesce duplicates (CountSketch/CountMin/AMS) or
 #: reuse unique-item hash evaluations (Cauchy, CSSS), across duplicate
 #: densities from uniform (few dups per chunk) to zipf 2.0 (a handful
-#: of distinct items per chunk).  FrequencyVector is deliberately
-#: absent: solo replays skip planning for it by design
-#: (`plan_shared_only` — its batch path already is a dense per-item
-#: sum), so a sweep row would only record that the escape worked.
+#: of distinct items per chunk).  FrequencyVector is absent: it has no
+#: plan path (its batch path already is a dense per-item sum).
 SKEW_STRUCTURES = (
     "countsketch", "countmin", "ams", "cauchy", "csss",
 )
@@ -409,7 +407,7 @@ def _measure_skew(chunk_size: int = CHUNK, m: int = M) -> dict:
                 stream, make, chunk_size=chunk_size, repeats=3,
             )
             uncoalesced = measure_throughput(
-                stream, make, chunk_size=chunk_size, coalesce=False,
+                stream, make, chunk_size=chunk_size, planless=True,
                 repeats=3,
             )
             rows[name] = {

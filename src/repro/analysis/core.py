@@ -246,12 +246,6 @@ def parent_map(tree: ast.AST) -> dict[ast.AST, ast.AST]:
     return parents
 
 
-def functions_in(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
 def self_attribute(node: ast.AST) -> str | None:
     """``self.X`` → ``"X"``; None otherwise."""
     if (

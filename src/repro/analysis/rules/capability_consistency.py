@@ -44,8 +44,7 @@ _KERNEL_DISPATCH = {
     "try_kwise", "try_table_update", "try_cauchy_fold",
     "try_csss_scatter",
 }
-_FLAG_ATTRS = {"coalescable_updates", "plan_shared_only",
-               "kernel_updates"}
+_FLAG_ATTRS = {"coalescable_updates", "kernel_updates"}
 
 
 class _ClassInfo:

@@ -45,7 +45,6 @@ from repro.batch import (
     supports_kernels,
     supports_merge,
     supports_plan,
-    supports_plan_solo,
 )
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
@@ -167,7 +166,6 @@ class Capabilities:
 
     batch: bool
     plan: bool
-    plan_solo: bool
     coalesce: bool
     merge: bool
     #: Batch/plan paths dispatch to the compiled kernel backend
@@ -177,13 +175,12 @@ class Capabilities:
 
     @classmethod
     def of(cls, sketch: Any) -> "Capabilities":
-        return cls(
-            batch=supports_batch(sketch),
-            plan=supports_plan(sketch),
-            plan_solo=supports_plan_solo(sketch),
-            coalesce=supports_coalescing(sketch),
-            merge=supports_merge(sketch),
-            kernel=supports_kernels(sketch),
+        return cls(  # in field order
+            supports_batch(sketch),
+            supports_plan(sketch),
+            supports_coalescing(sketch),
+            supports_merge(sketch),
+            supports_kernels(sketch),
         )
 
 

@@ -132,9 +132,6 @@ class StreamSession:
     chunk_size:
         Dispatch granularity — a pure throughput knob: estimates are
         identical for every value, by the batch contract.
-    coalesce:
-        ``False`` bypasses the chunk-planning layer (the engine's
-        ``--no-coalesce`` escape hatch).
     node:
         This session's index among merging siblings — the session
         analogue of ``replay_sharded``'s shard index.  Node 0 keeps the
@@ -153,7 +150,6 @@ class StreamSession:
         seed: int = 0,
         params: Params | None = None,
         chunk_size: int | None = None,
-        coalesce: bool = True,
         node: int = 0,
     ) -> None:
         if params is None:
@@ -168,10 +164,9 @@ class StreamSession:
         self.n = int(n)
         self.params = params
         self.node = int(node)
-        self.coalesce = bool(coalesce)
         #: The engine's chunk loop over the registered consumers,
         #: rebuilt by add() so the plan policy sees the current set.
-        self._driver = ChunkDriver((), self.n, chunk_size, self.coalesce)
+        self._driver = ChunkDriver((), self.n, chunk_size)
         self.chunk_size = self._driver.chunk_size
         self.updates_processed = 0
         self._sketches: dict[str, Any] = {}
@@ -218,7 +213,7 @@ class StreamSession:
             self._spec_names[name] = None
             self._custom_query[name] = query is not None
             self._driver = ChunkDriver(self._sketches.values(), self.n,
-                                       self.chunk_size, self.coalesce)
+                                       self.chunk_size)
         return self
 
     def track(self, name: str, spec: str | SketchSpec | None = None,
@@ -557,7 +552,6 @@ class StreamSession:
                 "n": self.n,
                 "node": self.node,
                 "chunk_size": self.chunk_size,
-                "coalesce": self.coalesce,
                 "updates_processed": self.updates_processed,
                 "params": {
                     "n": self.params.n,
@@ -608,11 +602,12 @@ class StreamSession:
                 f"{sorted(unknown)}"
             )
         had_custom = set(meta.get("custom_queries", ()))
+        # Older snapshots also carry a "coalesce" flag; it is ignored,
+        # since planning follows the consumers (repro.streams.engine).
         session = cls(
             meta["n"],
             params=Params(**meta["params"]),
             chunk_size=meta["chunk_size"],
-            coalesce=meta["coalesce"],
             node=meta.get("node", 0),
         )
         sketches = _restore_state(payload["consumers"])

@@ -212,34 +212,17 @@ def supports_batch(sketch) -> bool:
 
 
 def supports_plan(sketch) -> bool:
-    """True when ``sketch`` can absorb pre-planned chunks.
+    """True when ``sketch`` can absorb pre-planned chunks — and so,
+    by the engine's plan policy, whether its replays plan each chunk.
 
+    >>> from repro.sketches.countmin import CountMin
     >>> from repro.streams.model import FrequencyVector
+    >>> supports_plan(CountMin(8, 4, 2, np.random.default_rng(0)))
+    True
     >>> supports_plan(FrequencyVector(4)), supports_plan(object())
-    (True, False)
+    (False, False)
     """
     return callable(getattr(sketch, "update_plan", None))
-
-
-def supports_plan_solo(sketch) -> bool:
-    """True when ``sketch`` should be planned even as a replay's *only*
-    consumer.  Structures marked ``plan_shared_only`` (FrequencyVector:
-    already a dense per-item sum) profit from plans only when another
-    consumer shares the cost, so the engine plans a chunk only when
-    some consumer plans solo — a plan must never cost more than it
-    saves.
-
-    >>> from repro.streams.model import FrequencyVector
-    >>> from repro.sketches.countmin import CountMin
-    >>> import numpy as np
-    >>> supports_plan_solo(FrequencyVector(4))
-    False
-    >>> supports_plan_solo(CountMin(8, 4, 2, np.random.default_rng(0)))
-    True
-    """
-    return supports_plan(sketch) and not getattr(
-        sketch, "plan_shared_only", False
-    )
 
 
 def supports_coalescing(sketch) -> bool:
@@ -286,8 +269,7 @@ def supports_merge(sketch) -> bool:
 DEFAULT_CHUNK_SIZE = 4096
 
 
-def consume_stream(sketch, stream, chunk_size: int | None = None,
-                   coalesce: bool = True):
+def consume_stream(sketch, stream, chunk_size: int | None = None):
     """The shared ``consume`` body: chunked batch replay when possible.
 
     Array-backed streams replay through the engine's chunk driver
@@ -295,9 +277,8 @@ def consume_stream(sketch, stream, chunk_size: int | None = None,
     policy says so, else ``update_batch``, else the scalar loop), which
     keeps per-chunk scratch memory O(chunk) instead of O(stream); plain
     update iterables take the scalar loop.  Identical final state on
-    every path, by the batch/plan contracts.  ``coalesce=False``
-    disables the planning layer entirely (the CLI's ``--no-coalesce``
-    escape hatch).  Returns the sketch for chaining.
+    every path, by the batch/plan contracts.  Returns the sketch for
+    chaining.
 
     >>> from repro.streams.model import FrequencyVector, stream_from_updates
     >>> s = stream_from_updates(8, [(1, 2), (1, 3), (4, -1)])
@@ -308,7 +289,7 @@ def consume_stream(sketch, stream, chunk_size: int | None = None,
         # Imported here: the engine sits above this substrate.
         from repro.streams.engine import replay
 
-        return replay(stream, sketch, chunk_size, coalesce=coalesce)
+        return replay(stream, sketch, chunk_size)
     for u in stream:
         sketch.update(u.item, u.delta)
     return sketch

@@ -18,9 +18,11 @@ per-structure RNG policy, per-shard sampling seeds for ``--workers``)
 and the uniform query hook; the subcommand table below only picks the
 spec for the workload (e.g. strict vs general turnstile) and formats
 the report.  The shared engine flags — ``--chunk-size`` (pure
-throughput knob), ``--no-coalesce`` (bypass the chunk-planning layer),
-``--workers N`` (sharded replay + merge) — are registry-level: every
-estimator subcommand gets the same set from one helper.
+throughput knob), ``--workers N`` (sharded replay + merge),
+``--no-kernels`` (pure-NumPy update paths) — are registry-level: every
+estimator subcommand gets the same set from one helper.  Workload flags
+are range-checked at parse time: a bad value exits with status 2 and a
+usage line, not a traceback.
 
 ``--workers N`` shards the replay across N threads and merges the
 shard sketches (``repro.streams.engine.replay_sharded``).  The one
@@ -106,20 +108,27 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
+def _eps(value: str) -> float:
+    parsed = float(value)
+    if not 0 < parsed < 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1)")
+    return parsed
+
+
+def _alpha(value: str) -> float:
+    parsed = float(value)
+    if not parsed >= 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return parsed
+
+
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
     """The registry-level engine flags every replaying subcommand
-    shares (chunk size, plan bypass, sharded workers)."""
+    shares (chunk size, sharded workers, kernel backend)."""
     parser.add_argument("--chunk-size", type=_positive_int,
                         default=DEFAULT_CHUNK_SIZE,
                         help="batch-replay chunk size (throughput knob; "
                              "estimates are identical for every value)")
-    parser.add_argument("--no-coalesce", dest="coalesce",
-                        action="store_false",
-                        help="bypass the chunk-planning layer (duplicate "
-                             "coalescing + cross-sketch hash reuse) and "
-                             "replay through the plain batch path; "
-                             "estimates are identical either way — this "
-                             "is a throughput escape hatch")
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="shard the replay across N threads and merge "
                              "the shard sketches (all subcommands except "
@@ -156,10 +165,10 @@ def add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stream", default=None,
                         help="path to a saved .npz stream (overrides "
                              "--workload)")
-    parser.add_argument("--n", type=int, default=1 << 12)
-    parser.add_argument("--m", type=int, default=20_000)
-    parser.add_argument("--alpha", type=float, default=4.0)
-    parser.add_argument("--eps", type=float, default=1 / 16)
+    parser.add_argument("--n", type=_positive_int, default=1 << 12)
+    parser.add_argument("--m", type=_positive_int, default=20_000)
+    parser.add_argument("--alpha", type=_alpha, default=4.0)
+    parser.add_argument("--eps", type=_eps, default=1 / 16)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -215,10 +224,8 @@ def _run_estimator_checkpointed(cmd: _EstimatorCommand,
         print(f"recovered checkpoint   : {session.updates_processed} "
               f"updates already ingested")
     else:
-        session = StreamSession(
-            stream.n, params=params, chunk_size=args.chunk_size,
-            coalesce=args.coalesce,
-        )
+        session = StreamSession(stream.n, params=params,
+                                chunk_size=args.chunk_size)
         session.track(spec_name, **overrides)
     done = min(session.updates_processed, len(stream))
     checkpointer = Checkpointer(session, store,
@@ -259,13 +266,11 @@ def _run_estimator(cmd: _EstimatorCommand, args: argparse.Namespace) -> int:
         factory = shard_factory(spec_name, params, **overrides)
         start = time.perf_counter()
         sketch = replay_sharded(stream, factory, workers=workers,
-                                chunk_size=args.chunk_size,
-                                coalesce=args.coalesce)
+                                chunk_size=args.chunk_size)
     else:
         sketch = build(spec_name, params, **overrides)
         start = time.perf_counter()
-        replay(stream, sketch, chunk_size=args.chunk_size,
-               coalesce=args.coalesce)
+        replay(stream, sketch, chunk_size=args.chunk_size)
     elapsed = time.perf_counter() - start
     cmd.report(sketch, truth, args, spec_name)
     print(f"sketch space           : {sketch.space_bits()} bits")
@@ -492,7 +497,8 @@ ESTIMATOR_COMMANDS = [
         select=_select_support,
         report=_report_support,
         sharded=False,
-        extra_args=lambda p: p.add_argument("--k", type=int, default=10),
+        extra_args=lambda p: p.add_argument("--k", type=_positive_int,
+                                            default=10),
     ),
 ]
 
@@ -508,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in [("describe", _cmd_describe), ("generate", _cmd_generate)]:
         p = sub.add_parser(name)
         add_workload_args(p)
-        add_engine_args(p)
         if name == "generate":
             p.add_argument("--out", required=True)
         p.set_defaults(func=fn)

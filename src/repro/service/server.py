@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import numbers
 import re
 import shutil
 import threading
@@ -112,8 +113,14 @@ _SESSION_PATH_RE = re.compile(
 #: Fields a ``POST /v1/sessions`` body may carry besides ``name``: the
 #: keyword arguments of :meth:`SketchService.create_session`.
 _SESSION_FIELDS = frozenset(
-    {"n", "seed", "chunk_size", "node", "coalesce", "params", "track"}
+    {"n", "seed", "chunk_size", "node", "params", "track"}
 )
+
+
+def _is_integer(value: Any) -> bool:
+    """An integer that is not a bool (JSON ``true`` is a Python int)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 #: Largest HTTP body we accept: a protocol frame plus header slack.
 _MAX_BODY = protocol.MAX_PAYLOAD + protocol.HEADER_SIZE + 4096
@@ -246,7 +253,6 @@ class SketchService:
     # -- session lifecycle ---------------------------------------------------
     def create_session(self, name: str, *, n: int, seed: int = 0,
                        chunk_size: int | None = None, node: int = 0,
-                       coalesce: bool = True,
                        params: dict[str, Any] | None = None,
                        track: dict[str, Any] | list[str] | None = None,
                        ) -> dict:
@@ -256,13 +262,23 @@ class SketchService:
         ``{"spec": ..., <override>: ...}`` dicts); a plain list tracks
         each spec under its own name.  ``params`` refines the session's
         base :class:`~repro.api.registry.Params` (``eps`` / ``delta`` /
-        ``alpha``).
+        ``alpha``).  ``n``, ``seed``, ``node`` and ``chunk_size`` must
+        be integers (``chunk_size`` may be None): a JSON ``1.5`` or
+        ``true`` is refused, never truncated.
         """
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ServiceError(
                 "bad_name",
                 "session names are 1-128 chars of [A-Za-z0-9_.-]",
             )
+        integers = {"n": n, "seed": seed, "node": node}
+        if chunk_size is not None:
+            integers["chunk_size"] = chunk_size
+        for field, value in integers.items():
+            if not _is_integer(value):
+                raise ServiceError(
+                    "bad_session", f"{field} must be an integer, not {value!r}"
+                )
         if not (isinstance(params or {}, dict)
                 and isinstance(track or {}, (dict, list, tuple))):
             raise ServiceError(
@@ -286,7 +302,7 @@ class SketchService:
                 base = Params(n=int(n), seed=int(seed), **params)
                 session = StreamSession(
                     int(n), params=base, chunk_size=chunk_size,
-                    coalesce=coalesce, node=int(node),
+                    node=int(node),
                 )
                 if isinstance(track, (list, tuple)):
                     track = {spec: spec for spec in track}

@@ -40,11 +40,6 @@ class MisraGries:
         Threshold; ``ceil(1/eps) - 1`` counters are kept.
     """
 
-    #: Plans pay for themselves here only when another consumer already
-    #: paid for the unique view (see :meth:`update_plan`): solo replays
-    #: skip planning, ``replay_many`` batteries share it for free.
-    plan_shared_only = True
-
     def __init__(self, n: int, eps: float) -> None:
         if not 0 < eps < 1:
             raise ValueError("eps must be in (0, 1)")
@@ -176,68 +171,6 @@ class MisraGries:
         self._m += exact_sum(seg_deltas)
         self._max_counter = max(self._max_counter, max(counters.values()))
 
-    def update_plan(self, plan) -> None:
-        """Plan-aware upsert: reuse the chunk's shared unique/sum views.
-
-        Misra-Gries state is *not* ℤ-linear (the shared decrement makes
-        it multiplicity-sensitive in general), so the structure never
-        declares :class:`repro.batch.Coalescable`.  But two regimes are
-        provably order-free for a whole chunk, and there the plan's
-        per-item sums substitute for the dict-fold's own ``np.unique``
-        pass:
-
-        * **fill phase for the whole chunk** — the chunk's distinct new
-          keys all fit in the remaining capacity, so the table never
-          meets an unmatched item while full, no decrement can fire,
-          and counters only grow: one grouped upsert from
-          ``plan.unique_items`` / ``plan.summed_deltas`` ends bitwise
-          where the scalar loop does (integer adds commute);
-        * **all-tracked chunk** — a special case of the above with zero
-          new keys, the steady state on skewed streams.
-
-        The coalesced fold is taken only off plans whose unique view
-        another consumer of a *shared* plan already paid for
-        (``plan.unique_ready`` — the summary is ``plan_shared_only``,
-        like the frequency vector): solo, computing the unique view
-        costs exactly the sort the dict-fold would have paid, measured
-        at 0.7x.  Every other chunk (a new key meeting a full table
-        somewhere inside it) falls back to the segmented
-        :meth:`update_batch` walk, as does any chunk whose gross weight
-        could wrap the plan's int64 sums.  Deliberate exception to the
-        "sampling structures never read coalesced views" guard: MG
-        consumes no randomness, so reading ``summed_deltas`` in an
-        order-free regime cannot corrupt anything — the regime argument
-        *is* the bitwise-equality proof.
-        """
-        plan.check_universe(self.n)
-        if plan.size == 0:
-            return
-        if int(plan.deltas.min()) <= 0:
-            raise ValueError(
-                "Misra-Gries is insertion-only (the alpha = 1 endpoint); "
-                "use the alpha-property algorithms for deletions"
-            )
-        if not plan.unique_ready or not plan.coalesce_safe:
-            self._update_batch_positive(plan.items, plan.deltas)
-            return
-        counters = self._counters
-        unique = plan.unique_items
-        if counters:
-            # repro: allow[overflow-discipline] -- bool count bounded by
-            # the chunk's unique-item count, far below int64
-            new = int(
-                (~np.isin(unique, self._tracked_keys_array())).sum()
-            )
-        else:
-            new = len(unique)
-        if new and new > self.capacity - len(counters):
-            self._update_batch_positive(plan.items, plan.deltas)
-            return
-        for key, v in zip(unique.tolist(), plan.summed_deltas.tolist()):
-            counters[key] = counters.get(key, 0) + v
-        self._m += plan.gross_weight
-        self._max_counter = max(self._max_counter, max(counters.values()))
-
     def update_batch(self, items, deltas) -> None:
         """Segmented batch update, bit-identical to the scalar loop.
 
@@ -272,10 +205,6 @@ class MisraGries:
                 "Misra-Gries is insertion-only (the alpha = 1 endpoint); "
                 "use the alpha-property algorithms for deletions"
             )
-        self._update_batch_positive(items_arr, deltas_arr)
-
-    def _update_batch_positive(self, items_arr, deltas_arr) -> None:
-        """The segmented walk (columns already validated positive)."""
         m = len(items_arr)
         counters = self._counters
         pos = 0

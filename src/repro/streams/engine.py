@@ -27,14 +27,9 @@ Typical use::
 
 **The plan policy.**  A chunk is pre-planned (:mod:`repro.streams.plan`:
 unique items, per-item summed deltas, a value-keyed hash-evaluation
-cache) iff ``coalesce`` is on and some consumer plans solo
-(:func:`repro.batch.supports_plan_solo`).  That one plan feeds every
-consumer implementing ``update_plan``; the rest take ``update_batch``,
-else the scalar loop.  ``plan_shared_only`` consumers (FrequencyVector,
-MisraGries) only reuse views a solo-planning consumer already paid for,
-so a consumer set made of them alone is never planned — a plan must
-never cost more than it saves.  ``coalesce=False`` (CLI
-``--no-coalesce``) bypasses planning entirely.
+cache) iff some consumer implements ``update_plan``
+(:func:`repro.batch.supports_plan`).  That one plan feeds every such
+consumer; the rest take ``update_batch``, else the scalar loop.
 """
 
 from __future__ import annotations
@@ -49,7 +44,6 @@ from repro.batch import (
     supports_batch,
     supports_merge,
     supports_plan,
-    supports_plan_solo,
 )
 from repro.streams.plan import ChunkPlanner
 from repro.streams.model import Stream
@@ -100,8 +94,8 @@ class ChunkDriver:
 
     :meth:`feed` cuts ``(items, deltas)`` columns into ``chunk_size``
     chunks and hands each chunk to every consumer in order.  A chunk is
-    planned iff ``coalesce`` is on and some consumer plans solo, and
-    that one plan feeds every consumer (the module's plan policy).  A
+    planned iff some consumer implements ``update_plan``, and that one
+    plan feeds every such consumer (the module's plan policy).  A
     driver persists across ``feed`` calls (a session keeps one per
     consumer set), so the planner's dense workspaces are allocated once.
 
@@ -109,7 +103,7 @@ class ChunkDriver:
     >>> from repro.streams.model import FrequencyVector
     >>> fv = FrequencyVector(8)
     >>> driver = ChunkDriver([fv], universe=8, chunk_size=2)
-    >>> driver.planner is None  # plan_shared_only alone: never planned
+    >>> driver.planner is None  # no update_plan consumer: never planned
     True
     >>> driver.feed(np.array([1, 1, 4]), np.array([2, 3, -1]))
     >>> fv.f.tolist()
@@ -117,15 +111,11 @@ class ChunkDriver:
     """
 
     def __init__(self, consumers: Iterable[Any], universe: int | None,
-                 chunk_size: int | None = None,
-                 coalesce: bool = True) -> None:
+                 chunk_size: int | None = None) -> None:
         self.consumers = list(consumers)
         self.chunk_size = _chunk_size(chunk_size)
-        self.planner = (
-            ChunkPlanner(universe)
-            if coalesce and any(supports_plan_solo(c) for c in self.consumers)
-            else None
-        )
+        plans = any(supports_plan(c) for c in self.consumers)
+        self.planner = ChunkPlanner(universe) if plans else None
 
     def feed(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Feed every consumer the columns, one chunk at a time."""
@@ -140,23 +130,19 @@ class ChunkDriver:
                 _feed(consumer, chunk_items, chunk_deltas, plan)
 
 
-def replay(stream: Stream, sketch: Any, chunk_size: int | None = None,
-           coalesce: bool = True):
+def replay(stream: Stream, sketch: Any, chunk_size: int | None = None):
     """Replay ``stream`` into ``sketch`` in chunks; returns the sketch.
 
-    Uses ``update_plan`` when the sketch plans solo, else
-    ``update_batch``, else the scalar loop — every path leaves the same
-    final state as a plain ``consume``.  ``coalesce=False`` bypasses
-    the planning layer (the ``--no-coalesce`` escape hatch).
+    Uses ``update_plan`` when the sketch has one, else ``update_batch``,
+    else the scalar loop — every path leaves the same final state as a
+    plain ``consume``.
 
     >>> from repro.streams.model import FrequencyVector, stream_from_updates
     >>> s = stream_from_updates(8, [(1, 2), (1, 3), (4, -1)])
     >>> replay(s, FrequencyVector(8), chunk_size=2).f.tolist()
     [0, 5, 0, 0, -1, 0, 0, 0]
     """
-    ChunkDriver([sketch], stream.n, chunk_size, coalesce).feed(
-        *stream.as_arrays()
-    )
+    ChunkDriver([sketch], stream.n, chunk_size).feed(*stream.as_arrays())
     return sketch
 
 
@@ -164,7 +150,6 @@ def replay_many(
     stream: Stream,
     sketches: Sequence[Any],
     chunk_size: int | None = None,
-    coalesce: bool = True,
 ) -> list[Any]:
     """One-pass replay into several sketches (chunk-major order).
 
@@ -182,7 +167,7 @@ def replay_many(
     >>> a.f.tolist() == b.f.tolist() == [1, 0, 5, 0]
     True
     """
-    driver = ChunkDriver(sketches, stream.n, chunk_size, coalesce)
+    driver = ChunkDriver(sketches, stream.n, chunk_size)
     driver.feed(*stream.as_arrays())
     return driver.consumers
 
@@ -211,7 +196,6 @@ def replay_sharded(
     factory: Callable[[int], Any],
     workers: int | None = None,
     chunk_size: int | None = None,
-    coalesce: bool = True,
 ):
     """Replay a stream as ``workers`` parallel shards and merge the shard
     sketches; returns the merged sketch.
@@ -248,10 +232,7 @@ def replay_sharded(
             f"{type(shards[0]).__name__} does not implement merge(); "
             "sharded replay needs the Mergeable protocol"
         )
-    drivers = [
-        ChunkDriver([shard], stream.n, chunk_size, coalesce)
-        for shard in shards
-    ]
+    drivers = [ChunkDriver([shard], stream.n, chunk_size) for shard in shards]
 
     def run(driver: ChunkDriver, bound: tuple[int, int]) -> None:
         driver.feed(items[bound[0]:bound[1]], deltas[bound[0]:bound[1]])

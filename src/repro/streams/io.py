@@ -1,10 +1,8 @@
-"""Stream and snapshot-payload serialization, one-pass execution.
+"""Stream and snapshot-payload serialization.
 
 Benchmark workloads want to be generated once and replayed byte-identically
 into every competing sketch; :func:`save_stream`/:func:`load_stream` use a
-compact npz container, and :class:`StreamRunner` feeds an update sequence
-into many sketches in a single pass (the way a production pipeline would,
-rather than one ``consume`` loop per sketch).
+compact npz container.
 
 :func:`save_payload`/:func:`load_payload` persist the pickle-free state
 payloads produced by :func:`repro.api.serialize.snapshot` (and therefore
@@ -23,7 +21,7 @@ import io
 import json
 import zipfile
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -259,48 +257,3 @@ def payload_from_bytes(data: bytes) -> dict:
     with npz:
         return _payload_rebuild(npz, "<bytes>")
 
-
-class StreamRunner:
-    """Feed one stream into many sketches in a single pass.
-
-    Register sketches under names, then :meth:`run`; every registered
-    sketch sees every update in order.  ``results()`` maps each name to
-    the sketch object for querying, and ``space_report()`` collects
-    ``space_bits`` for side-by-side comparison.
-    """
-
-    def __init__(self) -> None:
-        self._sketches: dict[str, Any] = {}
-        self.updates_processed = 0
-
-    def register(self, name: str, sketch: Any) -> "StreamRunner":
-        """Register a sketch (must expose ``update(item, delta)``)."""
-        if name in self._sketches:
-            raise ValueError(f"duplicate sketch name {name!r}")
-        if not callable(getattr(sketch, "update", None)):
-            raise TypeError(f"{type(sketch).__name__} has no update method")
-        self._sketches[name] = sketch
-        return self
-
-    def run(self, updates: Iterable[Update]) -> "StreamRunner":
-        sketches = list(self._sketches.values())
-        for u in updates:
-            for sk in sketches:
-                sk.update(u.item, u.delta)
-            self.updates_processed += 1
-        return self
-
-    def __getitem__(self, name: str) -> Any:
-        return self._sketches[name]
-
-    def results(self) -> dict[str, Any]:
-        return dict(self._sketches)
-
-    def space_report(self) -> dict[str, int]:
-        """``space_bits`` per registered sketch (skips sketches without)."""
-        out = {}
-        for name, sk in self._sketches.items():
-            fn = getattr(sk, "space_bits", None)
-            if callable(fn):
-                out[name] = int(fn())
-        return out

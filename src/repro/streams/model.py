@@ -184,16 +184,10 @@ class FrequencyVector:
     """
 
     #: All three tables are ℤ-linear in the update stream, so duplicate
-    #: updates within a chunk coalesce bit-identically (the engine's
-    #: chunk-planning layer consumes this flag).
+    #: updates within a chunk could coalesce bit-identically.  There is
+    #: no ``update_plan``: the vector IS a dense per-item sum already,
+    #: so its batch path is three scatter-adds and a plan cannot help.
     coalescable_updates = True
-
-    #: A frequency vector IS a dense per-item sum already, so a plan
-    #: built solely for it can only cost (the coalesced solo fold ran
-    #: 0.44x the batch scatter: the unique pass costs more than three
-    #: scatter-adds); `update_plan` coalesces only off plans another
-    #: consumer already paid for.
-    plan_shared_only = True
 
     def __init__(self, n: int) -> None:
         if n < 1:
@@ -220,40 +214,11 @@ class FrequencyVector:
         """Vectorised batch update; final state equals the scalar loop
         (integer scatter-adds are exact and order-independent)."""
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._fold_columns(items_arr, deltas_arr)
-
-    def _fold_columns(self, items_arr: np.ndarray,
-                      deltas_arr: np.ndarray) -> None:
-        """The post-validation body of :meth:`update_batch` (plans feed
-        it pre-validated columns without paying validation twice)."""
         np.add.at(self.f, items_arr, deltas_arr)
         pos = deltas_arr > 0
         np.add.at(self.insertions, items_arr[pos], deltas_arr[pos])
         np.subtract.at(self.deletions, items_arr[~pos], deltas_arr[~pos])
         self.num_updates += int(items_arr.size)
-
-    def update_plan(self, plan) -> None:
-        """Planned batch update: one scatter-add per table over the
-        chunk's *unique* items with per-item summed deltas — equal to
-        :meth:`update_batch` bitwise (integer adds commute and
-        associate).
-
-        The coalesced fold is taken only when another consumer of the
-        shared plan has already paid for the unique view
-        (``plan.unique_ready``): the frequency vector's own batch path
-        is three scatter-adds — *it already is* a dense per-item sum —
-        so computing a plan solely for it would cost more than it
-        saves.  Falls back likewise when the chunk's gross weight could
-        wrap the int64 sums."""
-        plan.check_universe(self.n)
-        if not plan.unique_ready or not plan.coalesce_safe:
-            self._fold_columns(plan.items, plan.deltas)
-            return
-        unique = plan.unique_items
-        np.add.at(self.f, unique, plan.summed_deltas)
-        np.add.at(self.insertions, unique, plan.summed_positive)
-        np.add.at(self.deletions, unique, plan.summed_negative_magnitudes)
-        self.num_updates += plan.size
 
     def merge(self, other: "FrequencyVector") -> "FrequencyVector":
         """Fold another frequency vector into this one, in place.

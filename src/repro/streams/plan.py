@@ -152,15 +152,6 @@ class ChunkPlan:
         self._unique, self._inverse = _frozen(unique), _frozen(inverse)
 
     @property
-    def unique_ready(self) -> bool:
-        """True once some consumer has paid for the unique/inverse
-        computation.  Ultra-cheap structures (a frequency vector is
-        *already* a dense per-item sum) coalesce only when the view is
-        shared — a plan's precomputation must never cost more than the
-        work it saves."""
-        return self._unique is not None
-
-    @property
     def unique_items(self) -> np.ndarray:
         """Sorted distinct items of the chunk."""
         self._build_unique()
@@ -205,13 +196,6 @@ class ChunkPlan:
             self._nonzero_known = True
         return self._nonzero
 
-    def _grouped_sum(self, values: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """``Σ values[select]`` grouped by unique item (int64)."""
-        self._require_coalescable()
-        out = np.zeros(len(self.unique_items), dtype=np.int64)
-        np.add.at(out, self.inverse[select], values[select])
-        return _frozen(out)
-
     @property
     def summed_magnitudes(self) -> np.ndarray:
         """``Σ |Δ|`` per unique item (for insertion-image consumers)."""
@@ -221,24 +205,6 @@ class ChunkPlan:
             sums = np.zeros(len(self.unique_items), dtype=np.int64)
             np.add.at(sums, self.inverse, self.abs_deltas)
             self._cache[key] = _frozen(sums)
-        return self._cache[key]
-
-    @property
-    def summed_positive(self) -> np.ndarray:
-        """``Σ_{Δ>0} Δ`` per unique item (insertion split)."""
-        key = ("plan", "summed_positive")
-        if key not in self._cache:
-            self._cache[key] = self._grouped_sum(self.deltas, self.deltas > 0)
-        return self._cache[key]
-
-    @property
-    def summed_negative_magnitudes(self) -> np.ndarray:
-        """``Σ_{Δ<0} |Δ|`` per unique item (deletion split)."""
-        key = ("plan", "summed_negative")
-        if key not in self._cache:
-            self._cache[key] = self._grouped_sum(
-                -self.deltas, self.deltas < 0
-            )
         return self._cache[key]
 
     # -- cross-consumer hash memoization -------------------------------------

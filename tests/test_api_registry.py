@@ -28,7 +28,6 @@ from repro.batch import (
     supports_kernels,
     supports_merge,
     supports_plan,
-    supports_plan_solo,
 )
 
 PROBE = Params(n=128, eps=0.25, delta=0.25, alpha=2.0, seed=3)
@@ -76,12 +75,11 @@ class TestRegistryPins:
         sketch = spec.build(PROBE)
         caps = spec.capabilities()
         assert caps == Capabilities(
-            batch=supports_batch(sketch),
-            plan=supports_plan(sketch),
-            plan_solo=supports_plan_solo(sketch),
-            coalesce=supports_coalescing(sketch),
-            merge=supports_merge(sketch),
-            kernel=supports_kernels(sketch),
+            supports_batch(sketch),
+            supports_plan(sketch),
+            supports_coalescing(sketch),
+            supports_merge(sketch),
+            supports_kernels(sketch),
         )
 
     #: Hard pins for the load-bearing structures: a silent capability
@@ -89,7 +87,8 @@ class TestRegistryPins:
     #: must fail loudly, not just re-derive.
     EXPECTED_FLAGS = {
         #                        batch  plan  coalesce merge
-        "frequency_vector":     (True,  True,  True,  True),
+        # Batch-only: already a dense per-item sum, so nothing to plan.
+        "frequency_vector":     (True,  False, True,  True),
         "countsketch":          (True,  True,  True,  True),
         "countmin":             (True,  True,  True,  True),
         "ams":                  (True,  True,  True,  True),
@@ -102,8 +101,8 @@ class TestRegistryPins:
         # Unique-item hashing for Figure 7 (not coalesced: rows are born
         # mid-chunk).
         "alpha_l0":             (True,  True,  False, True),
-        # Satellite (e): the plan-aware fill-phase upsert.
-        "misra_gries":          (True,  True,  False, True),
+        # Figure 1's alpha = 1 endpoint: batch-only.
+        "misra_gries":          (True,  False, False, True),
         # The documented order-sensitive holdout: no merge.
         "support_sampler":      (True,  False, False, False),
     }
@@ -137,13 +136,6 @@ class TestRegistryPins:
     def test_pinned_kernel_flags(self, name):
         caps = get_spec(name).capabilities()
         assert caps.kernel == self.EXPECTED_KERNEL[name], name
-
-    def test_shared_only_planners_are_not_solo(self):
-        """FrequencyVector (lever f verdict) and Misra-Gries (lever e)
-        plan only off shared views; solo drivers must skip them."""
-        for name in ("frequency_vector", "misra_gries"):
-            caps = get_spec(name).capabilities()
-            assert caps.plan and not caps.plan_solo, name
 
     def test_every_spec_has_summary_and_docs(self):
         for spec in specs():

@@ -5,8 +5,8 @@ pre-planned chunks through ``update_plan`` must leave it bit-identical
 to the plain ``update_batch`` replay (and hence, by the batch contract,
 to the scalar loop) at every chunk size.  This module enforces:
 
-* coalesced replay == uncoalesced replay, bit-for-bit, for every
-  structure declaring :class:`repro.batch.Coalescable`, at chunk sizes
+* planned replay == chunk-by-chunk ``update_batch``, bit-for-bit, for
+  every structure with an ``update_plan`` path, at chunk sizes
   {1, 7, 1024, whole} plus hypothesis-random streams/chunkings;
 * a guard that non-coalescable structures (sampling/schedules-backed)
   are never handed a coalesced view — their plans must not even
@@ -47,10 +47,10 @@ from repro.streams.generators import (
     bounded_deletion_stream,
     zipfian_insertion_stream,
 )
-from repro.streams.model import FrequencyVector, Stream, Update
+from repro.streams.model import Stream, Update
 from repro.streams.plan import ChunkPlan, ChunkPlanner
 
-from test_batch_equivalence import assert_same_state
+from test_batch_equivalence import _feed_batch, assert_same_state
 
 N = 512
 M = 1500
@@ -70,7 +70,6 @@ def _inner_product_sketch(rng):
 #: expected Coalescable declaration (checked — the ℤ-linearity criterion
 #: is part of the API, not an accident).
 PLAN_CASES = {
-    "frequency_vector": (lambda rng: FrequencyVector(N), True),
     "countsketch": (lambda rng: CountSketch(N, 48, 4, rng), True),
     "countmin": (lambda rng: CountMin(N, 64, 4, rng), True),
     "ams": (lambda rng: AMSSketch(N, per_group=8, groups=4, rng=rng), True),
@@ -103,19 +102,17 @@ PLAN_CASES = {
 
 @pytest.mark.parametrize("name", sorted(PLAN_CASES))
 def test_planned_replay_equals_batch_replay(name, backend):
-    """Coalesced (planned) replay vs uncoalesced batch replay at every
-    chunk size: bit-identical state, including consumed randomness.
+    """Planned replay vs chunk-by-chunk ``update_batch`` at every chunk
+    size: bit-identical state, including consumed randomness.
     Runs under both update backends — the kernels' plan paths (fused
     coalesced scatter, unique-entry folds) must land the same bits."""
     factory, _ = PLAN_CASES[name]
     for chunk_size in CHUNK_SIZES:
-        reference = replay(
-            STREAM, factory(np.random.default_rng(SEED)),
-            chunk_size=chunk_size, coalesce=False,
-        )
+        reference = _feed_batch(
+            factory(np.random.default_rng(SEED)), STREAM, chunk_size)
         planned = replay(
             STREAM, factory(np.random.default_rng(SEED)),
-            chunk_size=chunk_size, coalesce=True,
+            chunk_size=chunk_size,
         )
         assert supports_plan(planned), f"{name} lost its plan path"
         assert_same_state(reference, planned)
@@ -135,14 +132,10 @@ def test_skewed_insertion_stream_coalesces_identically():
     for name, (factory, coalescable) in PLAN_CASES.items():
         if not coalescable:
             continue
-        reference = replay(
-            SKEWED, factory(np.random.default_rng(SEED)),
-            chunk_size=256, coalesce=False,
-        )
+        reference = _feed_batch(
+            factory(np.random.default_rng(SEED)), SKEWED, 256)
         planned = replay(
-            SKEWED, factory(np.random.default_rng(SEED)),
-            chunk_size=256, coalesce=True,
-        )
+            SKEWED, factory(np.random.default_rng(SEED)), chunk_size=256)
         assert_same_state(reference, planned)
 
 
@@ -166,15 +159,14 @@ def test_property_coalescing_random_streams_and_chunkings(pairs, data):
     chunk = data.draw(
         st.integers(min_value=1, max_value=len(pairs)), label="chunk")
     for factory in (
-        lambda rng: FrequencyVector(N),
         lambda rng: CountSketch(N, 24, 3, rng),
         lambda rng: CountMin(N, 24, 3, rng),
         lambda rng: AMSSketch(N, per_group=4, groups=3, rng=rng),
     ):
-        reference = replay(stream, factory(np.random.default_rng(7)),
-                           chunk_size=chunk, coalesce=False)
+        reference = _feed_batch(factory(np.random.default_rng(7)), stream,
+                                chunk)
         planned = replay(stream, factory(np.random.default_rng(7)),
-                         chunk_size=chunk, coalesce=True)
+                         chunk_size=chunk)
         assert_same_state(reference, planned)
 
 
@@ -213,17 +205,20 @@ def test_non_coalescable_structures_never_read_coalesced_views(name):
 
 def test_coalescing_refused_when_sums_could_wrap_int64():
     """Huge-delta chunks fall back to the exact batch path: the plan
-    refuses per-item sums and the Coalescable consumers must produce
-    the same state as the uncoalesced replay."""
+    refuses per-item sums and a Coalescable consumer must produce the
+    same state as its batch replay (the gross weight stays under 2^63,
+    so no table cell can wrap on either path)."""
     big = (1 << 61) + 7
-    pairs = [(3, big), (3, big), (5, -big), (3, big), (5, 1)]
+    pairs = [(3, big), (3, big), (5, -1), (3, -3), (5, 1)]
     stream = Stream(N, (Update(i, d) for i, d in pairs))
     plan = ChunkPlanner(N).plan(*stream.as_arrays())
     assert not plan.coalesce_safe
     with pytest.raises(ValueError, match="int64-safe"):
         plan.summed_deltas
-    reference = replay(stream, FrequencyVector(N), coalesce=False)
-    planned = replay(stream, FrequencyVector(N), coalesce=True)
+    reference = _feed_batch(
+        CountSketch(N, 48, 4, np.random.default_rng(SEED)), stream, None)
+    planned = replay(stream,
+                     CountSketch(N, 48, 4, np.random.default_rng(SEED)))
     assert_same_state(reference, planned)
 
 
@@ -271,8 +266,6 @@ def test_plan_views_are_read_only(universe):
         "summed_deltas": plan.summed_deltas,
         "nonzero_sums": plan.nonzero_sums,  # item 3 cancels
         "summed_magnitudes": plan.summed_magnitudes,
-        "summed_positive": plan.summed_positive,
-        "summed_negative_magnitudes": plan.summed_negative_magnitudes,
         "unique_values": plan.unique_values(h),
     }
     for name, view in views.items():
@@ -294,8 +287,6 @@ def test_plan_views_dense_and_sorted_paths_agree():
     for plan in (dense, sorted_path):
         assert plan.unique_items.tolist() == [3, 7, 9, 11]
         assert plan.summed_deltas.tolist() == [6, 3, 1, -2]
-        assert plan.summed_positive.tolist() == [6, 8, 1, 0]
-        assert plan.summed_negative_magnitudes.tolist() == [0, 5, 0, 2]
         assert plan.summed_magnitudes.tolist() == [6, 13, 1, 2]
         assert plan.gather(plan.unique_items).tolist() == items.tolist()
         assert plan.gross_weight == 22
@@ -326,42 +317,19 @@ def test_planner_workspaces_are_reused_across_chunks():
     assert wide._seen is None  # no O(n) workspace ever allocated
 
 
-def test_frequency_vector_coalesces_only_on_shared_plans():
-    """FrequencyVector is already a dense per-item sum, so it takes the
-    coalesced fold only when another consumer paid for the unique view
-    — and that fold is bit-identical to the plain batch path."""
-    items, deltas = SKEWED.as_arrays()
-    planner = ChunkPlanner(SKEWED.n)
-    solo, shared, reference = (
-        FrequencyVector(N), FrequencyVector(N), FrequencyVector(N)
-    )
-    for start in range(0, len(items), 256):
-        plan = planner.plan(items[start:start + 256],
-                            deltas[start:start + 256])
-        assert not plan.unique_ready
-        solo.update_plan(plan)          # delegates to update_batch
-        _ = plan.unique_items           # another consumer pays for it
-        assert plan.unique_ready
-        shared.update_plan(plan)        # takes the coalesced fold
-        reference.update_batch(plan.items, plan.deltas)
-    assert_same_state(reference, solo)
-    assert_same_state(reference, shared)
-
-
-#: Consumer sets with a solo-planning member get plans; sets made only
-#: of ``plan_shared_only`` consumers do not.
+#: Consumer sets with an ``update_plan`` member get plans; sets of
+#: batch-only consumers do not.
 PLANNED_SETS = [("countsketch",), ("alpha_l0",),
                 ("frequency_vector", "countsketch")]
 UNPLANNED_SETS = [("frequency_vector",), ("frequency_vector", "misra_gries")]
 
 
-@pytest.mark.parametrize("coalesce", [True, False])
 @pytest.mark.parametrize("names", PLANNED_SETS + UNPLANNED_SETS)
-def test_every_driver_follows_one_plan_policy(monkeypatch, names, coalesce):
+def test_every_driver_follows_one_plan_policy(monkeypatch, names):
     """replay, replay_many, replay_sharded and StreamSession plan the
-    same consumer sets: a chunk is planned iff coalescing is on and some
-    consumer plans solo (replay and replay_sharded take the
-    one-consumer sets)."""
+    same consumer sets: a chunk is planned iff some consumer implements
+    ``update_plan`` (replay and replay_sharded take the one-consumer
+    sets)."""
     from repro.api import Params, StreamSession, build, shard_factory
     from repro.streams.engine import replay_sharded
 
@@ -383,8 +351,7 @@ def test_every_driver_follows_one_plan_policy(monkeypatch, names, coalesce):
         return len(calls)
 
     def push_session():
-        session = StreamSession(N, params=params, chunk_size=chunk,
-                                coalesce=coalesce)
+        session = StreamSession(N, params=params, chunk_size=chunk)
         for name in names:
             session.track(name)
         session.push_stream(stream).flush()
@@ -392,17 +359,16 @@ def test_every_driver_follows_one_plan_policy(monkeypatch, names, coalesce):
     counts = {
         "replay_many": plans(lambda: replay_many(
             stream, [build(name, params) for name in names],
-            chunk_size=chunk, coalesce=coalesce)),
+            chunk_size=chunk)),
         "session": plans(push_session),
     }
     if len(names) == 1:
         counts["replay"] = plans(lambda: replay(
-            stream, build(names[0], params), chunk_size=chunk,
-            coalesce=coalesce))
+            stream, build(names[0], params), chunk_size=chunk))
         counts["replay_sharded"] = plans(lambda: replay_sharded(
             stream, shard_factory(names[0], params), workers=2,
-            chunk_size=chunk, coalesce=coalesce))
-    expected = 4 if coalesce and names in PLANNED_SETS else 0
+            chunk_size=chunk))
+    expected = 4 if names in PLANNED_SETS else 0
     assert counts == dict.fromkeys(counts, expected)
 
 
@@ -447,7 +413,7 @@ def test_replay_many_hashes_each_chunk_once(monkeypatch):
     # shares them by value), CountMin 4, heavy-hitters CSSS 4 + 4.
     distinct = 4 + 4 + 4 + 2 * depth_hh
     assert len(calls) == n_chunks * distinct
-    # The legacy path hashes once per *consumer*: strictly more.
+    # The planless batch path hashes once per *consumer*: strictly more.
     sketches2 = [
         CountSketch(N, 48, 4, np.random.default_rng(1)),
         CountSketch(N, 48, 4, np.random.default_rng(1)),
@@ -458,7 +424,8 @@ def test_replay_many_hashes_each_chunk_once(monkeypatch):
     ]
     calls.clear()
     with kernels.override("off"):
-        replay_many(stream, sketches2, chunk_size=chunk, coalesce=False)
+        for sketch in sketches2:
+            _feed_batch(sketch, stream, chunk)
     assert len(calls) == n_chunks * (distinct + 8)  # the twin re-hashes
 
 
@@ -622,61 +589,3 @@ def test_l1_general_sampling_seed_decorrelates_but_merges():
     assert np.array_equal(baseline.counters, legacy.counters)
     merged = a.merge(b)
     assert np.isfinite(merged.estimate())
-
-
-# -- plan-aware Misra-Gries fill-phase upsert (ROADMAP lever e) ---------------
-
-class TestMisraGriesPlanUpsert:
-    """MG is not Coalescable (the shared decrement is
-    multiplicity-sensitive) but consumes shared unique/sum views in its
-    two provably order-free regimes.  Shared-plan batteries must stay
-    bit-identical to the planless replay at every chunk size and
-    capacity, including eviction-heavy streams where every chunk falls
-    back to the segmented walk."""
-
-    @pytest.mark.parametrize("eps", [1 / 8, 1 / 64, 1 / 256])
-    @pytest.mark.parametrize("chunk", [1, 7, 256, 1024])
-    def test_shared_plan_battery_bit_identical(self, eps, chunk):
-        from repro.sketches.misra_gries import MisraGries
-
-        def battery():
-            # A coalescing co-consumer pays for the unique view; MG
-            # rides it (plan_shared_only).
-            return [
-                CountSketch(N, 24, 2, np.random.default_rng(1)),
-                MisraGries(N, eps=eps),
-            ]
-
-        planned = battery()
-        planless = battery()
-        replay_many(SKEWED, planned, chunk_size=chunk, coalesce=True)
-        replay_many(SKEWED, planless, chunk_size=chunk, coalesce=False)
-        assert planned[1]._counters == planless[1]._counters
-        assert planned[1]._m == planless[1]._m
-        assert planned[1]._max_counter == planless[1]._max_counter
-
-    def test_solo_replays_skip_planning(self):
-        from repro.batch import supports_plan, supports_plan_solo
-        from repro.sketches.misra_gries import MisraGries
-
-        mg = MisraGries(N, eps=1 / 16)
-        assert supports_plan(mg) and not supports_plan_solo(mg)
-
-    def test_rejects_deletions_via_plan(self):
-        from repro.sketches.misra_gries import MisraGries
-
-        plan = ChunkPlanner(N).plan(np.array([1, 2]), np.array([3, -1]))
-        with pytest.raises(ValueError, match="insertion-only"):
-            MisraGries(N, eps=1 / 16).update_plan(plan)
-
-
-# -- FrequencyVector stays plan_shared_only (ROADMAP lever f verdict) ---------
-
-class TestFrequencyVectorFusedFold:
-    """Lever (f), a fused solo plan fold, measured no gain and was
-    closed; what remains is the flag that verdict justified."""
-
-    def test_frequency_vector_stays_shared_only(self):
-        from repro.batch import supports_plan_solo
-
-        assert not supports_plan_solo(FrequencyVector(N))

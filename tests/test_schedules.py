@@ -29,7 +29,7 @@ from repro.hashing.kwise import UniformScalars
 from repro.streams.engine import replay
 from repro.streams.generators import bounded_deletion_stream
 
-from test_batch_equivalence import assert_same_state
+from test_batch_equivalence import _feed_batch, assert_same_state
 
 
 def _chunks_from_sizes(total: int, sizes: list[int]):
@@ -255,8 +255,8 @@ def test_csss_first_chunk_landing_on_the_budget(backend):
     scalar = build()
     for u in stream:
         scalar.update(u.item, u.delta)
-    batch = replay(stream, build(), chunk_size=chunk, coalesce=False)
-    planned = replay(stream, build(), chunk_size=chunk, coalesce=True)
+    batch = _feed_batch(build(), stream, chunk)
+    planned = replay(stream, build(), chunk_size=chunk)
     assert (scalar.log2_inv_p > 0).all()
     assert_same_state(scalar, batch)
     assert_same_state(scalar, planned)

@@ -38,7 +38,7 @@ GENERAL_BATTERY = (
 )
 
 #: Insertion-only battery (Misra-Gries is the alpha = 1 endpoint and
-#: rejects deletions; satellite (e)'s shared-plan path rides here).
+#: rejects deletions).
 INSERTION_BATTERY = ("misra_gries", "countsketch", "frequency_vector",
                      "sampled_frequencies")
 
@@ -276,6 +276,22 @@ class TestSessionSurface:
         with pytest.raises(ValueError):
             StreamSession(N).track("countmin", n=N * 2)
 
+    def test_add_rejects_objects_without_update(self):
+        with pytest.raises(TypeError, match="no update method"):
+            StreamSession(N).add("bad", object())
+
+    def test_space_report_skips_consumers_without_space_bits(self):
+        from repro.counters.exact import ExactL1Counter
+
+        session = (
+            StreamSession(8)
+            .add("counter", ExactL1Counter())
+            .add("dense", FrequencyVector(8))  # no space_bits
+        )
+        session.push([0], [5]).flush()
+        report = session.space_report()
+        assert "counter" in report and "dense" not in report
+
 
 class TestSessionMerge:
     #: Semantic state extractors for the linear sketches (merges update
@@ -469,6 +485,48 @@ class TestPersistencePathBugSweep:
         # The re-attached hook is custom again: it survives into the
         # next snapshot's manifest.
         assert restored.snapshot()["session"]["custom_queries"] == ["fv"]
+
+    @pytest.mark.parametrize("legacy_flag", [False, True])
+    def test_restore_ignores_the_legacy_coalesce_flag(
+            self, monkeypatch, general_stream, legacy_flag):
+        """Snapshots written while the engine had a ``coalesce`` switch
+        still carry it in their session meta, and a durable service
+        recovers every session from such files.  Either value restores,
+        the restored session still plans its chunks, and it ends
+        bit-identical to an uninterrupted session."""
+        from repro.streams.plan import ChunkPlanner
+
+        names = ("countsketch", "frequency_vector")
+        chunk = 256
+        items, deltas = general_stream.as_arrays()
+        half = len(items) // 2
+
+        def fresh():
+            session = StreamSession(N, params=PARAMS, chunk_size=chunk)
+            for name in names:
+                session.track(name)
+            return session
+
+        reference = fresh().push(items, deltas)
+        reference.flush()
+        interrupted = fresh().push(items[:half], deltas[:half])
+        payload = interrupted.snapshot()
+        payload["session"]["coalesce"] = legacy_flag
+        planned = []
+        original = ChunkPlanner.plan
+
+        def counting(planner, chunk_items, chunk_deltas):
+            planned.append(len(chunk_items))
+            return original(planner, chunk_items, chunk_deltas)
+
+        monkeypatch.setattr(ChunkPlanner, "plan", counting)
+        restored = StreamSession.restore(payload)
+        restored.push(items[half:], deltas[half:])
+        restored.flush()
+        rest = len(items) - half
+        assert len(planned) == -(-rest // chunk) and sum(planned) == rest
+        for name in names:
+            assert_bit_identical(reference[name], restored[name], name)
 
     def test_restore_rejects_queries_for_unknown_consumers(self):
         session = StreamSession(N, params=PARAMS).track("countmin")

@@ -1,4 +1,4 @@
-"""Tests for repro.streams.io (serialization, StreamRunner)."""
+"""Tests for repro.streams.io (stream and payload serialization)."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streams.io import StreamRunner, load_stream, save_stream
+from repro.streams.io import load_stream, save_stream
 from repro.streams.model import Stream, Update, stream_from_updates
 
 
@@ -120,46 +120,3 @@ class TestCorruptStreamFiles:
         torn.write_bytes(whole.read_bytes()[: whole.stat().st_size // 2])
         with pytest.raises(Exception):
             load_stream(torn)
-
-
-class TestStreamRunner:
-    def test_feeds_all_sketches(self):
-        from repro.streams.model import FrequencyVector
-
-        a, b = FrequencyVector(16), FrequencyVector(16)
-        runner = StreamRunner().register("a", a).register("b", b)
-        s = stream_from_updates(16, [(1, 2), (3, -1)])
-        runner.run(s)
-        assert runner.updates_processed == 2
-        assert a.f[1] == 2 and b.f[3] == -1
-        assert runner["a"] is a
-
-    def test_duplicate_name_rejected(self):
-        from repro.streams.model import FrequencyVector
-
-        runner = StreamRunner().register("x", FrequencyVector(4))
-        with pytest.raises(ValueError):
-            runner.register("x", FrequencyVector(4))
-
-    def test_non_sketch_rejected(self):
-        with pytest.raises(TypeError):
-            StreamRunner().register("bad", object())
-
-    def test_space_report_skips_spaceless(self):
-        from repro.counters.exact import ExactL1Counter
-        from repro.streams.model import FrequencyVector
-
-        runner = (
-            StreamRunner()
-            .register("counter", ExactL1Counter())
-            .register("dense", FrequencyVector(8))  # no space_bits
-        )
-        runner.run(stream_from_updates(8, [(0, 5)]))
-        report = runner.space_report()
-        assert "counter" in report and "dense" not in report
-
-    def test_results_snapshot(self):
-        from repro.counters.exact import ExactL1Counter
-
-        runner = StreamRunner().register("c", ExactL1Counter())
-        assert set(runner.results()) == {"c"}
