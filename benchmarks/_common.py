@@ -164,14 +164,6 @@ def measure_session_throughput(
                        chunk_size=chunk_size)
 
 
-def record_throughput(benchmark, label: str, stats: ReplayStats) -> None:
-    """Attach an updates/sec figure to a pytest-benchmark report row."""
-    benchmark.extra_info[f"{label}_updates_per_sec"] = int(
-        round(stats.updates_per_sec)
-    )
-    benchmark.extra_info[f"{label}_chunk_size"] = stats.chunk_size
-
-
 def relative_error(estimate: float, truth: float) -> float:
     if truth == 0:
         return abs(estimate)

@@ -31,18 +31,15 @@ and pushed through :class:`repro.api.StreamSession` at a granularity
 that straddles chunk boundaries.  Acceptance: push-mode is
 bit-identical to offline and within 10% of its rate at chunk 4096.
 
-A second section measures *sharded* replay
-(:func:`repro.streams.engine.replay_sharded`): the stream split across
-threads with the shard sketches merged, for the mergeable linear
-sketches.  It records the 1-worker vs 4-worker rates, the host's usable
-core count (sharding cannot beat a single worker on a 1-core container
-— the JSON says so honestly), and a hard check that the merged
-estimates are identical to the single-shard replay.
-
-Every acceptance bar is checked by :func:`gate_failures`, and the JSON
-artifact is written only when all of them pass; a failing gate exits
-non-zero and leaves the committed artifact untouched.  Run as a script
-to (re)generate it::
+The whole battery runs :data:`RUNS` times.  Every figure in the
+artifact is the median of its runs (:func:`median_report`), and each
+gated figure records its interquartile range beside it under
+``<key>_iqr``, so one noisy run can neither fail nor pass a bar.  Every
+acceptance bar is checked on the medians by :func:`gate_failures`, and
+the JSON artifact is written only when all of them pass
+(:func:`write_if_passing`); a failing gate exits non-zero and leaves
+the committed artifact untouched.  Run as a script to (re)generate
+it::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py
 
@@ -54,9 +51,8 @@ or under pytest (the test asserts every gate, then writes the JSON)::
 from __future__ import annotations
 
 import json
-import os
+import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -71,10 +67,10 @@ from _common import (
     spec_factory,
 )
 from repro import kernels
-from repro.api import Params, shard_factory
+from repro.api import Params
 from repro.api.serialize import payload_equal, snapshot
 from repro.batch import supports_plan
-from repro.streams.engine import replay, replay_sharded
+from repro.streams.engine import replay
 from repro.streams.generators import zipfian_insertion_stream
 
 N = 1 << 12
@@ -147,28 +143,18 @@ REQUIRED_SPEEDUP = {
     "alpha_l1_sampler": 8.0,
 }
 
-# Sharded replay: a longer stream so the parallel region dominates pool
-# spawn overhead on multi-core hosts.
-SHARDED_M = 1 << 19
-SHARDED_WORKERS = 4
-
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 
-#: Sharded factories come straight from the registry, so every shard
-#: rebuilds identical hash seeds.
-SHARDED_FACTORIES = {
-    "countsketch": shard_factory("countsketch", BENCH_PARAMS,
-                                 width=96, depth=6),
-    "countmin": shard_factory("countmin", BENCH_PARAMS,
-                              width=128, depth=6),
-}
+#: Battery runs behind every artifact figure (as in bench_service.py):
+#: a single run read the skew gate's countmin at 1.75-2.79x against its
+#: 2.0x bar, so only a median can gate.
+RUNS = 5
 
-
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+#: The gated figures: :func:`median_report` records each one's IQR
+#: across runs beside its median.
+GATED_KEYS = (
+    "speedup", "coalesce_speedup", "session_over_offline", "kernel_speedup",
+)
 
 
 def _streams(m: int):
@@ -182,7 +168,6 @@ def _streams(m: int):
 
 def _measure_all(chunk_size: int = CHUNK, m: int = M,
                  scalar_prefix: int = SCALAR_PREFIX,
-                 with_sharded: bool = True,
                  with_skew: bool = True,
                  with_session: bool = True) -> dict:
     streams = _streams(m)
@@ -235,15 +220,12 @@ def _measure_all(chunk_size: int = CHUNK, m: int = M,
         "alpha": ALPHA,
         "chunk_size": chunk_size,
         "scalar_prefix": scalar_prefix,
-        "cores": _usable_cores(),
         "results": results,
     }
     if with_session:
         report["session"] = _measure_session(chunk_size, m)
     if with_skew:
         report["skew_sweep"] = _measure_skew(chunk_size, m)
-    if with_sharded:
-        report["sharded"] = _measure_sharded(chunk_size)
     report["kernels"] = _measure_kernels(chunk_size, m)
     return report
 
@@ -432,39 +414,6 @@ def _measure_skew(chunk_size: int = CHUNK, m: int = M) -> dict:
     return sweep
 
 
-def _timed_sharded(stream, factory, workers: int, chunk_size: int):
-    """``replay_sharded`` with its updates/sec (shard set-up and merge
-    costs included — that is the honest sharding overhead)."""
-    stream.as_arrays()  # build the cached columns off the clock
-    start = time.perf_counter()
-    sketch = replay_sharded(stream, factory, workers=workers,
-                            chunk_size=chunk_size)
-    return sketch, len(stream) / (time.perf_counter() - start)
-
-
-def _measure_sharded(chunk_size: int = CHUNK) -> dict:
-    stream = cached_bounded_stream(N, SHARDED_M, ALPHA, seed=23, strict=False)
-    results = {}
-    for name, factory in SHARDED_FACTORIES.items():
-        single, rate1 = _timed_sharded(stream, factory, 1, chunk_size)
-        sharded, rate4 = _timed_sharded(stream, factory, SHARDED_WORKERS,
-                                        chunk_size)
-        results[name] = {
-            "workers_1_updates_per_sec": int(round(rate1)),
-            f"workers_{SHARDED_WORKERS}_updates_per_sec": int(round(rate4)),
-            f"speedup_{SHARDED_WORKERS}_over_1": round(rate4 / rate1, 2),
-            # Table equality implies every point query is identical.
-            "identical_estimates": bool(
-                np.array_equal(single.table, sharded.table)
-            ),
-        }
-    return {
-        "m": SHARDED_M,
-        "workers": SHARDED_WORKERS,
-        "results": results,
-    }
-
-
 #: Sections ``bench_service.py`` merges into the same artifact; a
 #: throughput regeneration carries them over unchanged.
 SERVICE_SECTIONS = ("service", "service_faults")
@@ -532,27 +481,56 @@ def gate_failures(report: dict) -> list[str]:
                 f"only {winners} of {KERNEL_ACCEPT_NAMES} "
                 f"(need {KERNEL_ACCEPT_MIN_STRUCTURES})"
             )
-    for name, row in report["sharded"]["results"].items():
-        if not row["identical_estimates"]:
-            failures.append(f"{name}: sharded replay changed the estimates")
-        # Parallel speedup is physically impossible on a 1-core host;
-        # gate it only where the hardware can deliver it.
-        speedup = row[f"speedup_{SHARDED_WORKERS}_over_1"]
-        if report["cores"] >= 2 and speedup <= 1.0:
-            failures.append(
-                f"{name}: {SHARDED_WORKERS}-worker sharding not faster "
-                f"than 1 worker on a {report['cores']}-core host"
-            )
+    return failures
+
+
+def _fold(values: list):
+    """One report node from its value in every run (see
+    :func:`median_report`)."""
+    first = values[0]
+    if isinstance(first, dict):
+        out = {}
+        for key in first:
+            column = [value[key] for value in values]
+            out[key] = _fold(column)
+            if key in GATED_KEYS:
+                q1, _, q3 = statistics.quantiles(column, n=4,
+                                                 method="inclusive")
+                out[f"{key}_iqr"] = round(q3 - q1, 3)
+        return out
+    if isinstance(first, bool):
+        return all(values)
+    if isinstance(first, int):
+        return int(round(statistics.median(values)))
+    if isinstance(first, float):
+        return round(statistics.median(values), 3)
+    return first  # labels and settings: the same in every run
+
+
+def median_report(runs: list[dict]) -> dict:
+    """Fold same-schema run reports into the artifact report: every
+    number becomes its median across runs, every :data:`GATED_KEYS`
+    figure gains its IQR at ``<key>_iqr``, and a bit-identity flag holds
+    only if it held in every run."""
+    return {**_fold(runs), "runs": len(runs)}
+
+
+def write_if_passing(report: dict) -> list[str]:
+    """Write ``report`` as the artifact iff it passes every gate;
+    returns the gate failures (the committed file is left untouched
+    when there are any)."""
+    failures = gate_failures(report)
+    if not failures:
+        write_artifact(report)
     return failures
 
 
 def test_throughput_artifact():
-    """Measure, assert every acceptance gate, then (and only then)
-    regenerate BENCH_throughput.json."""
-    report = _measure_all()
-    failures = gate_failures(report)
+    """Measure :data:`RUNS` battery runs, assert every acceptance gate
+    on their medians, and (only then) regenerate BENCH_throughput.json."""
+    failures = write_if_passing(
+        median_report([_measure_all() for _ in range(RUNS)]))
     assert not failures, "\n".join(failures)
-    write_artifact(report)
 
 
 #: Smoke-mode sizing: small enough for CI latency, large enough that a
@@ -571,7 +549,7 @@ def run_smoke() -> int:
     figures."""
     report = _measure_all(
         chunk_size=1024, m=SMOKE_M, scalar_prefix=SMOKE_PREFIX,
-        with_sharded=False, with_skew=False,
+        with_skew=False,
     )
     failures = []
     # The facade gate: push-mode must be bit-identical to replay_many
@@ -701,7 +679,7 @@ def main(argv: list[str] | None = None) -> int:
         return run_smoke()
     if args.check_floors:
         return run_floor_check()
-    report = _measure_all()
+    report = median_report([_measure_all() for _ in range(RUNS)])
     width = max(len(k) for k in report["results"])
     for name, row in report["results"].items():
         extra = ""
@@ -718,7 +696,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{session['push_size']}): offline "
         f"{session['offline_updates_per_sec']:,}/s  pushed "
         f"{session['session_updates_per_sec']:,}/s  ratio "
-        f"x{session['session_over_offline']:.3f}  "
+        f"x{session['session_over_offline']:.3f} "
+        f"(IQR {session['session_over_offline_iqr']:.3f})  "
         f"identical={session['identical_states']}"
     )
     for key, block in report["skew_sweep"].items():
@@ -729,14 +708,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"{key:<12} distinct/chunk {block['distinct_per_chunk']:>7,.1f}"
               f"  {gains}")
-    for name, row in report["sharded"]["results"].items():
-        print(
-            f"sharded {name:<{width}}  1w "
-            f"{row['workers_1_updates_per_sec']:>10,}/s  "
-            f"{SHARDED_WORKERS}w "
-            f"{row[f'workers_{SHARDED_WORKERS}_updates_per_sec']:>10,}/s  "
-            f"identical={row['identical_estimates']}"
-        )
     kern = report["kernels"]
     if kern["active"]:
         for name, row in kern["results"].items():
@@ -749,14 +720,13 @@ def main(argv: list[str] | None = None) -> int:
             )
     else:
         print(f"kernel  backend inactive ({kern['reason']})")
-    failures = gate_failures(report)
+    failures = write_if_passing(report)
     for failure in failures:
-        print(f"gate FAIL: {failure}")
+        print(f"gate FAIL (median of {RUNS} runs): {failure}")
     if failures:
         print(f"{ARTIFACT.name} not written: {len(failures)} gate(s) failed")
         return 1
-    write_artifact(report)
-    print(f"wrote {ARTIFACT} (cores={report['cores']})")
+    print(f"wrote {ARTIFACT} (medians of {RUNS} runs)")
     return 0
 
 

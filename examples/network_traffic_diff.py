@@ -17,7 +17,7 @@ tiny.  This example:
    the traffic as binary ingest frames, and aggregation happens over
    the wire too — one vantage point's snapshot container is POSTed
    into the other's live session (the Mergeable ladder behind a merge
-   endpoint, exactly what ``replay_sharded`` does per shard),
+   endpoint, exactly what ``StreamSession.merge`` does in process),
 5. estimates the similarity of the two snapshots via the inner-product
    sketch of Theorem 2 (a self-join-size style query).
 

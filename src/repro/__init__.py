@@ -29,8 +29,8 @@ working — the facade builds on them, it does not replace them.
 Navigation: ``docs/PAPER_MAP.md`` cross-references every theorem and
 figure of the paper to its module, test, and benchmark;
 ``docs/ARCHITECTURE.md`` covers the layering, the public facade, the
-batch pipeline, and the merge/shard semantics (``replay_sharded``,
-:class:`Mergeable`).
+batch pipeline, and the merge semantics (:class:`Mergeable`,
+``StreamSession.merge``).
 """
 
 from repro.api import (
@@ -47,7 +47,6 @@ from repro.api import (
     recover,
     restore,
     rng_for,
-    shard_factory,
     snapshot,
     specs,
 )
@@ -99,8 +98,6 @@ from repro.streams import (
     iter_chunks,
     replay,
     replay_many,
-    replay_sharded,
-    shard_bounds,
     adversarial_cancellation_stream,
     bounded_deletion_stream,
     l0_alpha,
@@ -130,7 +127,6 @@ __all__ = [
     "recover",
     "restore",
     "rng_for",
-    "shard_factory",
     "snapshot",
     "specs",
     "BatchSketch",
@@ -143,8 +139,6 @@ __all__ = [
     "iter_chunks",
     "replay",
     "replay_many",
-    "replay_sharded",
-    "shard_bounds",
     "CSSS",
     "CSSSWithTailEstimate",
     "AdaptiveSamplingSchedule",

@@ -14,15 +14,13 @@ Checks, per registered class:
 * the class exists in the project and defines/inherits ``update``;
 * ``update_plan`` without ``update_batch`` is flagged (the plan path is
   an optimisation over batch, never a replacement);
-* ``coalescable_updates = True`` requires ``update_batch`` (the
-  coalesced fold is applied by batch consumers);
 * ``kernel_updates = True`` requires the class's defining module (or an
   ancestor's, or a kernel-flagged *component* class it instantiates —
   the heavy-hitter wrappers dispatch through their inner CSSS) to
   reference a ``repro.kernels`` ``try_*`` dispatch helper — a kernel
   flag nothing dispatches through is a lie;
 * when ``tests/test_api_registry.py`` is in the lint set, its
-  ``EXPECTED_FLAGS`` (batch, plan, coalesce, merge) and
+  ``EXPECTED_FLAGS`` (batch, plan, merge) and
   ``EXPECTED_KERNEL`` pins are compared against the statically derived
   capabilities, reported at the ``@_register`` site.
 
@@ -44,7 +42,7 @@ _KERNEL_DISPATCH = {
     "try_kwise", "try_table_update", "try_cauchy_fold",
     "try_csss_scatter",
 }
-_FLAG_ATTRS = {"coalescable_updates", "kernel_updates"}
+_FLAG_ATTRS = {"kernel_updates"}
 
 
 class _ClassInfo:
@@ -73,7 +71,7 @@ class _ClassInfo:
 class CapabilityConsistency(Rule):
     id = "capability-consistency"
     summary = (
-        "registry batch/plan/coalesce/merge/kernel capability flags"
+        "registry batch/plan/merge/kernel capability flags"
         " must match the methods and dispatch each sketch class"
         " actually defines (compile-time twin of the"
         " test_api_registry.py runtime pins)"
@@ -226,7 +224,6 @@ class CapabilityConsistency(Rule):
         has_batch = self._has_method(mro, "update_batch")
         has_plan = self._has_method(mro, "update_plan")
         has_merge = self._has_method(mro, "merge")
-        coalesce = self._flag(mro, "coalescable_updates")
         kernel = self._flag(mro, "kernel_updates")
         if has_plan and not has_batch:
             yield Finding(
@@ -234,13 +231,6 @@ class CapabilityConsistency(Rule):
                 f"spec {spec!r}: {cls_name} defines update_plan but no"
                 " update_batch — the plan path optimises batch, it"
                 " cannot replace it",
-            )
-        if coalesce and not has_batch:
-            yield Finding(
-                *where,
-                f"spec {spec!r}: {cls_name} declares"
-                " coalescable_updates but has no update_batch to"
-                " consume the coalesced chunk",
             )
         if kernel and not self._dispatches_kernels(mro, classes):
             yield Finding(
@@ -251,13 +241,13 @@ class CapabilityConsistency(Rule):
             )
         expected_flags, expected_kernel = pins
         pin = expected_flags.get(spec)
-        if pin is not None and len(pin) == 4:
-            derived = (has_batch, has_plan, coalesce, has_merge)
+        if pin is not None and len(pin) == 3:
+            derived = (has_batch, has_plan, has_merge)
             if derived != pin:
                 yield Finding(
                     *where,
                     f"spec {spec!r}: statically derived capabilities"
-                    f" (batch, plan, coalesce, merge) = {derived} do"
+                    f" (batch, plan, merge) = {derived} do"
                     f" not match the test_api_registry.py pin {pin}",
                 )
         if spec in expected_kernel and kernel != expected_kernel[spec]:

@@ -13,9 +13,10 @@ Flags, in **every** linted file (src, tests, benchmarks):
 * ``allow_pickle=True`` keywords (``np.load``'s escape hatch back into
   pickle execution).
 
-The legitimate uses — tests that pin shard factories as *picklable*
-because ``multiprocessing`` needs them to cross process boundaries —
-carry ``# repro: allow[pickle-ban]`` pragmas naming that reason.
+The legitimate uses — tests that pin merges surviving a pickle round
+trip, because hash functions must compare by value once a sketch has
+crossed a process boundary — carry ``# repro: allow[pickle-ban]``
+pragmas naming that reason.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ individual constructors:
 
 * :mod:`repro.api.registry` — :class:`Params`, :class:`SketchSpec`,
   the ``name -> factory`` registry (:func:`get_spec` / :func:`specs` /
-  :func:`build`), the root-seed RNG policy (:func:`rng_for`), and
-  picklable :func:`shard_factory` builders for sharded replay;
+  :func:`build`), and the root-seed RNG policy (:func:`rng_for`);
 * :mod:`repro.api.session` — :class:`StreamSession`: push-based
   ingestion, shared chunk plans across consumers, uniform ``query``,
   ``merge`` across sessions, and whole-session snapshots;
@@ -31,7 +30,6 @@ from repro.api.registry import (
     build,
     get_spec,
     rng_for,
-    shard_factory,
     specs,
 )
 from repro.api.serialize import (
@@ -67,7 +65,6 @@ __all__ = [
     "recover",
     "restore",
     "rng_for",
-    "shard_factory",
     "snapshot",
     "specs",
 ]

@@ -9,24 +9,24 @@ lambda tables, and constructor signatures disagreed about ``rng`` vs
   ``delta``, ``alpha``, ``seed``).  One **root seed** deterministically
   spawns every structure's generator (:func:`rng_for`), so two builds
   of the same spec from the same params are value-identical — which is
-  exactly what shard merges and snapshot/restore require;
+  exactly what session merges and snapshot/restore require;
 * :class:`SketchSpec` — ``name -> factory`` plus the structure's
   capability flags, derived from the :mod:`repro.batch` protocols
-  (``batch`` / ``plan`` / ``coalesce`` / ``merge``), and an optional
+  (``batch`` / ``plan`` / ``merge`` / ``kernel``), and an optional
   uniform ``query`` hook (the headline estimate
   :meth:`repro.api.session.StreamSession.query` dispatches to);
-* :func:`shard_factory` — ``factory(shard_index)`` shard builders for
-  :func:`repro.streams.engine.replay_sharded`: every shard rebuilds
-  the same hash seeds from the root seed while sampling structures get
-  per-shard ``sampling_seed`` (shard 0 keeps the single-replay
-  streams), the policy the CLI factories previously hand-coded.
+* ``build(params, shard_index)`` — every index rebuilds the same hash
+  seeds from the root seed while sampling structures get a per-index
+  ``sampling_seed`` (index 0 keeps the single-replay streams), so
+  sibling sessions (``StreamSession(node=...)``) merge and still
+  sample independently.
 
 >>> spec = get_spec("countmin")
 >>> sketch = spec.build(Params(n=64, seed=3))
 >>> sketch.update(5, 2); sketch.query(5)
 2
 >>> caps = spec.capabilities()
->>> caps.batch and caps.plan and caps.coalesce and caps.merge
+>>> caps.batch and caps.plan and caps.merge
 True
 """
 
@@ -40,8 +40,8 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.batch import (
+    is_integer,
     supports_batch,
-    supports_coalescing,
     supports_kernels,
     supports_merge,
     supports_plan,
@@ -81,7 +81,7 @@ def rng_for(seed: int, label: str) -> np.random.Generator:
     The label bytes join the seed in the ``SeedSequence`` entropy, so
     different structures built from one root seed draw independent
     randomness, while the same (seed, label) pair always rebuilds the
-    identical generator — shard factories and snapshot restores depend
+    identical generator — session merges and snapshot restores depend
     on that.
 
     >>> a = rng_for(7, "countmin").integers(1 << 30)
@@ -113,6 +113,10 @@ class Params:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for field in ("n", "seed"):
+            value = getattr(self, field)
+            if not is_integer(value):
+                raise TypeError(f"{field} must be an integer, not {value!r}")
         if self.n < 1:
             raise ValueError("universe size must be positive")
         if not 0 < self.eps < 1:
@@ -141,7 +145,8 @@ class Params:
     def sampling_seed(self, shard_index: int):
         """The per-shard sampling reseed: shard 0 keeps the
         single-replay sampling streams (``None``), every other shard
-        reroots them — the decorrelation policy of ``replay_sharded``.
+        reroots them — how sibling sessions (one ``node`` index each)
+        sample independently.
         """
         return (self.seed, shard_index) if shard_index else None
 
@@ -166,7 +171,6 @@ class Capabilities:
 
     batch: bool
     plan: bool
-    coalesce: bool
     merge: bool
     #: Batch/plan paths dispatch to the compiled kernel backend
     #: (:mod:`repro.kernels`) when it is active; state stays
@@ -178,7 +182,6 @@ class Capabilities:
         return cls(  # in field order
             supports_batch(sketch),
             supports_plan(sketch),
-            supports_coalescing(sketch),
             supports_merge(sketch),
             supports_kernels(sketch),
         )
@@ -289,25 +292,6 @@ def build(name: str, params: Params | None = None, shard_index: int = 0,
     8
     """
     return get_spec(name).build(params, shard_index, **overrides)
-
-
-def _shard_build(name: str, params: Params | None, overrides: tuple,
-                 shard_index: int) -> Any:
-    return build(name, params, shard_index, **dict(overrides))
-
-
-def shard_factory(name: str, params: Params | None = None,
-                  **overrides) -> Callable[[int], Any]:
-    """A picklable ``factory(shard_index)`` for ``replay_sharded``.
-
-    The returned callable requires the shard index ``replay_sharded``
-    passes: every shard rebuilds identical hash seeds from the root
-    seed, and shards > 0 reroot their sampling streams via
-    ``params.sampling_seed``.
-    """
-    return functools.partial(
-        _shard_build, name, params, tuple(sorted(overrides.items()))
-    )
 
 
 # --------------------------------------------------------------------------

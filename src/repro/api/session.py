@@ -18,9 +18,8 @@ batch pipeline's throughput.  :class:`StreamSession` is that surface:
   push granularity — queries mid-stream flush the partial buffer and
   never change any future estimate;
 * ``merge(other)`` folds a sibling session (same specs, same root
-  seed) through each sketch's :class:`~repro.batch.Mergeable` ladder —
-  distributed sessions aggregate exactly like ``replay_sharded``
-  shards;
+  seed) through each sketch's :class:`~repro.batch.Mergeable` ladder,
+  so sessions fed disjoint parts of a stream aggregate into one;
 * ``query(name)`` answers through the registry's uniform query hooks;
 * ``snapshot()`` / :meth:`StreamSession.restore` round-trip the whole
   session through the pickle-free state dicts of
@@ -55,7 +54,7 @@ from repro.api.registry import (
 )
 from repro.api.serialize import FORMAT_VERSION, restore as _restore_state
 from repro.api.serialize import snapshot as _snapshot_state
-from repro.batch import as_update_arrays, supports_merge
+from repro.batch import as_update_arrays, is_integer, supports_merge
 from repro.streams.engine import ChunkDriver
 
 
@@ -133,14 +132,14 @@ class StreamSession:
         Dispatch granularity — a pure throughput knob: estimates are
         identical for every value, by the batch contract.
     node:
-        This session's index among merging siblings — the session
-        analogue of ``replay_sharded``'s shard index.  Node 0 keeps the
-        single-replay sampling streams; every other node reroots its
-        sampling-seeded structures (CSSS, heavy hitters, general L1)
-        so sibling sessions sample *independently* while still sharing
-        hash seeds — without distinct nodes, same-params siblings
-        consume identical sampling streams and their sampling errors
-        are correlated instead of cancelling in the merge.
+        This session's index among merging siblings (the registry's
+        ``shard_index``).  Node 0 keeps the single-replay sampling
+        streams; every other node reroots its sampling-seeded
+        structures (CSSS, heavy hitters, general L1) so sibling
+        sessions sample *independently* while still sharing hash
+        seeds — without distinct nodes, same-params siblings consume
+        identical sampling streams and their sampling errors are
+        correlated instead of cancelling in the merge.
     """
 
     def __init__(
@@ -152,12 +151,15 @@ class StreamSession:
         chunk_size: int | None = None,
         node: int = 0,
     ) -> None:
+        for field, value in (("n", n), ("node", node)):
+            if not is_integer(value):
+                raise TypeError(f"{field} must be an integer, not {value!r}")
         if params is None:
             params = Params(n=int(n), seed=seed)
-        elif params.n != int(n):
+        elif params.n != n:
             raise ValueError(
                 f"params.n ({params.n}) does not match the session "
-                f"universe ({int(n)})"
+                f"universe ({n})"
             )
         if node < 0:
             raise ValueError("node must be non-negative")
@@ -463,9 +465,8 @@ class StreamSession:
         Both sessions are flushed; each pair of same-named sketches
         merges through the :class:`~repro.batch.Mergeable` ladder
         (sketches must have been built with the same root seed — use
-        one spec + params on every node, the way ``replay_sharded``
-        builds shard sketches from one factory, and give each sibling
-        a distinct ``node`` index so sampling structures draw
+        one spec + params on every node, and give each sibling a
+        distinct ``node`` index so sampling structures draw
         independent sampling streams while sharing hash seeds).
         """
         if not isinstance(other, StreamSession) or other.n != self.n:

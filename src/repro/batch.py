@@ -14,12 +14,14 @@ from "as fast as the hardware allows".  This module defines the package's
   same rejection rules as :class:`repro.streams.model.Update`;
 * :class:`Mergeable` — a :class:`typing.Protocol` for sketches that can
   absorb a same-seeded sibling via ``merge(other)``, the contract behind
-  :func:`repro.streams.engine.replay_sharded`;
-* :class:`PlanConsumer` / :class:`Coalescable` — the chunk-planning
-  contracts (see :mod:`repro.streams.plan`): ``update_plan(plan)``
-  absorbs a pre-planned chunk (shared hash evaluations, and — for
-  structures declaring ℤ-linearity via ``coalescable_updates`` —
-  per-item coalesced deltas), bit-identical to ``update_batch``.
+  :meth:`repro.api.session.StreamSession.merge`;
+* :class:`PlanConsumer` — the chunk-planning contract (see
+  :mod:`repro.streams.plan`): ``update_plan(plan)`` absorbs a
+  pre-planned chunk (shared hash evaluations, and — for ℤ-linear
+  structures — per-item coalesced deltas), bit-identical to
+  ``update_batch``;
+* :func:`is_integer` — the one rule for integer arguments (sizes,
+  seeds, indices): a ``1.5`` or ``True`` is refused, never truncated.
 
 Equivalence contract
 --------------------
@@ -49,6 +51,7 @@ associativity / an independent sampling realisation.
 
 from __future__ import annotations
 
+import numbers
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -95,31 +98,6 @@ class PlanConsumer(Protocol):
     def update_plan(self, plan) -> None:
         """Apply a planned chunk; must equal ``update_batch`` bitwise."""
         ...  # pragma: no cover - protocol
-
-
-@runtime_checkable
-class Coalescable(Protocol):
-    """Marker protocol: state is linear over the integers, so duplicate
-    updates within a chunk may be summed per item before folding.
-
-    The criterion is **ℤ-linearity of the whole state**: the structure's
-    state after a chunk must equal the state after the per-item-summed
-    chunk *bitwise*.  True for integer linear sketches (frequency
-    vectors, CountSketch/CountMin tables, AMS sign sums).  False for:
-
-    * sampling structures (CSSS, schedules-backed estimators) — their
-      RNG consumption is per *update*, so coalescing would change which
-      uniforms exist;
-    * float-state linear sketches (Cauchy) — float addition commutes
-      only to machine precision, and the batch contract is bitwise;
-    * running-peak counters (``SignedCounter``) — the peak of the
-      partial sums is multiplicity-sensitive.
-
-    Declared via the ``coalescable_updates`` class attribute; consumers
-    check :func:`supports_coalescing`.
-    """
-
-    coalescable_updates: bool
 
 
 @runtime_checkable
@@ -201,6 +179,19 @@ def as_update_arrays(
     return items_arr, deltas_arr
 
 
+def is_integer(value) -> bool:
+    """True for an integer that is not a bool: the rule every size,
+    seed and index argument is checked against.  NumPy integers pass;
+    a ``1.5`` (which ``int()`` would truncate) or a ``True`` does not.
+
+    >>> is_integer(3), is_integer(np.int64(3)), is_integer(3.0)
+    (True, True, False)
+    >>> is_integer(True)
+    False
+    """
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def supports_batch(sketch) -> bool:
     """True when ``sketch`` exposes the batch half of the protocol.
 
@@ -223,16 +214,6 @@ def supports_plan(sketch) -> bool:
     (False, False)
     """
     return callable(getattr(sketch, "update_plan", None))
-
-
-def supports_coalescing(sketch) -> bool:
-    """True when ``sketch`` declares the :class:`Coalescable` flag.
-
-    >>> from repro.streams.model import FrequencyVector
-    >>> supports_coalescing(FrequencyVector(4)), supports_coalescing(object())
-    (True, False)
-    """
-    return bool(getattr(sketch, "coalescable_updates", False))
 
 
 def supports_kernels(sketch) -> bool:

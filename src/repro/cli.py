@@ -14,22 +14,14 @@ Usage (after ``pip install -e .``)::
 
 Every estimator subcommand is generated from the sketch-spec registry
 (:mod:`repro.api.registry`): the spec supplies the factory (root-seed →
-per-structure RNG policy, per-shard sampling seeds for ``--workers``)
-and the uniform query hook; the subcommand table below only picks the
-spec for the workload (e.g. strict vs general turnstile) and formats
-the report.  The shared engine flags — ``--chunk-size`` (pure
-throughput knob), ``--workers N`` (sharded replay + merge),
-``--no-kernels`` (pure-NumPy update paths) — are registry-level: every
-estimator subcommand gets the same set from one helper.  Workload flags
-are range-checked at parse time: a bad value exits with status 2 and a
+per-structure RNG policy) and the uniform query hook; the subcommand
+table below only picks the spec for the workload (e.g. strict vs
+general turnstile) and formats the report.  The shared engine flags —
+``--chunk-size`` (pure throughput knob) and ``--no-kernels``
+(pure-NumPy update paths) — are registry-level: every estimator
+subcommand gets the same set from one helper.  Workload flags are
+range-checked at parse time: a bad value exits with status 2 and a
 usage line, not a traceback.
-
-``--workers N`` shards the replay across N threads and merges the
-shard sketches (``repro.streams.engine.replay_sharded``).  The one
-documented holdout is ``support``: its suffix-positivity certificate
-needs every prefix of its input to be strict-turnstile, which
-contiguous shards of a strict stream are not — that subcommand prints
-an honest note and replays single-shard.
 
 ``--checkpoint-dir DIR`` makes an estimator run durable: the replay
 goes through a :class:`~repro.api.session.StreamSession` checkpointed
@@ -48,7 +40,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.api.registry import Params, build, get_spec, shard_factory
+from repro.api.registry import Params, build, get_spec
 from repro.streams.alpha import is_strict_turnstile, l0_alpha, l1_alpha
 from repro.streams.generators import (
     bounded_deletion_stream,
@@ -57,7 +49,7 @@ from repro.streams.generators import (
     sensor_occupancy_stream,
     traffic_difference_stream,
 )
-from repro.streams.engine import DEFAULT_CHUNK_SIZE, replay, replay_sharded
+from repro.streams.engine import DEFAULT_CHUNK_SIZE, replay
 from repro.streams.io import load_stream
 from repro.streams.model import Stream
 
@@ -124,16 +116,11 @@ def _alpha(value: str) -> float:
 
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
     """The registry-level engine flags every replaying subcommand
-    shares (chunk size, sharded workers, kernel backend)."""
+    shares (chunk size, kernel backend)."""
     parser.add_argument("--chunk-size", type=_positive_int,
                         default=DEFAULT_CHUNK_SIZE,
                         help="batch-replay chunk size (throughput knob; "
                              "estimates are identical for every value)")
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="shard the replay across N threads and merge "
-                             "the shard sketches (all subcommands except "
-                             "support, the documented order-sensitive "
-                             "holdout, which notes the fallback)")
     parser.add_argument("--no-kernels", dest="kernels",
                         action="store_false",
                         help="force the pure-NumPy update paths instead of "
@@ -172,29 +159,25 @@ def add_workload_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _print_throughput(updates: int, seconds: float, chunk_size: int,
-                      workers: int = 1) -> None:
+def _print_throughput(updates: int, seconds: float, chunk_size: int) -> None:
     rate = updates / seconds if seconds > 0 else float("inf")
-    mode = f"batched, {workers} workers" if workers > 1 else "batched"
     print(f"throughput             : {rate:,.0f} updates/s "
-          f"(chunk={chunk_size}, {mode})")
+          f"(chunk={chunk_size}, batched)")
 
 
 @dataclass(frozen=True)
 class _EstimatorCommand:
     """One registry-backed estimator subcommand.
 
-    ``select(stream, args) -> (spec_name, params, overrides, note)``
-    picks the spec and clamps parameters to the workload; ``report``
-    formats the answer next to ground truth.  ``sharded`` gates
-    ``--workers`` (the support sampler is the honest holdout).
+    ``select(stream, args) -> (spec_name, params, overrides)`` picks
+    the spec and clamps parameters to the workload; ``report`` formats
+    the answer next to ground truth.
     """
 
     name: str
     help: str
     select: Callable
     report: Callable
-    sharded: bool = True
     extra_args: Callable[[argparse.ArgumentParser], None] | None = None
 
 
@@ -207,9 +190,6 @@ def _run_estimator_checkpointed(cmd: _EstimatorCommand,
     from repro.api.checkpoint import Checkpointer, CheckpointStore, recover
     from repro.api.session import StreamSession
 
-    if args.workers > 1:
-        print("note: --checkpoint-dir replays through an in-process "
-              "session; --workers ignored")
     store = CheckpointStore(args.checkpoint_dir,
                             keep_last=args.checkpoint_keep)
     session = recover(store)
@@ -252,29 +232,18 @@ def _run_estimator_checkpointed(cmd: _EstimatorCommand,
 def _run_estimator(cmd: _EstimatorCommand, args: argparse.Namespace) -> int:
     stream = _build_workload(args)
     truth = stream.frequency_vector()
-    spec_name, params, overrides, note = cmd.select(stream, args)
+    spec_name, params, overrides = cmd.select(stream, args)
     if getattr(args, "checkpoint_dir", None):
         return _run_estimator_checkpointed(
             cmd, args, stream, truth, spec_name, params, overrides
         )
-    if not cmd.sharded and args.workers > 1:
-        print(f"note: {note} is provably order-sensitive (its certificate "
-              f"needs strict prefixes, which shards of a strict stream are "
-              f"not); --workers ignored, replaying single-shard")
-    workers = args.workers if cmd.sharded else 1
-    if workers > 1:
-        factory = shard_factory(spec_name, params, **overrides)
-        start = time.perf_counter()
-        sketch = replay_sharded(stream, factory, workers=workers,
-                                chunk_size=args.chunk_size)
-    else:
-        sketch = build(spec_name, params, **overrides)
-        start = time.perf_counter()
-        replay(stream, sketch, chunk_size=args.chunk_size)
+    sketch = build(spec_name, params, **overrides)
+    start = time.perf_counter()
+    replay(stream, sketch, chunk_size=args.chunk_size)
     elapsed = time.perf_counter() - start
     cmd.report(sketch, truth, args, spec_name)
     print(f"sketch space           : {sketch.space_bits()} bits")
-    _print_throughput(len(stream), elapsed, args.chunk_size, workers)
+    _print_throughput(len(stream), elapsed, args.chunk_size)
     return 0
 
 
@@ -286,7 +255,7 @@ def _select_heavy_hitters(stream, args):
     strict = is_strict_turnstile(stream)
     spec = "heavy_hitters" if strict else "heavy_hitters_general"
     params = Params(n=stream.n, eps=args.eps, alpha=alpha, seed=args.seed)
-    return spec, params, {}, None
+    return spec, params, {}
 
 
 def _report_heavy_hitters(sketch, truth, args, spec_name):
@@ -301,10 +270,10 @@ def _select_l1(stream, args):
     if is_strict_turnstile(stream):
         params = Params(n=stream.n, eps=args.eps, alpha=alpha,
                         seed=args.seed)
-        return "l1_strict", params, {}, None
+        return "l1_strict", params, {}
     params = Params(n=stream.n, eps=max(args.eps, 0.2),
                     alpha=min(alpha, 64), seed=args.seed)
-    return "l1_general", params, {}, None
+    return "l1_general", params, {}
 
 
 def _report_l1(sketch, truth, args, spec_name):
@@ -319,7 +288,7 @@ def _select_l0(stream, args):
     alpha = max(2.0, min(args.alpha, l0_alpha(stream) * 2))
     params = Params(n=stream.n, eps=max(args.eps, 0.1), alpha=alpha,
                     seed=args.seed)
-    return "alpha_l0", params, {}, None
+    return "alpha_l0", params, {}
 
 
 def _report_l0(sketch, truth, args, spec_name):
@@ -331,7 +300,7 @@ def _report_l0(sketch, truth, args, spec_name):
 def _select_support(stream, args):
     alpha = max(2.0, min(args.alpha, l0_alpha(stream) * 2))
     params = Params(n=stream.n, eps=args.eps, alpha=alpha, seed=args.seed)
-    return "support_sampler", params, {"k": args.k}, "the support sampler"
+    return "support_sampler", params, {"k": args.k}
 
 
 def _report_support(sketch, truth, args, spec_name):
@@ -496,7 +465,6 @@ ESTIMATOR_COMMANDS = [
         help="k-support sampling (Figure 8)",
         select=_select_support,
         report=_report_support,
-        sharded=False,
         extra_args=lambda p: p.add_argument("--k", type=_positive_int,
                                             default=10),
     ),

@@ -36,7 +36,7 @@ def derive_sampling_seed(seed, index: int):
     """Derive a distinct child sampling seed (None stays None).
 
     Appends ``index`` to the seed material, so composed structures
-    (main/shadow pairs, multi-sampler copies, shard-indexed factories)
+    (main/shadow pairs, multi-sampler copies, node-indexed builds)
     can hand each constituent an independent sampling stream from one
     caller-supplied seed.
 
@@ -92,10 +92,11 @@ class CSSS:
         are spawned from ``default_rng(sampling_seed)`` instead of from
         ``rng``.  Hash seeds still come from ``rng``, so sketches built
         with the same ``rng`` seed but different ``sampling_seed`` are
-        mergeable *and* sample independently — the shard-decorrelation
-        knob used by :func:`repro.streams.engine.replay_sharded`'s
-        shard-indexed factories.  Accepts anything
-        ``np.random.default_rng`` accepts (ints or int sequences).
+        mergeable *and* sample independently — the decorrelation knob
+        the registry sets from a session's node index
+        (:meth:`repro.api.registry.Params.sampling_seed`).  Accepts
+        anything ``np.random.default_rng`` accepts (ints or int
+        sequences).
     """
 
     def __init__(
@@ -279,17 +280,16 @@ class CSSS:
             eff_signs = self._sign_hashes[r].hash_array(items_arr) * delta_signs
             self._apply_row(r, buckets, eff_signs, mags, gross)
 
-    # NOT coalescable: every row consumes exactly one acceptance uniform
-    # per *update*, so summing duplicates would change which uniforms
-    # exist and desynchronise the sampling streams from the scalar loop.
-    # The plan still pays off through cached unique-item hashing.
-    coalescable_updates = False
-
     #: Hashing rides the fused Horner kernel; the accepted-segment
     #: scatter dispatches to ``csss_scatter`` (:mod:`repro.kernels`).
     #: Acceptance sampling stays in NumPy (it drives the RNG streams).
     kernel_updates = True
 
+    # Reads no summed view: every row consumes exactly one acceptance
+    # uniform per *update*, so summing duplicates would change which
+    # uniforms exist and desynchronise the sampling streams from the
+    # scalar loop.  The plan still pays off through cached unique-item
+    # hashing.
     def update_plan(self, plan) -> None:
         """Planned batch update: bucket/sign hashes are evaluated once
         over the chunk's *unique* items (cached on the plan — shared

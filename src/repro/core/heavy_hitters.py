@@ -47,8 +47,8 @@ class AlphaHeavyHitters:
         constants (documented in DESIGN.md).
     depth, sample_budget, sampling_seed:
         Forwarded to :class:`~repro.core.csss.CSSS` (``sampling_seed``
-        decorrelates per-shard sampling streams while hash seeds stay
-        shared — the shard-indexed-factory knob).
+        decorrelates per-node sampling streams while hash seeds stay
+        shared — the knob a session's ``node`` index sets).
     """
 
     #: Composes CSSS + norm tracker; the constituents dispatch to the
@@ -126,8 +126,9 @@ class AlphaHeavyHitters:
     def merge(self, other: "AlphaHeavyHitters") -> "AlphaHeavyHitters":
         """Fold a same-seeded sibling in: the CSSS rows merge by rate
         alignment and the norm tracker merges exactly (strict) or
-        linearly (Cauchy).  This is what lets the CLI's ``--workers``
-        shard heavy-hitter replay across processes."""
+        linearly (Cauchy).  This is what lets sibling sessions
+        (:meth:`repro.api.session.StreamSession.merge`) split
+        heavy-hitter ingest across nodes."""
         if (
             not isinstance(other, AlphaHeavyHitters)
             or other.n != self.n

@@ -251,10 +251,8 @@ class AlphaInnerProductSketch:
         )
         self._drive_chunk(buckets, eff_signs, np.abs(deltas_arr))
 
-    # NOT coalescable: each live interval consumes one acceptance
+    # Reads no summed view: each live interval consumes one acceptance
     # uniform per update; coalescing would change the draw sequence.
-    coalescable_updates = False
-
     def update_plan(self, plan) -> None:
         """Planned batch update: the mod-``P`` reduction and bucket/sign
         hashes are evaluated once over the chunk's *unique* items and

@@ -422,9 +422,8 @@ class AlphaL1EstimatorGeneral:
             entries[self.r + j] = row.entries(items_arr)
         self._thin_chunk(items_arr, deltas_arr, entries)
 
-    # NOT coalescable: the thinning stream draws once per (row, update).
-    coalescable_updates = False
-
+    # Reads no summed view: the thinning stream draws once per
+    # (row, update).
     def update_plan(self, plan) -> None:
         """Planned batch update: each Cauchy row's hash/tan entry pass —
         the dominant vectorised cost — runs over the chunk's *unique*

@@ -74,11 +74,6 @@ class AlphaL2HeavyHitters:
         self._candidate_cs.update(item, abs(delta))
         self._verify_cs.update(item, delta)
 
-    #: Both constituent CountSketch tables are ℤ-linear, so in-chunk
-    #: duplicates coalesce bit-identically (the candidate sketch sums
-    #: |Δ| per item, the verify sketch sums Δ per item).
-    coalescable_updates = True
-
     #: Both constituent CountSketches dispatch to the fused table
     #: kernel (:mod:`repro.kernels`) when active.
     kernel_updates = True
@@ -90,6 +85,8 @@ class AlphaL2HeavyHitters:
         self._candidate_cs.update_batch(items_arr, np.abs(deltas_arr))
         self._verify_cs.update_batch(items_arr, deltas_arr)
 
+    # Both constituent CountSketch tables are ℤ-linear, so in-chunk
+    # duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
         """Composed plan update: one unique-item pass serves both
         sketches — the candidate folds per-item summed magnitudes (the

@@ -40,13 +40,13 @@ class AlphaSupportSampler:
     to the scalar loop at every chunk size.
 
     This structure is the package's documented **order-sensitive
-    holdout** for sharded replay: its output certificate — strictly
+    holdout** for merging: its output certificate — strictly
     positive coordinates of a *suffix* belong to the final support —
     leans on every prefix of the stream being strict-turnstile.  A
     contiguous shard of a strict stream is not itself strict (it may
     delete mass inserted in an earlier shard), so per-shard suffix
     sketches cannot be soundly recombined; there is deliberately no
-    ``merge()``, and the CLI replays this estimator single-shard.
+    ``merge()``.
 
     Parameters
     ----------

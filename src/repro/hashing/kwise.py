@@ -26,11 +26,12 @@ what :meth:`space_bits` reports — the paper's accounting.
 
 Value semantics are part of the API: ``__eq__``/``__hash__`` compare the
 computed *function* (domain, range, field, seed coefficients).  Two
-subsystems rely on this — sharded-merge compatibility checks (worker
-processes lose object identity to pickling) and the replay engine's
-per-chunk hash memoization (:meth:`repro.streams.plan.ChunkPlan.
-unique_values`), where value-equal hash functions held by different
-consumers share one evaluation per chunk.
+subsystems rely on this — merge compatibility checks (sibling sessions
+and restored snapshots rebuild their hash functions, so object identity
+is lost) and the replay engine's per-chunk hash memoization
+(:meth:`repro.streams.plan.ChunkPlan.unique_values`), where value-equal
+hash functions held by different consumers share one evaluation per
+chunk.
 """
 
 from __future__ import annotations

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import numbers
 import re
 import shutil
 import threading
@@ -84,6 +83,7 @@ from repro.api.session import (
     SequenceGapError,
     StreamSession,
 )
+from repro.batch import is_integer
 from repro.service import protocol
 from repro.service._ws import (
     OP_BINARY,
@@ -115,11 +115,6 @@ _SESSION_PATH_RE = re.compile(
 _SESSION_FIELDS = frozenset(
     {"n", "seed", "chunk_size", "node", "params", "track"}
 )
-
-
-def _is_integer(value: Any) -> bool:
-    """An integer that is not a bool (JSON ``true`` is a Python int)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 #: Largest HTTP body we accept: a protocol frame plus header slack.
@@ -275,7 +270,7 @@ class SketchService:
         if chunk_size is not None:
             integers["chunk_size"] = chunk_size
         for field, value in integers.items():
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise ServiceError(
                     "bad_session", f"{field} must be an integer, not {value!r}"
                 )

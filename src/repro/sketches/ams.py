@@ -21,10 +21,6 @@ from repro.space.accounting import counter_bits
 class AMSSketch:
     """AMS sketch: ``groups`` means of ``per_group`` atomic estimators."""
 
-    #: Each Z_j is a ℤ-linear functional of the stream, so in-chunk
-    #: duplicates coalesce bit-identically.
-    coalescable_updates = True
-
     #: Batch/plan paths dispatch to the fused sign+accumulate kernel
     #: (:mod:`repro.kernels`, z viewed as an (r, 1) table) when the
     #: compiled backend is active.
@@ -68,6 +64,8 @@ class AMSSketch:
             signs = self._signs[j].hash_array(items_arr)
             self.z[j] += int(np.dot(signs, deltas_arr))
 
+    # Each Z_j is a ℤ-linear functional of the stream, so in-chunk
+    # duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
         """Planned batch update: per atomic estimator, one cached sign
         evaluation over the chunk's *unique* items and one dot product

@@ -162,16 +162,14 @@ class CauchyL1Sketch:
         )
         self._gross_weight += exact_sum(np.abs(deltas_arr))
 
-    # Deliberately NOT coalescable: the y accumulators are float and the
-    # batch contract is *bitwise* — regrouping e(i)·(Δ₁+Δ₂) differs from
-    # e(i)·Δ₁ + e(i)·Δ₂ in the last ulp, so duplicates must stay
-    # separate.  The plan still pays off through entry-evaluation reuse.
-    coalescable_updates = False
-
     #: Both update paths dispatch the left-fold to the compiled
     #: ``cauchy_fold`` kernel (:mod:`repro.kernels`) when active.
     kernel_updates = True
 
+    # Reads no summed view: the y accumulators are float and the batch
+    # contract is *bitwise* — regrouping e(i)·(Δ₁+Δ₂) differs from
+    # e(i)·Δ₁ + e(i)·Δ₂ in the last ulp, so duplicates must stay
+    # separate.  The plan still pays off through entry-evaluation reuse.
     def update_plan(self, plan) -> None:
         """Planned batch update: the per-row hash/tan entry pipeline —
         the dominant cost — runs once over the chunk's *unique* items

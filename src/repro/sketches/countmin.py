@@ -21,9 +21,6 @@ from repro.space.accounting import counter_bits
 class CountMin:
     """CountMin over ``[n]`` with ``depth`` rows of ``width`` buckets."""
 
-    #: ℤ-linear table: in-chunk duplicates coalesce bit-identically.
-    coalescable_updates = True
-
     #: Batch/plan paths dispatch to the fused hash+scatter kernel
     #: (:mod:`repro.kernels`) when the compiled backend is active.
     kernel_updates = True
@@ -58,6 +55,7 @@ class CountMin:
             buckets = self._hashes[r].hash_array(items_arr)
             np.add.at(self.table[r], buckets, deltas_arr)
 
+    # ℤ-linear table: in-chunk duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
         """Planned batch update: one cached hash evaluation over the
         chunk's unique items per row, one coalesced scatter-add —

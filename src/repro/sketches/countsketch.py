@@ -37,10 +37,6 @@ class CountSketch:
         Randomness source for the hash seeds.
     """
 
-    #: The table is ℤ-linear in the updates: duplicate items within a
-    #: chunk coalesce to one (item, summed-delta) pair bit-identically.
-    coalescable_updates = True
-
     #: Batch/plan paths dispatch to the fused hash+sign+scatter kernel
     #: (:mod:`repro.kernels`) when the compiled backend is active.
     kernel_updates = True
@@ -81,6 +77,8 @@ class CountSketch:
             signed = self._sign_hashes[r].hash_array(items_arr) * deltas_arr
             np.add.at(self.table[r], buckets, signed)
 
+    # The table is ℤ-linear in the updates: duplicate items within a
+    # chunk coalesce to one (item, summed-delta) pair bit-identically.
     def update_plan(self, plan) -> None:
         """Planned batch update: hash the chunk's *unique* items (one
         cached evaluation per hash function, shared with any value-equal

@@ -260,7 +260,7 @@ class MisraGries:
         guarantee additive: the merged undercount is at most
         ``eps * m_a + eps * m_b = eps * m``.  Not bit-identical to a
         single-pass summary (Misra-Gries is order-dependent), but it
-        carries the same certificate, which is what sharded replay needs.
+        carries the same certificate, which is what a merge needs.
         """
         if (
             not isinstance(other, MisraGries)

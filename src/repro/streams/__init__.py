@@ -23,8 +23,6 @@ from repro.streams.engine import (
     iter_chunks,
     replay,
     replay_many,
-    replay_sharded,
-    shard_bounds,
 )
 from repro.streams.alpha import (
     lp_alpha,
@@ -54,8 +52,6 @@ __all__ = [
     "iter_chunks",
     "replay",
     "replay_many",
-    "replay_sharded",
-    "shard_bounds",
     "lp_alpha",
     "l0_alpha",
     "l1_alpha",

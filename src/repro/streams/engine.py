@@ -11,8 +11,6 @@ driver routes through it:
   array-backed stream, via :func:`repro.batch.consume_stream`);
 * :func:`replay_many` — several sketches in one chunk-major pass, so the
   stream columns are materialised once;
-* :func:`replay_sharded` — contiguous shards replayed on a thread pool
-  and folded with ``merge`` (the CLI's ``--workers``);
 * :class:`repro.api.session.StreamSession` — live pushes, buffered into
   whole chunks.
 
@@ -34,15 +32,14 @@ consumer; the rest take ``update_batch``, else the scalar loop.
 
 from __future__ import annotations
 
-import concurrent.futures
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.batch import (
     DEFAULT_CHUNK_SIZE,
+    is_integer,
     supports_batch,
-    supports_merge,
     supports_plan,
 )
 from repro.streams.plan import ChunkPlanner
@@ -52,6 +49,8 @@ from repro.streams.model import Stream
 def _chunk_size(chunk_size: int | None) -> int:
     if chunk_size is None:
         return DEFAULT_CHUNK_SIZE
+    if not is_integer(chunk_size):
+        raise TypeError(f"chunk_size must be an integer, not {chunk_size!r}")
     if chunk_size < 1:
         raise ValueError("chunk_size must be positive")
     return int(chunk_size)
@@ -170,79 +169,3 @@ def replay_many(
     driver = ChunkDriver(sketches, stream.n, chunk_size)
     driver.feed(*stream.as_arrays())
     return driver.consumers
-
-
-def shard_bounds(m: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``[start, stop)`` shard bounds splitting ``m`` updates
-    as evenly as possible across ``workers`` (empty shards dropped).
-
-    >>> shard_bounds(10, 4)
-    [(0, 3), (3, 6), (6, 8), (8, 10)]
-    """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    base, extra = divmod(m, workers)
-    bounds, start = [], 0
-    for w in range(workers):
-        stop = start + base + (1 if w < extra else 0)
-        if stop > start:
-            bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
-def replay_sharded(
-    stream: Stream,
-    factory: Callable[[int], Any],
-    workers: int | None = None,
-    chunk_size: int | None = None,
-):
-    """Replay a stream as ``workers`` parallel shards and merge the shard
-    sketches; returns the merged sketch.
-
-    ``factory(shard_index)`` must build the *same* sketch for every
-    index as far as hashing goes (same constructor arguments including
-    a fixed generator seed) — shards must share hash seeds or the merge
-    is meaningless.  The index lets sampling sketches decorrelate their
-    per-shard sampling streams (e.g. CSSS's ``sampling_seed``);
-    :func:`repro.api.registry.shard_factory` builds such factories.  The
-    sketch must implement the :class:`~repro.batch.Mergeable` protocol.
-
-    For linear integer sketches (CountSketch, CountMin, AMS,
-    FrequencyVector) the merged result is bit-identical to a one-pass
-    replay; float sketches agree to machine precision; sampling sketches
-    (CSSS) merge to a valid sketch of the whole stream by rate-aligned
-    thinning.  Shards run on a thread pool, which overlaps only where
-    NumPy and the compiled kernels release the GIL, so expect modest
-    scaling; ``workers=1`` (or a short stream) degenerates to a plain
-    in-thread replay with no pool.
-
-    >>> from repro.streams.model import FrequencyVector, stream_from_updates
-    >>> s = stream_from_updates(8, [(1, 2), (1, 3), (4, -1), (5, 1)])
-    >>> fv = replay_sharded(s, lambda shard: FrequencyVector(8), workers=2)
-    >>> fv.f.tolist()
-    [0, 5, 0, 0, -1, 1, 0, 0]
-    """
-    items, deltas = stream.as_arrays()
-    bounds = shard_bounds(len(items), 1 if workers is None else workers)
-    bounds = bounds or [(0, 0)]  # an empty stream: one empty shard
-    shards = [factory(index) for index in range(len(bounds))]
-    if len(shards) > 1 and not supports_merge(shards[0]):
-        raise TypeError(
-            f"{type(shards[0]).__name__} does not implement merge(); "
-            "sharded replay needs the Mergeable protocol"
-        )
-    drivers = [ChunkDriver([shard], stream.n, chunk_size) for shard in shards]
-
-    def run(driver: ChunkDriver, bound: tuple[int, int]) -> None:
-        driver.feed(items[bound[0]:bound[1]], deltas[bound[0]:bound[1]])
-
-    if len(drivers) == 1:
-        run(drivers[0], bounds[0])
-    else:
-        with concurrent.futures.ThreadPoolExecutor(len(drivers)) as pool:
-            list(pool.map(run, drivers, bounds))
-    merged = shards[0]
-    for shard in shards[1:]:
-        merged.merge(shard)
-    return merged

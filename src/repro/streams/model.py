@@ -183,11 +183,9 @@ class FrequencyVector:
       stream's F0 (needed for the L0 α-property and Section 6).
     """
 
-    #: All three tables are ℤ-linear in the update stream, so duplicate
-    #: updates within a chunk could coalesce bit-identically.  There is
-    #: no ``update_plan``: the vector IS a dense per-item sum already,
-    #: so its batch path is three scatter-adds and a plan cannot help.
-    coalescable_updates = True
+    # All three tables are ℤ-linear in the update stream, yet there is
+    # no ``update_plan``: the vector IS a dense per-item sum already,
+    # so its batch path is three scatter-adds and a plan cannot help.
 
     def __init__(self, n: int) -> None:
         if n < 1:

@@ -5,8 +5,8 @@ remaining redundancy in a hot replay is *inside* each chunk:
 
 * **Duplicate items.**  On skewed streams a 4096-update chunk touches far
   fewer distinct items than updates, yet every linear sketch hashes and
-  scatter-adds each occurrence separately.  Integer-linear structures
-  (see :class:`repro.batch.Coalescable`) can instead absorb one
+  scatter-adds each occurrence separately.  ℤ-linear structures (the
+  criterion is on :attr:`ChunkPlan.summed_deltas`) can instead absorb one
   ``(unique_item, summed_delta)`` pair per distinct item — bit-identical
   by additivity, 3-10x less scatter/hash work at zipf skew.
 * **Repeated hashing.**  ``replay_many`` and composed structures (heavy
@@ -177,7 +177,23 @@ class ChunkPlan:
     @property
     def summed_deltas(self) -> np.ndarray:
         """``Σ Δ`` per unique item (int64-exact; guarded by
-        :attr:`coalesce_safe`)."""
+        :attr:`coalesce_safe`).
+
+        Only a **ℤ-linear** consumer may read the summed views: its
+        whole state after the chunk must equal, bitwise, its state
+        after the per-item-summed chunk.  That holds for integer linear
+        sketches (frequency vectors, CountSketch/CountMin tables, AMS
+        sign sums).  It fails for:
+
+        * sampling structures (CSSS, schedules-backed estimators) —
+          their RNG consumption is per *update*, so coalescing would
+          change which uniforms exist;
+        * float-state linear sketches (Cauchy) — float addition
+          commutes only to machine precision, and the batch contract
+          is bitwise;
+        * running-peak counters (``SignedCounter``) — the peak of the
+          partial sums is multiplicity-sensitive.
+        """
         if self._sums is None:
             self._require_coalescable()
             sums = np.zeros(len(self.unique_items), dtype=np.int64)

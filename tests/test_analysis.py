@@ -385,7 +385,7 @@ class TestCapabilityConsistency:
             "_register('foo', Foo)\n"
         )
         pins = (
-            "EXPECTED_FLAGS = {'foo': (True, True, False, True)}\n"
+            "EXPECTED_FLAGS = {'foo': (True, True, True)}\n"
         )
         found = findings_for(
             CapabilityConsistency(),
@@ -407,7 +407,7 @@ class TestCapabilityConsistency:
             "_register('foo', Foo)\n"
         )
         pins = (
-            "EXPECTED_FLAGS = {'foo': (True, False, False, True)}\n"
+            "EXPECTED_FLAGS = {'foo': (True, False, True)}\n"
             "EXPECTED_KERNEL = {'foo': False}\n"
         )
         assert findings_for(

@@ -1,12 +1,10 @@
 """Registry pin tests: every exported sketch has a spec whose
 capability flags are correct, and the root-seed RNG policy is
-deterministic (the property shard merges and snapshots rest on)."""
+deterministic (the property session merges and snapshots rest on)."""
 
 from __future__ import annotations
 
 import inspect
-# repro: allow[pickle-ban] -- pins that shard factories stay picklable (callers may ship them to their own worker processes); never loads untrusted bytes
-import pickle
 
 import numpy as np
 import pytest
@@ -19,12 +17,10 @@ from repro.api.registry import (
     build,
     get_spec,
     rng_for,
-    shard_factory,
     specs,
 )
 from repro.batch import (
     supports_batch,
-    supports_coalescing,
     supports_kernels,
     supports_merge,
     supports_plan,
@@ -77,7 +73,6 @@ class TestRegistryPins:
         assert caps == Capabilities(
             supports_batch(sketch),
             supports_plan(sketch),
-            supports_coalescing(sketch),
             supports_merge(sketch),
             supports_kernels(sketch),
         )
@@ -86,34 +81,32 @@ class TestRegistryPins:
     #: regression (a sketch losing its plan path, a merge disappearing)
     #: must fail loudly, not just re-derive.
     EXPECTED_FLAGS = {
-        #                        batch  plan  coalesce merge
+        #                        batch  plan   merge
         # Batch-only: already a dense per-item sum, so nothing to plan.
-        "frequency_vector":     (True,  False, True,  True),
-        "countsketch":          (True,  True,  True,  True),
-        "countmin":             (True,  True,  True,  True),
-        "ams":                  (True,  True,  True,  True),
-        "cauchy":               (True,  True,  False, True),
-        "csss":                 (True,  True,  False, True),
-        "heavy_hitters":        (True,  True,  False, True),
-        "heavy_hitters_general": (True, True,  False, True),
-        "l1_general":           (True,  True,  False, True),
-        "l1_strict":            (True,  False, False, True),
+        "frequency_vector":     (True,  False, True),
+        "countsketch":          (True,  True,  True),
+        "countmin":             (True,  True,  True),
+        "ams":                  (True,  True,  True),
+        "cauchy":               (True,  True,  True),
+        "csss":                 (True,  True,  True),
+        "heavy_hitters":        (True,  True,  True),
+        "heavy_hitters_general": (True, True,  True),
+        "l1_general":           (True,  True,  True),
+        "l1_strict":            (True,  False, True),
         # Unique-item hashing for Figure 7 (not coalesced: rows are born
         # mid-chunk).
-        "alpha_l0":             (True,  True,  False, True),
+        "alpha_l0":             (True,  True,  True),
         # Figure 1's alpha = 1 endpoint: batch-only.
-        "misra_gries":          (True,  False, False, True),
+        "misra_gries":          (True,  False, True),
         # The documented order-sensitive holdout: no merge.
-        "support_sampler":      (True,  False, False, False),
+        "support_sampler":      (True,  False, False),
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_FLAGS))
     def test_pinned_capability_flags(self, name):
-        batch, plan, coalesce, merge = self.EXPECTED_FLAGS[name]
         caps = get_spec(name).capabilities()
-        assert (caps.batch, caps.plan, caps.coalesce, caps.merge) == (
-            batch, plan, coalesce, merge
-        ), name
+        assert (caps.batch, caps.plan, caps.merge) == \
+            self.EXPECTED_FLAGS[name], name
 
     #: Kernel-dispatch pins: exactly these specs route their batch/plan
     #: updates through :mod:`repro.kernels` when the backend is active.
@@ -186,17 +179,9 @@ class TestParams:
 
 
 class TestShardFactories:
-    def test_factory_requires_shard_index_and_is_picklable(self):
-        factory = shard_factory("csss", PROBE, depth=3)
-        with pytest.raises(TypeError):
-            factory()  # replay_sharded always passes the index
-        rebuilt = pickle.loads(pickle.dumps(factory))
-        a, b = factory(0), rebuilt(0)
-        assert np.array_equal(a.pos, b.pos)
-
     def test_shards_share_hashes_but_not_sampling(self):
-        factory = shard_factory("csss", PROBE, depth=3, sample_budget=128)
-        s0, s1 = factory(0), factory(1)
+        s0, s1 = (build("csss", PROBE, shard, depth=3, sample_budget=128)
+                  for shard in (0, 1))
         stream = repro.bounded_deletion_stream(PROBE.n, 2000, alpha=2,
                                                seed=4, strict=False)
         items, deltas = stream.as_arrays()
@@ -210,15 +195,6 @@ class TestShardFactories:
         merged = s0.merge(s1)
         for r in range(merged.depth):
             assert int(merged._row_weight[r]) <= merged.budget
-
-    def test_replay_sharded_round_trip(self):
-        stream = repro.bounded_deletion_stream(PROBE.n, 3000, alpha=2,
-                                               seed=6, strict=False)
-        merged = repro.replay_sharded(
-            stream, shard_factory("countmin", PROBE), workers=3,
-        )
-        single = repro.replay(stream, build("countmin", PROBE))
-        assert np.array_equal(merged.table, single.table)
 
     def test_overrides_reach_the_constructor(self):
         sketch = build("countsketch", PROBE, width=12, depth=2)

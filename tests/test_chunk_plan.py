@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import supports_coalescing, supports_plan
+from repro.batch import supports_plan
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
 from repro.core.inner_product import AlphaInnerProduct
@@ -66,9 +66,9 @@ def _inner_product_sketch(rng):
     return ctx.make_sketch()
 
 
-#: Every structure with an ``update_plan`` path.  The bool records the
-#: expected Coalescable declaration (checked — the ℤ-linearity criterion
-#: is part of the API, not an accident).
+#: Every structure with an ``update_plan`` path.  The bool records
+#: whether it is ℤ-linear, and so may read the plan's summed views (the
+#: criterion on :attr:`repro.streams.plan.ChunkPlan.summed_deltas`).
 PLAN_CASES = {
     "countsketch": (lambda rng: CountSketch(N, 48, 4, rng), True),
     "countmin": (lambda rng: CountMin(N, 64, 4, rng), True),
@@ -118,19 +118,11 @@ def test_planned_replay_equals_batch_replay(name, backend):
         assert_same_state(reference, planned)
 
 
-@pytest.mark.parametrize("name", sorted(PLAN_CASES))
-def test_coalescable_declarations(name):
-    """The Coalescable flag states the ℤ-linearity criterion; pin it."""
-    factory, expect = PLAN_CASES[name]
-    sketch = factory(np.random.default_rng(SEED))
-    assert supports_coalescing(sketch) is expect
-
-
 def test_skewed_insertion_stream_coalesces_identically():
     """The coalescing win case (many duplicates per chunk) stays exact:
-    zipf(1.5) insertion stream, all Coalescable structures."""
-    for name, (factory, coalescable) in PLAN_CASES.items():
-        if not coalescable:
+    zipf(1.5) insertion stream, every ℤ-linear structure."""
+    for name, (factory, linear) in PLAN_CASES.items():
+        if not linear:
             continue
         reference = _feed_batch(
             factory(np.random.default_rng(SEED)), SKEWED, 256)
@@ -154,7 +146,7 @@ _update_lists = st.lists(
 def test_property_coalescing_random_streams_and_chunkings(pairs, data):
     """Arbitrary mixed-sign streams (duplicates, cancellations, repeated
     items) and arbitrary chunk boundaries: planned == unplanned bitwise
-    for the Coalescable foundations."""
+    for the ℤ-linear foundations."""
     stream = Stream(N, (Update(i, d) for i, d in pairs))
     chunk = data.draw(
         st.integers(min_value=1, max_value=len(pairs)), label="chunk")
@@ -185,7 +177,7 @@ class _CoalescingForbidden(ChunkPlan):
 
 @pytest.mark.parametrize(
     "name",
-    [k for k, (_, coalescable) in PLAN_CASES.items() if not coalescable],
+    [k for k, (_, linear) in PLAN_CASES.items() if not linear],
 )
 def test_non_coalescable_structures_never_read_coalesced_views(name):
     """Feed every non-coalescable plan consumer through plans whose sum
@@ -205,7 +197,7 @@ def test_non_coalescable_structures_never_read_coalesced_views(name):
 
 def test_coalescing_refused_when_sums_could_wrap_int64():
     """Huge-delta chunks fall back to the exact batch path: the plan
-    refuses per-item sums and a Coalescable consumer must produce the
+    refuses per-item sums and a ℤ-linear consumer must produce the
     same state as its batch replay (the gross weight stays under 2^63,
     so no table cell can wrap on either path)."""
     big = (1 << 61) + 7
@@ -326,12 +318,10 @@ UNPLANNED_SETS = [("frequency_vector",), ("frequency_vector", "misra_gries")]
 
 @pytest.mark.parametrize("names", PLANNED_SETS + UNPLANNED_SETS)
 def test_every_driver_follows_one_plan_policy(monkeypatch, names):
-    """replay, replay_many, replay_sharded and StreamSession plan the
-    same consumer sets: a chunk is planned iff some consumer implements
-    ``update_plan`` (replay and replay_sharded take the one-consumer
-    sets)."""
-    from repro.api import Params, StreamSession, build, shard_factory
-    from repro.streams.engine import replay_sharded
+    """replay, replay_many and StreamSession plan the same consumer
+    sets: a chunk is planned iff some consumer implements
+    ``update_plan`` (replay takes the one-consumer sets)."""
+    from repro.api import Params, StreamSession, build
 
     chunk = 128
     stream = zipfian_insertion_stream(N, 4 * chunk, skew=1.5, seed=303)
@@ -365,9 +355,6 @@ def test_every_driver_follows_one_plan_policy(monkeypatch, names):
     if len(names) == 1:
         counts["replay"] = plans(lambda: replay(
             stream, build(names[0], params), chunk_size=chunk))
-        counts["replay_sharded"] = plans(lambda: replay_sharded(
-            stream, shard_factory(names[0], params), workers=2,
-            chunk_size=chunk))
     expected = 4 if names in PLANNED_SETS else 0
     assert counts == dict.fromkeys(counts, expected)
 

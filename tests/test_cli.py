@@ -58,53 +58,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "reported" in out and "bits" in out
 
-    def test_heavy_hitters_sharded_matches_single(self, capsys):
-        """--workers shards the replay and merges; the reported heavy
-        hitter set (strict path: CSSS + exact L1) must stay correct."""
-        args = ["heavy-hitters", "--n", "512", "--m", "4000",
-                "--alpha", "4", "--eps", "0.125"]
-        assert main(args) == 0
-        single = capsys.readouterr().out
-        assert main(args + ["--workers", "2"]) == 0
-        sharded = capsys.readouterr().out
-        line = next(l for l in single.splitlines() if "true eps" in l)
-        assert line in sharded
-        assert "2 workers" in sharded
-
-    def test_workers_fallback_note_only_on_support(self, capsys):
-        """The support sampler is the one documented order-sensitive
-        holdout; every other estimator subcommand shards."""
-        assert main(["support", "--n", "512", "--m", "2000",
-                     "--workers", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "workers ignored" in out and "order-sensitive" in out
-
-    @pytest.mark.parametrize("command", ["l0", "l1", "heavy-hitters"])
-    def test_workers_accepted_without_fallback(self, capsys, command):
-        assert main([command, "--n", "512", "--m", "2000",
-                     "--workers", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "workers ignored" not in out
-        assert "3 workers" in out
-
-    def test_l0_sharded_estimate_stays_in_band(self, capsys):
-        """Sharded L0 merges component-wise; the decoded estimate must
-        stay in the same ballpark as the single-shard answer."""
-        args = ["l0", "--workload", "sensor", "--n", "4096", "--m", "20000"]
-        assert main(args) == 0
-        single = capsys.readouterr().out
-        assert main(args + ["--workers", "4"]) == 0
-        sharded = capsys.readouterr().out
-
-        def grab(out, key):
-            line = next(l for l in out.splitlines() if key in l)
-            return float(line.split(":")[1].strip())
-
-        truth = grab(single, "true L0")
-        assert abs(grab(sharded, "L0 estimate") - truth) <= max(
-            0.75 * truth, 2 * abs(grab(single, "L0 estimate") - truth) + 8
-        )
-
     def test_l1_strict_path(self, capsys):
         assert main(["l1", "--n", "512", "--m", "3000", "--alpha", "4"]) == 0
         out = capsys.readouterr().out
@@ -156,16 +109,6 @@ class TestCommands:
                      "cauchy_fold", "csss_scatter"):
             assert name in out
         assert "countsketch" in out and "csss" in out
-
-    def test_l1_general_sharded(self, capsys):
-        """The general (Theorem 8) estimator shards with per-shard
-        thinning seeds (ROADMAP lever c) and still answers."""
-        assert main([
-            "l1", "--workload", "traffic", "--n", "2048", "--m", "8000",
-            "--eps", "0.3", "--workers", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "Theorem 8" in out and "2 workers" in out
 
     def test_l0(self, capsys):
         assert main(["l0", "--workload", "sensor", "--n", "4096",

@@ -1,4 +1,4 @@
-"""Merge / sharded-replay correctness harness.
+"""Merge correctness harness.
 
 The merge contract (:mod:`repro.batch`): for sketches built with
 identical seeds, ``a.merge(b)`` must leave ``a`` summarising the
@@ -15,21 +15,17 @@ concatenation of both input streams.  This harness checks, for every
   invariants and the Theorem 1 error guarantee (bit-identity is
   impossible: each shard consumes its own sampling randomness);
 * shard realism: merges still work after a pickle round-trip (hash
-  functions compare by value, not identity), and
-  :func:`repro.streams.engine.replay_sharded` on its thread pool
-  produces the same tables as a single replay.
+  functions compare by value, not identity).
 """
 
 from __future__ import annotations
 
 # repro: allow[pickle-ban] -- pins that merges survive a pickle round-trip (hash functions compare by value, not identity); never loads untrusted bytes
 import pickle
-import sys
 
 import numpy as np
 import pytest
 
-from repro.batch import supports_merge
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
 from repro.core.inner_product import AlphaInnerProduct
@@ -46,12 +42,12 @@ from repro.sketches.cauchy import CauchyL1Sketch
 from repro.sketches.countmin import CountMin
 from repro.sketches.countsketch import CountSketch
 from repro.sketches.misra_gries import MisraGries
-from repro.streams.engine import replay, replay_sharded, shard_bounds
+from repro.streams.engine import replay
 from repro.streams.generators import (
     bounded_deletion_stream,
     zipfian_insertion_stream,
 )
-from repro.streams.model import FrequencyVector
+from repro.streams.model import FrequencyVector, Stream
 
 N = 1 << 10
 M = 6_000
@@ -125,41 +121,29 @@ def strict_stream():
     return bounded_deletion_stream(N, M, alpha=4, seed=72, strict=True)
 
 
-def _shard_replay(stream, factory, workers):
-    """Sequential sharded replay: explicit shards + merge (the engine's
-    thread pool does exactly this; here we keep it deterministic and
-    debuggable)."""
+def _shard_replay(stream, factory, shards):
+    """Replay ``shards`` contiguous, near-equal parts of the stream into
+    one sketch each, then fold them left to right with ``merge``."""
     items, deltas = stream.as_arrays()
-    shards = []
-    for a, b in shard_bounds(len(items), workers):
-        shards.append(replay(type(stream)(stream.n, list(stream)[a:b]),
-                             factory()))
-    merged = shards[0]
-    for s in shards[1:]:
-        merged.merge(s)
+    parts = [
+        replay(Stream.from_arrays(stream.n, part_items, part_deltas),
+               factory())
+        for part_items, part_deltas in zip(np.array_split(items, shards),
+                                           np.array_split(deltas, shards))
+    ]
+    merged = parts[0]
+    for part in parts[1:]:
+        merged.merge(part)
     return merged
-
-
-class TestShardBounds:
-    def test_covers_everything_contiguously(self):
-        bounds = shard_bounds(10, 4)
-        assert bounds == [(0, 3), (3, 6), (6, 8), (8, 10)]
-
-    def test_more_workers_than_updates(self):
-        assert shard_bounds(2, 5) == [(0, 1), (1, 2)]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            shard_bounds(4, 0)
 
 
 class TestExactLinearMerges:
     @pytest.mark.parametrize("name", sorted(EXACT_LINEAR))
-    @pytest.mark.parametrize("workers", [2, 4, 7])
-    def test_merged_shards_bit_identical(self, stream, name, workers):
+    @pytest.mark.parametrize("shards", [2, 4, 7])
+    def test_merged_shards_bit_identical(self, stream, name, shards):
         factory, state = EXACT_LINEAR[name]
         single = replay(stream, factory())
-        merged = _shard_replay(stream, factory, workers)
+        merged = _shard_replay(stream, factory, shards)
         for a, b in zip(state(single), state(merged)):
             if isinstance(a, np.ndarray):
                 assert np.array_equal(a, b), name
@@ -168,8 +152,8 @@ class TestExactLinearMerges:
 
     @pytest.mark.parametrize("name", sorted(EXACT_LINEAR))
     def test_merge_survives_pickle_round_trip(self, stream, name):
-        """Worker processes return shards by pickling; hash functions
-        must compare by value afterwards."""
+        """A sketch shipped across a process boundary (pickled) still
+        merges: hash functions compare by value, not identity."""
         factory, state = EXACT_LINEAR[name]
         items, deltas = stream.as_arrays()
         half = len(items) // 2
@@ -263,72 +247,6 @@ class TestFloatAndSamplingMerges:
         for i in reported:
             assert abs(int(fv.f[i])) >= (eps / 2) * fv.l1() * 0.5
 
-    def test_exact_l1_counter_merge(self):
-        a, b = ExactL1Counter(), ExactL1Counter()
-        a.update(0, 5)
-        b.update(0, 7)
-        b.update(1, -2)
-        assert a.merge(b).value == 10
-
-
-def _unindexed(make):
-    """A ``factory(shard_index)`` that ignores the index: every shard
-    gets the identical sketch."""
-    return lambda shard_index: make()
-
-
-class TestReplaySharded:
-    def test_thread_pool_matches_in_process(self, stream):
-        """More shards than cores and a short switch interval, so the
-        shard threads interleave inside the hash and scatter paths: a
-        lost or crossed update would break table equality."""
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            merged = replay_sharded(stream, _unindexed(_make_countmin),
-                                    workers=8, chunk_size=64)
-        finally:
-            sys.setswitchinterval(interval)
-        single = replay(stream, _make_countmin())
-        assert np.array_equal(merged.table, single.table)
-
-    def test_single_worker_is_plain_replay(self, stream):
-        merged = replay_sharded(stream, _unindexed(_make_countsketch),
-                                workers=1)
-        single = replay(stream, _make_countsketch())
-        assert np.array_equal(merged.table, single.table)
-
-    def test_rejects_non_mergeable(self):
-        """The support sampler is the documented order-sensitive holdout:
-        it deliberately implements no merge()."""
-        from repro.core.support_sampler import AlphaSupportSampler
-
-        def make(shard_index):
-            return AlphaSupportSampler(N, k=4, alpha=2,
-                                       rng=np.random.default_rng(5))
-
-        assert not supports_merge(make(0))
-        strict = bounded_deletion_stream(N, 200, alpha=2, seed=5, strict=True)
-        with pytest.raises(TypeError):
-            replay_sharded(strict, make, workers=2)
-
-    def test_shard_indexed_factory_receives_index(self, stream):
-        """The factory gets the shard index; per-shard CSSS sampling
-        seeds decorrelate the shards while hash seeds stay shared, so
-        the merge still validates."""
-        seen = []
-
-        def factory(shard_index):
-            seen.append(shard_index)
-            return CSSS(N, k=8, eps=0.1, alpha=4,
-                        rng=np.random.default_rng(SEED), depth=4,
-                        sampling_seed=(SEED, shard_index))
-
-        merged = replay_sharded(stream, factory, workers=3)
-        assert sorted(seen) == [0, 1, 2]
-        for r in range(merged.depth):
-            assert int(merged._row_weight[r]) <= merged.budget
-
     def test_shard_indexed_seeds_decorrelate_sampling(self):
         """Same hash seeds, different sampling seeds: the tables differ
         (independent sampling realisations) but merges stay valid."""
@@ -347,9 +265,12 @@ class TestReplaySharded:
         for r in range(merged.depth):
             assert int(merged._row_weight[r]) <= merged.budget
 
-    def test_invalid_arguments(self, stream):
-        with pytest.raises(ValueError):
-            replay_sharded(stream, _unindexed(_make_countsketch), workers=0)
+    def test_exact_l1_counter_merge(self):
+        a, b = ExactL1Counter(), ExactL1Counter()
+        a.update(0, 5)
+        b.update(0, 7)
+        b.update(1, -2)
+        assert a.merge(b).value == 10
 
 
 # -- the schedule-core ports: merge + pickle round-trips ----------------------

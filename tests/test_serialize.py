@@ -225,13 +225,12 @@ class TestReviewHardening:
             restore(payload)
 
     def test_shard_strict_l1_seeds_are_independent(self):
-        """The registry l1_strict shard factory reroots each shard's
-        sampling generator (the old CLI policy, preserved)."""
-        from repro.api import shard_factory
+        """The registry's l1_strict builder reroots the sampling
+        generator of every shard index but 0."""
+        from repro.api import build
         from repro.streams.generators import bounded_deletion_stream
 
-        factory = shard_factory("l1_strict", PARAMS)
-        s0, s1 = factory(0), factory(1)
+        s0, s1 = (build("l1_strict", PARAMS, shard) for shard in (0, 1))
         stream = bounded_deletion_stream(N, 1500, alpha=4, seed=21,
                                          strict=True)
         items, deltas = stream.as_arrays()

@@ -4,7 +4,9 @@
 substrate of the batch pipeline; their validation must match the scalar
 ``Update.__post_init__`` rules exactly (reject zero deltas, negative
 items, out-of-universe items), and the chunked engine must replay them
-identically to the scalar loop.
+identically to the scalar loop.  Sizes, seeds and indices handed to the
+engine, sessions and params must be integers: a ``1.5`` is refused,
+never truncated.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Params, StreamSession
 from repro.batch import as_update_arrays
-from repro.streams.engine import iter_chunks, replay, replay_many
+from repro.streams.engine import ChunkDriver, iter_chunks, replay, replay_many
 from repro.streams.generators import bounded_deletion_stream
 from repro.streams.model import FrequencyVector, Stream, Update
 
@@ -152,3 +155,35 @@ class TestEngine:
             chunk_size=200)
         assert np.array_equal(a.f, b.f)
         assert a.l1() == stream.frequency_vector().l1()
+
+
+def _tiny() -> Stream:
+    return Stream.from_arrays(16, [1, 2, 3], [1, 1, -1])
+
+
+#: case -> (build(value), a non-integer that ``int()`` would truncate).
+INTEGER_ARGUMENTS = {
+    "session_n": (lambda v: StreamSession(n=v), 16.7),
+    "session_n_bool": (lambda v: StreamSession(n=v), True),
+    "session_node": (lambda v: StreamSession(16, node=v), 1.5),
+    "session_chunk_size": (lambda v: StreamSession(16, chunk_size=v), 1.5),
+    "session_chunk_size_bool": (
+        lambda v: StreamSession(16, chunk_size=v), True),
+    "replay_chunk_size": (
+        lambda v: replay(_tiny(), FrequencyVector(16), chunk_size=v), 1.5),
+    "replay_many_chunk_size": (
+        lambda v: replay_many(_tiny(), [FrequencyVector(16)], chunk_size=v),
+        True),
+    "driver_chunk_size": (lambda v: ChunkDriver([], 16, chunk_size=v), 1.5),
+    "iter_chunks": (lambda v: list(iter_chunks(_tiny(), v)), 2.5),
+    "params_n": (lambda v: Params(n=v), 16.7),
+    "params_seed": (lambda v: Params(seed=v), 2.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTEGER_ARGUMENTS))
+def test_non_integer_sizes_are_refused_not_truncated(case):
+    build, bad = INTEGER_ARGUMENTS[case]
+    with pytest.raises(TypeError, match="must be an integer"):
+        build(bad)
+    build(np.int64(int(bad)))  # NumPy integers stay accepted
