@@ -29,6 +29,7 @@ import repro.kernels as _kernels
 from repro.batch import as_update_arrays, consume_stream, exact_sum
 from repro.core.schedules import AdaptiveSamplingSchedule
 from repro.hashing.kwise import FourWiseHash, SignHash
+from repro.sketches.countsketch import median_scan_survivors
 from repro.space.accounting import counter_bits
 
 
@@ -381,10 +382,23 @@ class CSSS:
         return np.median(est, axis=0)
 
     def heavy_candidates(self, threshold: float) -> set[int]:
-        """All items whose point query is >= threshold (universe scan;
-        identification cost is charged to query time, per Section 3)."""
-        estimates = self.query_all(np.arange(self.n))
-        return {int(i) for i in np.nonzero(np.abs(estimates) >= threshold)[0]}
+        """All items whose point query is >= threshold in magnitude
+        (identification cost is charged to query time, per Section 3):
+        an exact pruned universe scan (:func:`median_scan_survivors`),
+        then the :meth:`query_all` test on the survivors.
+
+        Row ``r``'s magnitudes are ``float64(|net|) * 2^p_r``, the
+        values :meth:`query_all` puts in its estimate matrix.
+        """
+        scale = 2.0 ** self.log2_inv_p.astype(np.float64)
+        magnitudes = np.abs(self.pos - self.neg) * scale[:, None]
+        items = median_scan_survivors(
+            self.n, self._bucket_hashes, magnitudes, threshold
+        )
+        if items.size == 0:
+            return set()
+        estimates = self.query_all(items)
+        return {int(i) for i in items[np.abs(estimates) >= threshold]}
 
     def row_l2_estimate(self, r: int) -> float:
         """Rescaled L2 of row r's net cells — estimates ``‖s_r‖_2`` where
@@ -394,9 +408,16 @@ class CSSS:
             2.0 ** self._schedules[r].log2_inv_p
         )
 
-    def best_k_sparse(self) -> dict[int, float]:
-        """The best k-sparse approximation ``ŷ`` of ``y*`` (universe scan)."""
-        estimates = self.query_all(np.arange(self.n))
+    def best_k_sparse(
+        self, estimates: np.ndarray | None = None
+    ) -> dict[int, float]:
+        """The best k-sparse approximation ``ŷ`` of ``y*`` (universe scan).
+
+        ``estimates`` is ``query_all(np.arange(n))`` when the caller
+        already holds it; otherwise the scan computes it.
+        """
+        if estimates is None:
+            estimates = self.query_all(np.arange(self.n))
         order = np.argsort(-np.abs(estimates))[: self.k]
         return {int(i): float(estimates[i]) for i in order if estimates[i] != 0.0}
 
@@ -507,14 +528,18 @@ class CSSSWithTailEstimate:
     def query_all(self, items) -> np.ndarray:
         return self.main.query_all(items)
 
-    def tail_error_estimate(self, l1_of_stream: float) -> float:
+    def tail_error_estimate(
+        self, l1_of_stream: float, estimates: np.ndarray | None = None
+    ) -> float:
         """The Lemma 5 value v (using ``‖f‖_1`` for the additive term).
 
         Computes ``ŷ`` from the main instance, virtually subtracts it from
         the shadow instance's rows, and returns
-        ``2 * median_r ‖row_r residual‖_2 + 5 ε ‖f‖_1``.
+        ``2 * median_r ‖row_r residual‖_2 + 5 ε ‖f‖_1``.  ``estimates``
+        is the main instance's universe ``query_all`` when the caller
+        already holds it (:meth:`CSSS.best_k_sparse`).
         """
-        y_hat = self.main.best_k_sparse()
+        y_hat = self.main.best_k_sparse(estimates)
         shadow = self.shadow
         residual_l2 = np.empty(shadow.depth, dtype=np.float64)
         for r in range(shadow.depth):

@@ -159,9 +159,11 @@ class AlphaL1Sampler:
         """Return ``(item, f_hat)`` or None (FAIL).
 
         Implements Recovery steps 1-4 of Figure 3: find the maximal
-        ``|y*_i|``; abort if the tail-error estimate v is too large
-        relative to ``√k (r + ε q)``, or the maximum fails both the
-        ``r/ε`` threshold and the ``Ω(ε² q / polylog)`` heaviness check.
+        ``|y*_i|``; abort if the maximum fails both the ``r/ε``
+        threshold and the ``Ω(ε² q / polylog)`` heaviness check, or the
+        tail-error estimate v is too large relative to ``√k (r + ε q)``.
+        Both aborts return None and touch no state, so the cheap check
+        goes first; the one universe scan feeds both the argmax and v.
         """
         if self.r <= 0:
             return None
@@ -169,14 +171,14 @@ class AlphaL1Sampler:
         best = int(np.argmax(np.abs(estimates)))
         y_best = float(estimates[best])
 
-        v = self.csss.tail_error_estimate(float(self.q))
-        sqrt_k = float(np.sqrt(self.k))
-        sens = self.csss.main.eps
-        if v > self.abort_factor * (sqrt_k * self.r + sqrt_k * sens * self.q):
-            return None
         threshold = self.r / self.eps
         heaviness = 0.5 * (self.eps**2 / max(1.0, np.log2(self.n)) ** 2) * self.q
         if abs(y_best) < max(threshold, heaviness):
+            return None
+        v = self.csss.tail_error_estimate(float(self.q), estimates)
+        sqrt_k = float(np.sqrt(self.k))
+        sens = self.csss.main.eps
+        if v > self.abort_factor * (sqrt_k * self.r + sqrt_k * sens * self.q):
             return None
         t_best = self._t(best)
         return best, y_best * t_best

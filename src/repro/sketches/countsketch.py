@@ -22,6 +22,49 @@ from repro.hashing.kwise import FourWiseHash, SignHash
 from repro.space.accounting import counter_bits
 
 
+def median_scan_survivors(n, bucket_hashes, magnitudes, threshold) -> np.ndarray:
+    """Items of ``[0, n)`` whose median-of-rows estimate can still reach
+    ``threshold`` in magnitude, ascending: the exact pruned universe scan.
+
+    ``magnitudes[r, b]`` is the float64 value, up to sign, that the
+    caller's ``query_all`` puts in its estimate matrix for an item in
+    row ``r``'s bucket ``b``.  The caller runs ``query_all`` on the
+    survivors and keeps those at or above the threshold, which equals a
+    full universe scan:
+
+    - over ``d`` rows, ``|median| >= T`` needs ``ceil(d/2)`` rows whose
+      magnitude reaches ``T`` (odd ``d``: the middle value and every
+      value beyond it; even ``d``: the outer middle value and every
+      value beyond it);
+    - two float64 values below ``T`` sum to at most ``2·pred(T)`` and
+      halving is exact, so rounding cannot lift a pruned item's median
+      to ``T``, even where the magnitudes are themselves rounded
+      (CountSketch cells above ``2^53``);
+    - a row hit needs only the bucket hash, and a row with no cell at
+      ``T`` cannot hit.
+
+    A row's magnitudes sum to about the sketched L1 mass ``R``, so at
+    most ``R/T`` of its cells reach ``T``; no item can leave before row
+    ``d - ceil(d/2) + 1``, and few outlive it.
+    """
+    need = (len(bucket_hashes) + 1) // 2
+    marked = magnitudes >= threshold
+    rows = np.flatnonzero(marked.any(axis=1))
+    if len(rows) < need:
+        return np.empty(0, dtype=np.int64)
+    items = np.arange(n, dtype=np.int64)
+    hits = np.zeros(n, dtype=np.int32)
+    for left, r in zip(range(len(rows) - 1, -1, -1), rows):
+        hits += marked[r][bucket_hashes[r].hash_array(items)]
+        # Until ``need - left`` turns positive no item can fall short.
+        if need - left > 0:
+            alive = hits >= need - left
+            items, hits = items[alive], hits[alive]
+            if items.size == 0:
+                break
+    return items
+
+
 class CountSketch:
     """Classic CountSketch over universe ``[n]``.
 
@@ -155,10 +198,23 @@ class CountSketch:
         )
 
     def heavy_hitters(self, threshold: float) -> set[int]:
-        """All items whose point query is >= threshold (exhaustive scan —
-        the baseline HH decoder; fine at benchmark scale)."""
-        estimates = self.query_all(np.arange(self.n))
-        return {int(i) for i in np.nonzero(np.abs(estimates) >= threshold)[0]}
+        """All items whose point query is >= threshold in magnitude (the
+        baseline HH decoder and Appendix A's candidate phase): an exact
+        pruned universe scan (:func:`median_scan_survivors`), then the
+        :meth:`query_all` test on the survivors.
+
+        The magnitudes are ``float64(|cell|)``, the value ``np.median``
+        reads from the int64 estimate matrix; the ``int64`` truncation
+        of the median can only shrink it, so no pruned item is lost.
+        """
+        items = median_scan_survivors(
+            self.n, self._bucket_hashes,
+            np.abs(self.table).astype(np.float64), threshold,
+        )
+        if items.size == 0:
+            return set()
+        estimates = self.query_all(items)
+        return {int(i) for i in items[np.abs(estimates) >= threshold]}
 
     def merge(self, other: "CountSketch") -> "CountSketch":
         """Fold a same-seeded sibling into this sketch, in place.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.hashing.kwise import KWiseHash
 from repro.sketches.countsketch import CountSketch
 from repro.streams.generators import bounded_deletion_stream
 
@@ -15,6 +16,42 @@ def sketch_and_truth(small_alpha_stream):
     cs = CountSketch(small_alpha_stream.n, width=64, depth=7, rng=rng)
     cs.consume(small_alpha_stream)
     return cs, small_alpha_stream.frequency_vector()
+
+
+def full_scan(sketch, threshold) -> set[int]:
+    """Reference heavy set: point-query the whole universe, keep every
+    item whose estimate reaches ``threshold`` in magnitude."""
+    estimates = sketch.query_all(np.arange(sketch.n))
+    return {int(i) for i in np.flatnonzero(np.abs(estimates) >= threshold)}
+
+
+def counting_hashes(monkeypatch) -> list:
+    """Record ``(hash, items)`` for every ``KWiseHash.hash_array`` call
+    (sign hashes reach it through their inner ``KWiseHash``)."""
+    calls: list = []
+    original = KWiseHash.hash_array
+
+    def counting(h, xs):
+        calls.append((h, np.array(xs, copy=True)))
+        return original(h, xs)
+
+    monkeypatch.setattr(KWiseHash, "hash_array", counting)
+    return calls
+
+
+def edge_thresholds(medians, cells, rng, picks=6) -> list[float]:
+    """Thresholds on the pruned scan's edges: exact median magnitudes
+    and cell magnitudes (the largest few plus a random few), each also
+    one ulp below; then ``T <= 0``, NaN and inf."""
+    out = [0.0, -0.0, -1.0, float("nan"), float("inf")]
+    for values in (medians, cells):
+        mags = np.unique(np.abs(np.asarray(values, dtype=np.float64)))
+        mags = mags[mags > 0]
+        chosen = set(mags[-(picks // 2):])
+        chosen |= set(rng.choice(mags, min(picks, mags.size), replace=False))
+        for v in sorted(chosen):
+            out += [float(v), float(np.nextafter(v, 0.0))]
+    return out
 
 
 class TestPointQueries:
@@ -88,6 +125,44 @@ class TestHeavyHitters:
         eps = 1 / 16
         got = cs.heavy_hitters(0.75 * eps * fv.l1())
         assert fv.heavy_hitters(eps) <= got
+
+    @pytest.mark.parametrize("depth", [1, 4, 7])
+    @pytest.mark.parametrize("huge", [False, True], ids=["small", "above2^53"])
+    def test_pruned_scan_equals_full_scan(self, backend, small_alpha_stream,
+                                          depth, huge):
+        """The pruned scan reports exactly the full scan's set, at
+        thresholds on exact medians and cell magnitudes, one ulp below
+        each, T <= 0 (everything), NaN and inf (nothing); with cells
+        above 2^53, where float64(|cell|) rounds."""
+        n = small_alpha_stream.n
+        for seed in range(4):
+            rng = np.random.default_rng(1000 + seed)
+            cs = CountSketch(n, width=24, depth=depth, rng=rng)
+            cs.consume(small_alpha_stream)
+            if huge:
+                big = rng.integers(1 << 54, 1 << 58, size=6)
+                cs.update_batch(rng.integers(0, n, size=6),
+                                big * rng.choice([-1, 1], size=6))
+                assert np.abs(cs.table).max() > 1 << 53
+            medians = cs.query_all(np.arange(n))
+            for t in edge_thresholds(medians, cs.table, rng):
+                assert cs.heavy_hitters(t) == full_scan(cs, t), (seed, t)
+            assert cs.heavy_hitters(0.0) == set(range(n))
+            assert cs.heavy_hitters(float("nan")) == set()
+            assert cs.heavy_hitters(float("inf")) == set()
+
+    def test_too_few_marked_rows_hash_nothing(self, monkeypatch):
+        """With fewer than ceil(d/2) rows holding a cell at T, no item
+        can reach T: the scan returns without hashing anything."""
+        cs = CountSketch(256, 16, 7, np.random.default_rng(9))
+        cs.table[:3, 5] = 1000  # 3 rows < ceil(7/2)
+        calls = counting_hashes(monkeypatch)
+        assert cs.heavy_hitters(500.0) == set()
+        assert calls == []
+        cs.table[3, 5] = 1000  # now 4 rows: the scan runs
+        got = cs.heavy_hitters(500.0)
+        assert calls
+        assert got == full_scan(cs, 500.0)
 
 
 class TestSpaceAccounting:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.csss import CSSS, CSSSWithTailEstimate, default_sample_budget
+from repro.core.heavy_hitters import AlphaHeavyHitters
 from repro.sketches.countsketch import CountSketch
 from repro.streams.generators import bounded_deletion_stream
+from tests.test_countsketch import counting_hashes, edge_thresholds, full_scan
 
 
 @pytest.fixture
@@ -114,6 +116,77 @@ class TestMechanics:
         approx = c.best_k_sparse()
         assert set(fv.top_k(4)) <= set(approx)
         assert len(approx) <= c.k
+        assert c.best_k_sparse(c.query_all(np.arange(c.n))) == approx
+
+
+def _cell_magnitudes(c: CSSS) -> np.ndarray:
+    return np.abs(c.pos - c.neg) * 2.0 ** c.log2_inv_p[:, None]
+
+
+class TestPrunedHeavyScan:
+    @pytest.mark.parametrize("depth", [1, 4, 5])
+    @pytest.mark.parametrize("budget", [None, 256], ids=["rate1", "halved"])
+    def test_equals_full_scan(self, backend, small_alpha_stream, depth, budget):
+        """heavy_candidates reports exactly the full scan's set, at
+        thresholds on exact medians and cell magnitudes, one ulp below
+        each, T <= 0 (everything), NaN and inf (nothing)."""
+        n = small_alpha_stream.n
+        for seed in range(4):
+            rng = np.random.default_rng(400 + seed)
+            c = CSSS(n, k=4, eps=0.1, alpha=4, rng=rng, depth=depth,
+                     sample_budget=budget)
+            c.consume(small_alpha_stream)
+            if budget is not None:
+                assert c.log2_inv_p.min() >= 1  # every row halved
+            medians = c.query_all(np.arange(n))
+            for t in edge_thresholds(medians, _cell_magnitudes(c), rng):
+                assert c.heavy_candidates(t) == full_scan(c, t), (seed, t)
+            assert c.heavy_candidates(-1.0) == set(range(n))
+            assert c.heavy_candidates(float("nan")) == set()
+            assert c.heavy_candidates(float("inf")) == set()
+
+    def test_no_marked_cell_hashes_nothing(self, backend, csss_and_truth,
+                                           monkeypatch):
+        c, __ = csss_and_truth
+        above = 2.0 * float(_cell_magnitudes(c).max()) + 1.0
+        calls = counting_hashes(monkeypatch)
+        assert c.heavy_candidates(above) == set()
+        assert calls == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_zipf_work_is_bounded(self, backend, seed, monkeypatch):
+        """On a zipf-shaped state at Theorem 4's threshold, an item is
+        bucket-hashed past the first ``d - ceil(d/2) + 1`` rows only if
+        some row marks its cell, and sign-hashed only if ``ceil(d/2)``
+        rows do (the survivors, which ``query_all`` then hashes through
+        all ``2d`` functions).  The full scan hashes ``2dn`` items."""
+        n = 4096
+        stream = bounded_deletion_stream(n, 20_000, alpha=4, skew=1.5,
+                                         seed=seed)
+        hh = AlphaHeavyHitters(n, eps=1 / 16, alpha=4,
+                               rng=np.random.default_rng(seed)).consume(stream)
+        c = hh.csss
+        d, need = c.depth, (c.depth + 1) // 2
+        threshold = 0.75 * hh.eps * hh.l1_estimate()
+        mags = _cell_magnitudes(c)
+        hits = np.zeros(n, dtype=np.int64)
+        for r, h in enumerate(c._bucket_hashes):
+            hits += mags[r][h.hash_array(np.arange(n))] >= threshold
+        touched = int(np.count_nonzero(hits))
+        survivors = np.flatnonzero(hits >= need)
+
+        calls = counting_hashes(monkeypatch)
+        got = hh.heavy_hitters()
+        monkeypatch.undo()
+        hashed = sum(items.size for __, items in calls)
+        bound = (d - need + 1) * n + (need - 1) * touched + 2 * d * survivors.size
+        assert hashed <= bound < d * n
+        signs = {id(g._h) for g in c._sign_hashes}
+        for h, items in calls:
+            if id(h) in signs:
+                assert set(items.tolist()) <= set(survivors.tolist())
+        assert got == full_scan(c, threshold)
+        assert got <= set(survivors.tolist())
 
 
 class TestTailEstimate:

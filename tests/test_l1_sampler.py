@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.csss import CSSS
 from repro.core.l1_sampler import AlphaL1MultiSampler, AlphaL1Sampler
 from repro.streams.generators import strong_alpha_stream
 
@@ -65,6 +68,57 @@ class TestSamplingBehaviour:
     def test_empty_stream_fails_gracefully(self):
         s = AlphaL1Sampler(64, eps=0.25, alpha=2, rng=np.random.default_rng(1))
         assert s.sample() is None
+
+
+def _two_scan_sample(s: AlphaL1Sampler):
+    """``sample()`` as a universe scan for the argmax, a second inside
+    the Lemma 5 tail estimate, then the v refusal before the threshold
+    refusal."""
+    if s.r <= 0:
+        return None
+    estimates = s.csss.query_all(np.arange(s.n))
+    best = int(np.argmax(np.abs(estimates)))
+    y_best = float(estimates[best])
+    v = s.csss.tail_error_estimate(float(s.q))
+    sqrt_k = float(np.sqrt(s.k))
+    if v > s.abort_factor * (sqrt_k * s.r + sqrt_k * s.csss.main.eps * s.q):
+        return None
+    threshold = s.r / s.eps
+    heaviness = 0.5 * (s.eps**2 / max(1.0, np.log2(s.n)) ** 2) * s.q
+    if abs(y_best) < max(threshold, heaviness):
+        return None
+    return best, y_best * s._t(best)
+
+
+class TestOneScanPerAttempt:
+    def test_sample_matches_two_scan_sequence(self, backend, strong_stream,
+                                              monkeypatch):
+        """Reusing the argmax scan's estimates for the tail estimate,
+        and refusing on the threshold first, changes no answer; each
+        attempt scans the universe once.  The tight abort factor makes
+        the v refusal fire, alone and together with the threshold's."""
+        scans = []
+        original = CSSS.query_all
+
+        def counting(c, items):
+            scans.append(len(items) == c.n)
+            return original(c, items)
+
+        outcomes = []
+        for seed, abort in itertools.product(range(16), (4.0, 1.0)):
+            s = AlphaL1Sampler(strong_stream.n, eps=0.25, alpha=3,
+                               rng=np.random.default_rng(seed),
+                               abort_factor=abort)
+            s.consume(strong_stream)
+            want = _two_scan_sample(s)
+            monkeypatch.setattr(CSSS, "query_all", counting)
+            scans.clear()
+            got = s.sample()
+            monkeypatch.undo()
+            assert got == want, (seed, abort)
+            assert sum(scans) == 1
+            outcomes.append(got is not None)
+        assert any(outcomes) and not all(outcomes)
 
 
 class TestMultiSampler:
