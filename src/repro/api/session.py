@@ -210,6 +210,15 @@ class StreamSession:
                 raise TypeError(
                     f"{type(sketch).__name__} has no update method"
                 )
+            universe = getattr(sketch, "n", None)
+            if is_integer(universe) and universe != self.n:
+                # The session's universe is the stream's: a consumer
+                # over a smaller one would refuse a chunk that the
+                # consumers before it had already applied.
+                raise ValueError(
+                    f"{type(sketch).__name__} covers universe {universe}, "
+                    f"not the session's {self.n}"
+                )
             self._sketches[name] = sketch
             self._queries[name] = query or _query_for_type(type(sketch))
             self._spec_names[name] = None

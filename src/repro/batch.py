@@ -58,6 +58,8 @@ import numpy as np
 
 ArrayLike = "np.ndarray | Sequence[int]"
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @runtime_checkable
 class BatchSketch(Protocol):
@@ -135,8 +137,12 @@ def as_update_arrays(
 
     Enforces the :class:`~repro.streams.model.Update` model vectorised:
     equal 1-D lengths, integral dtypes, non-negative items (below
-    ``universe`` when given), and no zero deltas.  Returns arrays safe to
-    index with (a no-copy view when the input already is ``int64``).
+    ``universe`` when given), and no zero deltas.  Every value must also
+    survive the cast: an unsigned value above ``2^63 - 1`` is refused
+    (the cast would wrap it negative), and so is the delta ``-2^63``,
+    whose magnitude no int64 holds (``np.abs`` wraps it, which would
+    blind every overflow guard downstream).  Returns arrays safe to index
+    with (a no-copy view when the input already is ``int64``).
 
     >>> items, deltas = as_update_arrays([3, 1], [5, -2], universe=8)
     >>> items.tolist(), deltas.tolist()
@@ -145,6 +151,10 @@ def as_update_arrays(
     Traceback (most recent call last):
         ...
     ValueError: item 9 outside universe [0, 8)
+    >>> as_update_arrays([1], [-2**63])
+    Traceback (most recent call last):
+        ...
+    ValueError: delta -9223372036854775808 has no int64 magnitude
     """
     items_arr = np.asarray(items)
     deltas_arr = np.asarray(deltas)
@@ -165,6 +175,13 @@ def as_update_arrays(
         raise TypeError("items must be integers")
     if not np.issubdtype(deltas_arr.dtype, np.integer):
         raise TypeError("deltas must be integers")
+    for name, arr in (("item", items_arr), ("delta", deltas_arr)):
+        if arr.dtype.kind == "u" and int(arr.max()) > _INT64_MAX:
+            raise ValueError(f"{name} {int(arr.max())} does not fit in int64")
+    if deltas_arr.dtype.kind == "i" and int(deltas_arr.min()) < -_INT64_MAX:
+        raise ValueError(
+            f"delta {int(deltas_arr.min())} has no int64 magnitude"
+        )
     items_arr = items_arr.astype(np.int64, copy=False)
     deltas_arr = deltas_arr.astype(np.int64, copy=False)
     if items_arr.size:
@@ -175,7 +192,10 @@ def as_update_arrays(
                 f"item {int(items_arr.max())} outside universe [0, {universe})"
             )
         if not deltas_arr.all():
-            raise ValueError("zero-delta updates are not part of the model")
+            raise ValueError(
+                "zero-delta updates are not part of the model (a zero "
+                "delta changes no frequency)"
+            )
     return items_arr, deltas_arr
 
 
@@ -290,7 +310,8 @@ def exact_sum(values: np.ndarray) -> int:
     wrap where they do not.  The int64 fast path is used only when a
     float64 bound proves every partial sum fits.
     """
-    if float(np.abs(values).astype(np.float64).sum()) < _INT64_SAFE_BOUND:
+    # Cast before abs: np.abs wraps an int64 -2^63 back to itself.
+    if float(np.abs(values.astype(np.float64)).sum()) < _INT64_SAFE_BOUND:
         return int(values.sum())
     return int(values.astype(object).sum())
 

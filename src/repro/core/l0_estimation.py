@@ -309,7 +309,7 @@ class AlphaL0Estimator:
         self.K_small = 2 * self.K
         self._h3_small = KWiseHash(self.K**3, self.K_small, k=k_ind, rng=rng)
         self.B_small = np.zeros(self.K_small, dtype=np.int64)
-        self._exact_small = ExactSmallL0(n, c=100, rng=rng)
+        self._exact_small = ExactSmallL0(n, c=100, rng=rng, alpha=alpha)
         self._sync_rows()
 
     # -- window management ----------------------------------------------------
@@ -449,12 +449,16 @@ class AlphaL0Estimator:
         Each shard's rows miss their shard-local creation prefix; the
         Theorem 10 argument bounds every such prefix's L0 contribution,
         so the merged decoder carries the same error envelope with the
-        shard count as the constant.
+        shard count as the constant.  The Lemma 21 structure's bound is
+        checked with the seeds, so a sibling it would refuse (another α,
+        or a snapshot from before the bound existed) is refused before
+        any component merges.
         """
         if (
             not isinstance(other, AlphaL0Estimator)
             or other.n != self.n
             or other.K != self.K
+            or other._exact_small.bound != self._exact_small.bound
             or other.p != self.p
             or other.half_window != self.half_window
             or not np.array_equal(other._u, self._u)

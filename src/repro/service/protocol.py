@@ -25,12 +25,13 @@ Frame payloads:
   server applies a frame iff ``seq`` is exactly one past its
   per-``(session, client)`` watermark, acks ``seq <= watermark``
   idempotently as a duplicate, and refuses ``seq > watermark + 1`` with
-  a typed ``seq_gap`` error.  Decoding applies the same untrusted-input
-  rules as :func:`repro.streams.io.load_stream`: exact length, integral
-  dtypes by construction, non-negative items, nonzero deltas — and
-  :func:`encode_ingest` refuses the same columns, so a client never
-  stamps a frame the decoder would reject.  (The universe bound needs
-  the target session and is enforced server-side by ``push`` itself.)
+  a typed ``seq_gap`` error.  Decoding checks the exact length, then
+  applies the session's own admission
+  (:func:`repro.batch.as_update_arrays`: non-negative items, nonzero
+  deltas with an int64 magnitude) — and :func:`encode_ingest` applies
+  it too, so a client never stamps a frame the decoder would reject.
+  (The universe bound needs the target session and is enforced
+  server-side by ``push`` itself.)
 * ``INGEST_ACK`` — ``applied:u64 | seq:u64 | flags:u8``: the session's
   cumulative ``updates_processed``, the acked seq, and bit 0 set when
   the frame was a duplicate.
@@ -67,6 +68,8 @@ from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
+
+from repro.batch import as_update_arrays
 
 #: First bytes of every frame; foreign traffic fails before any parse.
 MAGIC = b"SK"
@@ -256,35 +259,27 @@ def _decode_client_id(payload: bytes, what: str) -> tuple[str, int]:
     return cid, 1 + cid_len
 
 
-def _check_columns(items: np.ndarray, deltas: np.ndarray) -> None:
-    """The value rules both ends enforce on ingest columns, so the
-    encoder refuses exactly what the decoder would."""
-    if items.min() < 0:
-        raise ProtocolError("ingest frame carries a negative item")
-    if not deltas.all():
-        raise ProtocolError("ingest frame carries a zero delta")
+def _admit_columns(items, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """The session's own admission (:func:`repro.batch.as_update_arrays`)
+    applied to ingest columns at both ends, so the encoder refuses
+    exactly what the decoder and ``push`` would."""
+    try:
+        return as_update_arrays(items, deltas)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"ingest frame refused: {exc}") from None
 
 
 def _encode_columns(items, deltas) -> bytes:
-    items_arr = np.ascontiguousarray(items, dtype="<i8")
-    deltas_arr = np.ascontiguousarray(deltas, dtype="<i8")
-    if items_arr.ndim != 1 or deltas_arr.ndim != 1:
-        raise ProtocolError("items and deltas must be 1-D")
-    if len(items_arr) != len(deltas_arr):
-        raise ProtocolError(
-            f"items and deltas lengths differ "
-            f"({len(items_arr)} != {len(deltas_arr)})"
-        )
+    items_arr, deltas_arr = _admit_columns(items, deltas)
     if not 1 <= len(items_arr) <= MAX_INGEST_UPDATES:
         raise ProtocolError(
             f"ingest frames carry 1..{MAX_INGEST_UPDATES} updates, "
             f"got {len(items_arr)}"
         )
-    _check_columns(items_arr, deltas_arr)
     return (
         _COUNT.pack(len(items_arr))
-        + items_arr.tobytes()
-        + deltas_arr.tobytes()
+        + np.ascontiguousarray(items_arr, dtype="<i8").tobytes()
+        + np.ascontiguousarray(deltas_arr, dtype="<i8").tobytes()
     )
 
 
@@ -305,13 +300,11 @@ def _decode_columns(payload: bytes,
             f"{expected} bytes, got {len(payload)}"
         )
     base = offset + _COUNT.size
-    items = np.frombuffer(payload, dtype="<i8", count=count,
-                          offset=base).astype(np.int64, copy=False)
-    deltas = np.frombuffer(payload, dtype="<i8", count=count,
-                           offset=base + 8 * count
-                           ).astype(np.int64, copy=False)
-    _check_columns(items, deltas)
-    return items, deltas
+    return _admit_columns(
+        np.frombuffer(payload, dtype="<i8", count=count, offset=base),
+        np.frombuffer(payload, dtype="<i8", count=count,
+                      offset=base + 8 * count),
+    )
 
 
 def encode_ingest(items, deltas, *, client_id: str, seq: int) -> bytes:
@@ -337,10 +330,10 @@ def decode_ingest(
     """Validate and unpack an INGEST payload:
     ``(items, deltas, client_id, seq)``.
 
-    Mirrors ``load_stream``'s untrusted-input rules: the count must
-    match the payload length exactly, items must be non-negative, and
-    deltas nonzero.  The universe upper bound is the target session's
-    and is enforced by ``push``.
+    The count must match the payload length exactly, and the columns
+    pass the session's admission (non-negative items, nonzero deltas
+    with an int64 magnitude).  The universe upper bound is the target
+    session's and is enforced by ``push``.
     """
     client_id, offset = _decode_client_id(payload, "ingest")
     if len(payload) < offset + _SEQ.size:

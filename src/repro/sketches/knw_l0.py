@@ -53,7 +53,23 @@ class ExactSmallL0:
     number of non-zero buckets equals L0.  ``trials`` independent copies
     drive the failure probability down; the *maximum* across copies is
     returned (failures only undercount, per [40]).
+
+    Given the stream's ``alpha`` (the L0 α-property
+    ``||I + D||_0 <= alpha ||f||_0``), each trial keeps every bucket it
+    has *touched*, residue 0 included, and *retires* once more than
+    ``bound = floor(alpha c)`` are: touched buckets <= F0 <= alpha L0, so
+    a retirement proves the final L0 exceeds ``c``.  A retired trial
+    drops its table, is never hashed again and counts as ``c + 1``
+    ("more than c").  The touched count only grows, so the scalar,
+    batch, plan and merge paths retire a trial at the same chunk
+    boundary.  Without ``alpha`` the table is unbounded (live buckets
+    only), as [40] has it.
     """
+
+    #: Touched buckets a trial may hold before it retires; ``None`` keeps
+    #: the table unbounded.  The class-level default makes a snapshot
+    #: from before the bound existed restore as the unbounded table it was.
+    bound: int | None = None
 
     def __init__(
         self,
@@ -61,30 +77,41 @@ class ExactSmallL0:
         c: int,
         rng: np.random.Generator,
         trials: int = 3,
+        alpha: float | None = None,
     ) -> None:
         if c < 1:
             raise ValueError("capacity c must be positive")
+        if alpha is not None and alpha < 1:
+            raise ValueError("alpha must be >= 1")
         self.n = int(n)
         self.c = int(c)
         self.trials = int(trials)
+        self.bound = None if alpha is None else int(alpha * self.c)
         buckets = max(16, 8 * c * c)
         self._hashes = [PairwiseHash(n, buckets, rng) for _ in range(self.trials)]
         p_lo = max(64, 16 * c)
         self._primes = [
             random_prime_in_range(p_lo, p_lo**2, rng) for _ in range(self.trials)
         ]
-        self._tables = [dict() for _ in range(self.trials)]  # bucket -> residue
+        # bucket -> residue; None once the trial has retired.
+        self._tables: list[dict | None] = [dict() for _ in range(self.trials)]
 
     def update(self, item: int, delta: int) -> None:
-        for t in range(self.trials):
+        bound = self.bound
+        for t, tbl in enumerate(self._tables):
+            if tbl is None:
+                continue
             b = self._hashes[t](item)
-            p = self._primes[t]
-            tbl = self._tables[t]
-            v = (tbl.get(b, 0) + delta) % p
-            if v == 0:
-                tbl.pop(b, None)
-            else:
+            v = (tbl.get(b, 0) + delta) % self._primes[t]
+            if bound is None:
+                if v == 0:
+                    tbl.pop(b, None)
+                else:
+                    tbl[b] = v
+            elif b in tbl or len(tbl) < bound:
                 tbl[b] = v
+            else:
+                self._tables[t] = None  # a new bucket past the bound
 
     def update_batch(self, items, deltas) -> None:
         """Batch update with vectorised bucket hashing.
@@ -92,23 +119,28 @@ class ExactSmallL0:
         The residue tables are dicts, so the accumulation is a loop — but
         per trial it folds the *per-bucket sums* in (:meth:`_fold`),
         which is equivalent to the scalar sequence because modular
-        addition commutes.
+        addition commutes.  Retired trials are not hashed.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         self._fold(deltas_arr, [
-            np.unique(h.hash_array(items_arr), return_inverse=True)
-            for h in self._hashes
+            None if tbl is None
+            else np.unique(h.hash_array(items_arr), return_inverse=True)
+            for h, tbl in zip(self._hashes, self._tables)
         ])
 
     def update_plan(self, plan) -> None:
-        """Planned update: each trial hashes the chunk's unique items
-        once (cached on the plan) and reaches its buckets through the
-        plan's inverse index.  The per-update deltas are grouped by
+        """Planned update: each live trial hashes the chunk's unique
+        items once (cached on the plan) and reaches its buckets through
+        the plan's inverse index.  The per-update deltas are grouped by
         bucket exactly as in :meth:`update_batch` (never the plan's
-        ``summed_*`` views), so the tables end bit-identical."""
+        ``summed_*`` views), so the tables end bit-identical.  Retired
+        trials cost nothing."""
         plan.check_universe(self.n)
         groups = []
-        for h in self._hashes:
+        for h, tbl in zip(self._hashes, self._tables):
+            if tbl is None:
+                groups.append(None)
+                continue
             buckets, index = np.unique(
                 plan.unique_values(h), return_inverse=True
             )
@@ -116,52 +148,81 @@ class ExactSmallL0:
         self._fold(plan.deltas, groups)
 
     def _fold(self, deltas: np.ndarray, groups) -> None:
-        """Fold per-bucket delta sums into every trial's residue table.
+        """Fold per-bucket delta sums into every live trial's table.
 
         ``groups[t]`` holds trial ``t``'s distinct buckets and each
-        update's index among them.  The sums are taken on exact Python
-        integers when the chunk's gross weight could overflow int64 (the
-        scalar path is a Python-int fold, so this one must not wrap
-        either).
+        update's index among them (``None`` for a retired trial).  A
+        bounded trial whose touched buckets would exceed the bound
+        retires before folding, so its table never outgrows the bound.
+        The sums are taken on exact Python integers when the chunk's
+        gross weight could overflow int64 (the scalar path is a
+        Python-int fold, so this one must not wrap either).
         """
+        if all(group is None for group in groups):
+            return
         exact = float(np.abs(deltas).astype(np.float64).sum()) >= 2.0**62
         sum_deltas = deltas.astype(object) if exact else deltas
         sum_dtype = object if exact else np.int64
-        for (uniq, inverse), p, tbl in zip(groups, self._primes, self._tables):
+        bound = self.bound
+        for t, group in enumerate(groups):
+            if group is None:
+                continue
+            uniq, inverse = group
+            tbl, p = self._tables[t], self._primes[t]
+            buckets = uniq.tolist()
+            if bound is not None and len(tbl.keys() | buckets) > bound:
+                self._tables[t] = None
+                continue
             sums = np.zeros(len(uniq), dtype=sum_dtype)
             np.add.at(sums, inverse, sum_deltas)
-            for b, s in zip(uniq.tolist(), sums.tolist()):
+            for b, s in zip(buckets, sums.tolist()):
                 v = (tbl.get(b, 0) + s) % p
-                if v == 0:
+                if v == 0 and bound is None:
                     tbl.pop(b, None)
                 else:
                     tbl[b] = v
 
     def merge(self, other: "ExactSmallL0") -> "ExactSmallL0":
         """Fold a same-seeded sibling's residue tables in (mod-p adds
-        commute, so the merged tables are bit-identical to a single-pass
-        replay of the concatenated streams)."""
+        commute, and a trial's touched buckets are the union of both
+        sides', so the merged tables — retirements included — are
+        bit-identical to a single-pass replay of the concatenated
+        streams).  Siblings must share the bound."""
         if (
             not isinstance(other, ExactSmallL0)
             or other.trials != self.trials
+            or other.bound != self.bound
             or other._hashes != self._hashes
             or other._primes != self._primes
         ):
-            raise ValueError("structures do not share hash seeds")
-        for t in range(self.trials):
+            raise ValueError("structures do not share hash seeds and bound")
+        bound = self.bound
+        for t, (tbl, theirs) in enumerate(zip(self._tables, other._tables)):
+            if tbl is None:
+                continue
+            if theirs is None or (
+                bound is not None and len(tbl.keys() | theirs.keys()) > bound
+            ):
+                self._tables[t] = None
+                continue
             p = self._primes[t]
-            tbl = self._tables[t]
-            for b, v in other._tables[t].items():
+            for b, v in theirs.items():
                 merged = (tbl.get(b, 0) + v) % p
-                if merged == 0:
+                if merged == 0 and bound is None:
                     tbl.pop(b, None)
                 else:
                     tbl[b] = merged
         return self
 
     def estimate(self) -> int:
-        """max over trials of the number of non-zero buckets."""
-        return max(len(tbl) for tbl in self._tables)
+        """max over trials of the number of non-zero buckets; a retired
+        trial counts ``c + 1``."""
+        if self.bound is None:
+            return max(len(tbl) for tbl in self._tables)
+        return max(
+            self.c + 1 if tbl is None else sum(1 for v in tbl.values() if v)
+            for tbl in self._tables
+        )
 
     def space_bits(self) -> int:
         bucket_bits = max(
@@ -169,8 +230,10 @@ class ExactSmallL0:
         )
         val_bits = max(max(1, p.bit_length()) for p in self._primes)
         seeds = sum(h.space_bits() for h in self._hashes)
-        # Charged at capacity: c live buckets per trial, as the promise allows.
-        return self.trials * self.c * (bucket_bits + val_bits) + seeds
+        # Charged at capacity: c live buckets per trial as the promise
+        # allows, or the bound's touched buckets before a trial retires.
+        entries = self.c if self.bound is None else self.bound
+        return self.trials * entries * (bucket_bits + val_bits) + seeds
 
 
 class RoughL0Estimator:

@@ -11,10 +11,14 @@ from repro.sketches.knw_l0 import (
     RoughF0Estimator,
     RoughL0Estimator,
 )
+from repro.streams.engine import replay
 from repro.streams.generators import (
     bounded_deletion_stream,
     sensor_occupancy_stream,
 )
+from repro.streams.model import Stream
+
+from test_batch_equivalence import _feed_batch, assert_same_state
 
 
 class TestExactSmallL0:
@@ -43,6 +47,134 @@ class TestExactSmallL0:
         small = ExactSmallL0(1024, c=8, rng=np.random.default_rng(4))
         big = ExactSmallL0(1024, c=128, rng=np.random.default_rng(4))
         assert big.space_bits() > small.space_bits()
+
+
+# -- the α-bounded table -------------------------------------------------------
+
+BOUNDED_N = 4096
+BOUNDED_SEED = 0xA1F0
+
+
+def _bounded(alpha=2.5):
+    """c = 10 at α = 2.5: a trial retires past 25 touched buckets."""
+    return ExactSmallL0(BOUNDED_N, c=10, rng=np.random.default_rng(BOUNDED_SEED),
+                        alpha=alpha)
+
+
+def _spread_items(count):
+    """``count`` items whose buckets are pairwise distinct in every trial
+    of :func:`_bounded`, so each one touches a new bucket in all three."""
+    hashes = _bounded()._hashes
+    seen = [set() for _ in hashes]
+    out = []
+    for item in range(BOUNDED_N):
+        buckets = [h(item) for h in hashes]
+        if all(b not in s for b, s in zip(buckets, seen)):
+            for b, s in zip(buckets, seen):
+                s.add(b)
+            out.append(item)
+            if len(out) == count:
+                return out
+    raise AssertionError("universe too small for the spread")
+
+
+def _churn_stream(items, tail=12):
+    """Each item inserted with magnitude 3; every third cancelled at once
+    (touched, residue back to 0); earlier items revisited as the stream
+    goes; then ``tail`` more updates on old buckets only."""
+    pairs = []
+    for k, item in enumerate(items):
+        pairs.append((item, 3))
+        if k % 3 == 0:
+            pairs.append((item, -3))
+        if k >= 2:
+            pairs.append((items[k - 2], 1))
+    pairs += [(items[k % 10], -1) for k in range(tail)]
+    items_arr = np.array([i for i, _ in pairs], dtype=np.int64)
+    deltas_arr = np.array([d for _, d in pairs], dtype=np.int64)
+    return Stream.from_arrays(BOUNDED_N, items_arr, deltas_arr)
+
+
+class TestAlphaBoundedExactSmallL0:
+    """Given α, a trial keeps its touched buckets and retires past
+    ``floor(α c)`` of them; every execution path agrees on when."""
+
+    @pytest.mark.parametrize("touched", [25, 26], ids=["at_bound", "past_bound"])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 1024, None])
+    def test_scalar_batch_plan_bit_identical(self, touched, chunk_size, backend):
+        stream = _churn_stream(_spread_items(touched))
+        scalar = _bounded()
+        for u in stream:
+            scalar.update(u.item, u.delta)
+        batch = _feed_batch(_bounded(), stream, chunk_size)
+        planned = replay(stream, _bounded(), chunk_size=chunk_size)
+        assert_same_state(scalar, batch)
+        assert_same_state(scalar, planned)
+        if touched == 25:
+            # At the bound: nothing retires, zero residues stay touched.
+            assert all(len(t) == 25 for t in scalar._tables)
+            assert all(0 in t.values() for t in scalar._tables)
+            assert scalar.estimate() == stream.frequency_vector().l0()
+        else:
+            assert scalar._tables == [None] * 3
+            assert scalar.estimate() == 11
+
+    def test_retirement_falls_mid_chunk(self):
+        """The 26th item's first update retires every trial, at a stream
+        position inside a 7-chunk and inside the 1024-chunk, with more
+        updates behind it."""
+        items = _spread_items(26)
+        stream = _churn_stream(items)
+        stream_items, _ = stream.as_arrays()
+        at = int(np.flatnonzero(stream_items == items[-1])[0])
+        assert at % 7 and at < len(stream_items) - 1
+        sketch = _bounded()
+        for pos, u in enumerate(stream):
+            sketch.update(u.item, u.delta)
+            retired = sketch._tables == [None] * 3
+            assert retired == (pos >= at)
+
+    @pytest.mark.parametrize("left, right, retired", [
+        ((0, 10), (5, 15), False),   # live + live, union 15
+        ((0, 20), (10, 30), True),   # live + live, union 30 > 25
+        ((0, 30), (0, 5), True),     # retired + live
+        ((0, 5), (0, 30), True),     # live + retired
+        ((0, 30), (10, 40), True),   # retired + retired
+    ])
+    def test_merge_equals_single_pass(self, left, right, retired):
+        items = _spread_items(40)
+        a_stream = _churn_stream(items[slice(*left)], tail=3)
+        b_stream = _churn_stream(items[slice(*right)], tail=3)
+        a = replay(a_stream, _bounded(), chunk_size=16)
+        b = replay(b_stream, _bounded(), chunk_size=16)
+        both = Stream.from_arrays(BOUNDED_N, *[
+            np.concatenate(cols)
+            for cols in zip(a_stream.as_arrays(), b_stream.as_arrays())
+        ])
+        single = replay(both, _bounded(), chunk_size=16)
+        assert_same_state(single, a.merge(b))
+        assert (single._tables == [None] * 3) == retired
+
+    def test_siblings_with_different_alpha_refuse_to_merge(self):
+        with pytest.raises(ValueError):
+            _bounded(alpha=2.5).merge(_bounded(alpha=3.0))
+        with pytest.raises(ValueError):
+            _bounded(alpha=2.5).merge(_bounded(alpha=None))
+        with pytest.raises(ValueError):
+            _bounded(alpha=None).merge(_bounded(alpha=2.5))
+
+    def test_space_charges_the_bound(self):
+        unbounded, bounded = _bounded(alpha=None), _bounded(alpha=2.5)
+        per_entry = (
+            int(unbounded._hashes[0].range_size - 1).bit_length()
+            + max(p.bit_length() for p in unbounded._primes)
+        )
+        assert bounded.space_bits() - unbounded.space_bits() == (
+            3 * (25 - 10) * per_entry)
+
+    def test_alpha_validation(self):
+        with pytest.raises(ValueError):
+            _bounded(alpha=0.5)
 
 
 class TestRoughL0Estimator:

@@ -234,6 +234,38 @@ class TestRefusals:
         with pytest.raises(ProtocolError, match="zero delta"):
             ingest_frame([5, 6], [1, 0])
 
+    def test_ingest_refuses_values_outside_int64(self):
+        """Both ends refuse a delta of -2^63 (no int64 magnitude); the
+        encoder refuses an unsigned column the int64 cast would wrap
+        (2^64 - 1 used to travel as -1)."""
+        top = np.array([2**64 - 1], dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="does not fit in int64"):
+            ingest_frame([1], top)
+        with pytest.raises(ProtocolError, match="does not fit in int64"):
+            ingest_frame(top, [1])
+        with pytest.raises(ProtocolError, match="no int64 magnitude"):
+            ingest_frame([1], [-2**63])
+        good = protocol.decode_frame(ingest_frame([5, 6], [1, 2])).payload
+        hostile = bytearray(good)
+        deltas_at = STAMP_C + protocol._COUNT.size + 16
+        hostile[deltas_at:deltas_at + 8] = np.int64(-2**63).tobytes()
+        with pytest.raises(ProtocolError, match="no int64 magnitude"):
+            protocol.decode_ingest(bytes(hostile))
+        items, deltas, _, _ = protocol.decode_ingest(
+            protocol.decode_frame(ingest_frame(
+                np.array([7], dtype=np.uint64), [-2**63 + 1])).payload)
+        assert items.tolist() == [7] and deltas.tolist() == [-2**63 + 1]
+
+    def test_ingest_refuses_non_integer_columns(self):
+        """The encoder used to truncate: [1.7], [2.9] travelled as [1],
+        [2], where the session refuses floats outright."""
+        with pytest.raises(ProtocolError, match="items must be integers"):
+            ingest_frame([1.7], [2])
+        with pytest.raises(ProtocolError, match="deltas must be integers"):
+            ingest_frame([1], [2.9])
+        with pytest.raises(ProtocolError, match="must be integers"):
+            ingest_frame([True], [1])
+
     def test_ingest_refuses_mismatched_columns(self):
         with pytest.raises(ProtocolError, match="lengths differ"):
             ingest_frame([1, 2], [1])

@@ -280,6 +280,19 @@ class TestSessionSurface:
         with pytest.raises(TypeError, match="no update method"):
             StreamSession(N).add("bad", object())
 
+    def test_add_rejects_a_consumer_over_another_universe(self):
+        """A consumer over a smaller universe would refuse a chunk the
+        consumers before it had already applied, leaving them apart.
+        It is refused at registration, and the session stays whole."""
+        first = FrequencyVector(16)
+        session = StreamSession(16, chunk_size=4).add("first", first)
+        for n in (8, 32):
+            with pytest.raises(ValueError, match="universe"):
+                session.add("other", FrequencyVector(n))
+        assert session.names() == ["first"]
+        session.push([12, 1, 2, 3], [1, 1, 1, 1]).flush()
+        assert first.f[[12, 1, 2, 3]].tolist() == [1, 1, 1, 1]
+
     def test_space_report_skips_consumers_without_space_bits(self):
         from repro.counters.exact import ExactL1Counter
 

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro.api import Params, StreamSession
-from repro.batch import as_update_arrays
+from repro.batch import as_update_arrays, exact_sum
+from repro.sketches.knw_l0 import ExactSmallL0
 from repro.streams.engine import ChunkDriver, iter_chunks, replay, replay_many
 from repro.streams.generators import bounded_deletion_stream
 from repro.streams.model import FrequencyVector, Stream, Update
@@ -109,6 +110,41 @@ class TestValidatorHelper:
     def test_empty_batch_is_allowed(self):
         items, deltas = as_update_arrays([], [])
         assert len(items) == 0 and len(deltas) == 0
+
+    def test_unsigned_values_beyond_int64_are_refused(self):
+        """The int64 cast would wrap them negative: an unsigned delta
+        of 2^64 - 1 used to land as -1."""
+        top = np.array([2**64 - 1], dtype=np.uint64)
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            as_update_arrays([1], top, universe=8)
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            as_update_arrays(top, [1])
+        fits = np.array([2**63 - 1], dtype=np.uint64)
+        assert as_update_arrays([1], fits)[1].tolist() == [2**63 - 1]
+
+    def test_session_refuses_a_wrapping_unsigned_delta(self):
+        session = StreamSession(8).track("frequency_vector")
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            session.push(np.array([1], dtype=np.uint64),
+                         np.array([2**64 - 1], dtype=np.uint64))
+        session.flush()
+        assert session["frequency_vector"].f[1] == 0
+
+    def test_delta_without_an_int64_magnitude_is_refused(self):
+        """|-2^63| has no int64: np.abs wraps it, which blinded the
+        overflow guards (ExactSmallL0's batch fold disagreed with its
+        scalar loop)."""
+        with pytest.raises(ValueError, match="no int64 magnitude"):
+            as_update_arrays([1, 1], [-2**63, -2**63])
+        sketch = ExactSmallL0(8, c=10, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="no int64 magnitude"):
+            sketch.update_batch([5, 5], [-2**63, -1])
+        assert sketch._tables == [{}, {}, {}]
+        smallest = as_update_arrays([1], [-2**63 + 1])[1]
+        assert smallest.tolist() == [-2**63 + 1]
+
+    def test_exact_sum_guard_sees_the_most_negative_int64(self):
+        assert exact_sum(np.array([-2**63, -2**63])) == -2**64
 
 
 class TestEngine:
