@@ -111,10 +111,6 @@ SKETCHES = {
     # (Misra-Gries additionally *requires* insertion-only input).
     "sampled_frequencies": (
         "sampled_frequencies", {"budget": 2048}, "insertion"),
-    # ROADMAP lever (d): the known-universe dense fast path — the dict
-    # fold replaced by preallocated scatter-adds.
-    "sampled_frequencies_dense": (
-        "sampled_frequencies", {"budget": 2048, "universe": N}, "insertion"),
     "misra_gries": ("misra_gries", {"eps": 1 / 256}, "insertion"),
     "alpha_l1_sampler": ("l1_sampler", {"eps": 0.25, "depth": 4}, "general"),
 }
@@ -138,7 +134,6 @@ REQUIRED_SPEEDUP = {
     "alpha_support": 8.0,
     "inner_product": 8.0,
     "sampled_frequencies": 8.0,
-    "sampled_frequencies_dense": 8.0,
     "misra_gries": 8.0,
     "alpha_l1_sampler": 8.0,
 }

@@ -34,7 +34,6 @@ batch pipeline, and the merge semantics (:class:`Mergeable`,
 """
 
 from repro.api import (
-    Capabilities,
     Checkpointer,
     CheckpointStore,
     Params,
@@ -114,7 +113,6 @@ from repro.streams import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Capabilities",
     "Checkpointer",
     "CheckpointStore",
     "Params",

@@ -24,7 +24,6 @@ True
 """
 
 from repro.api.registry import (
-    Capabilities,
     Params,
     SketchSpec,
     build,
@@ -49,7 +48,6 @@ from repro.api.checkpoint import (
 )
 
 __all__ = [
-    "Capabilities",
     "Checkpointer",
     "CheckpointStore",
     "Params",

@@ -10,11 +10,11 @@ lambda tables, and constructor signatures disagreed about ``rng`` vs
   spawns every structure's generator (:func:`rng_for`), so two builds
   of the same spec from the same params are value-identical — which is
   exactly what session merges and snapshot/restore require;
-* :class:`SketchSpec` — ``name -> factory`` plus the structure's
-  capability flags, derived from the :mod:`repro.batch` protocols
-  (``batch`` / ``plan`` / ``merge`` / ``kernel``), and an optional
-  uniform ``query`` hook (the headline estimate
-  :meth:`repro.api.session.StreamSession.query` dispatches to);
+* :class:`SketchSpec` — ``name -> factory`` plus an optional uniform
+  ``query`` hook (the headline estimate
+  :meth:`repro.api.session.StreamSession.query` dispatches to).  What a
+  built sketch can do (batch, plan, merge) is read off the instance by
+  the :mod:`repro.batch` protocol checks, never declared here;
 * ``build(params, shard_index)`` — every index rebuilds the same hash
   seeds from the root seed while sampling structures get a per-index
   ``sampling_seed`` (index 0 keeps the single-replay streams), so
@@ -25,9 +25,6 @@ lambda tables, and constructor signatures disagreed about ``rng`` vs
 >>> sketch = spec.build(Params(n=64, seed=3))
 >>> sketch.update(5, 2); sketch.query(5)
 2
->>> caps = spec.capabilities()
->>> caps.batch and caps.plan and caps.merge
-True
 """
 
 from __future__ import annotations
@@ -39,13 +36,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.batch import (
-    is_integer,
-    supports_batch,
-    supports_kernels,
-    supports_merge,
-    supports_plan,
-)
+from repro.batch import is_integer
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
 from repro.core.inner_product import AlphaInnerProduct, AlphaInnerProductSketch
@@ -164,37 +155,14 @@ class Params:
 PARAM_FIELDS = frozenset(f.name for f in dataclasses.fields(Params))
 
 
-@dataclass(frozen=True)
-class Capabilities:
-    """A spec's engine capabilities, derived from the
-    :mod:`repro.batch` protocols on a probe instance."""
-
-    batch: bool
-    plan: bool
-    merge: bool
-    #: Batch/plan paths dispatch to the compiled kernel backend
-    #: (:mod:`repro.kernels`) when it is active; state stays
-    #: bit-identical either way.
-    kernel: bool = False
-
-    @classmethod
-    def of(cls, sketch: Any) -> "Capabilities":
-        return cls(  # in field order
-            supports_batch(sketch),
-            supports_plan(sketch),
-            supports_merge(sketch),
-            supports_kernels(sketch),
-        )
-
-
-#: Probe parameters: small enough that deriving capability flags (which
-#: needs an instance) is effectively free.
+#: Probe parameters: small enough that deriving a per-spec property from
+#: an instance (see :meth:`SketchSpec.node_sensitive`) is effectively free.
 _PROBE_PARAMS = Params(n=64, eps=0.25, delta=0.25, alpha=2.0, seed=0)
 
 
 @dataclass(frozen=True)
 class SketchSpec:
-    """One registered sketch: factory, class, capabilities, query hook.
+    """One registered sketch: factory, class, query hook.
 
     ``builder(params, shard_index, **overrides)`` constructs the
     structure; ``overrides`` pass straight through to the constructor
@@ -215,11 +183,6 @@ class SketchSpec:
         """Construct the sketch for ``params`` (defaults apply)."""
         params = params if params is not None else Params()
         return self.builder(params, shard_index, **overrides)
-
-    def capabilities(self) -> Capabilities:
-        """The engine capability flags, derived from a tiny probe
-        instance (cached per spec)."""
-        return _capabilities(self.name)
 
     def node_sensitive(self) -> bool:
         """Whether building at different shard/node indices yields
@@ -264,11 +227,6 @@ def get_spec(name: str) -> SketchSpec:
 def specs() -> list[SketchSpec]:
     """Every registered spec, sorted by name."""
     return [REGISTRY[name] for name in sorted(REGISTRY)]
-
-
-@functools.lru_cache(maxsize=None)
-def _capabilities(name: str) -> Capabilities:
-    return Capabilities.of(REGISTRY[name].build(_PROBE_PARAMS))
 
 
 @functools.lru_cache(maxsize=None)

@@ -236,24 +236,6 @@ def supports_plan(sketch) -> bool:
     return callable(getattr(sketch, "update_plan", None))
 
 
-def supports_kernels(sketch) -> bool:
-    """True when ``sketch`` declares that its batch/plan paths dispatch
-    to the compiled kernel backend (:mod:`repro.kernels`) when active.
-
-    The flag describes *dispatch capability*, not backend state: it is
-    True even when the backend is inactive (no compiler, forced off) —
-    the sketch then silently takes its NumPy path.
-
-    >>> from repro.sketches.countmin import CountMin
-    >>> import numpy as np
-    >>> supports_kernels(CountMin(8, 4, 2, np.random.default_rng(0)))
-    True
-    >>> supports_kernels(object())
-    False
-    """
-    return bool(getattr(sketch, "kernel_updates", False))
-
-
 def supports_merge(sketch) -> bool:
     """True when ``sketch`` implements the :class:`Mergeable` protocol.
 
@@ -330,7 +312,7 @@ def running_sums(values: np.ndarray, base: int = 0) -> np.ndarray:
     if len(values) == 0:
         return np.zeros(0, dtype=np.int64)
     bound = abs(float(base)) + float(
-        np.abs(values).astype(np.float64).sum()
+        np.abs(values.astype(np.float64)).sum()
     )
     if bound < _INT64_SAFE_BOUND:
         return base + np.cumsum(values)
@@ -348,7 +330,7 @@ def running_sum_extrema(start: int, values: np.ndarray) -> tuple[int, int]:
     """
     if len(values) == 0:
         return start, 0
-    bound = abs(start) + float(np.abs(values).astype(np.float64).sum())
+    bound = abs(start) + float(np.abs(values.astype(np.float64)).sum())
     if bound < _INT64_SAFE_BOUND:
         running = start + np.cumsum(values)
         return int(running[-1]), int(np.abs(running).max())
@@ -373,7 +355,9 @@ def scaled_mod_increments(
     """
     if len(deltas) == 0:
         return np.zeros(0, dtype=np.int64)
-    bound = float(np.abs(deltas).max()) * float(scales.max())
+    bound = float(np.abs(deltas.astype(np.float64)).max()) * float(
+        scales.max()
+    )
     if bound < _INT64_SAFE_BOUND:
         return ((deltas * scales) % modulus).astype(np.int64)
     return (
@@ -396,9 +380,9 @@ def signed_scatter_add_peak(
     """
     if len(values) == 0:
         return 0
-    start_bound = float(np.abs(target).max(initial=0))
+    start_bound = float(np.abs(target.astype(np.float64)).max(initial=0))
     if start_bound + float(
-        np.abs(values).astype(np.float64).sum()
+        np.abs(values.astype(np.float64)).sum()
     ) >= _INT64_SAFE_BOUND:
         peak = 0
         for t in range(len(values)):

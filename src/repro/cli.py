@@ -16,12 +16,12 @@ Every estimator subcommand is generated from the sketch-spec registry
 (:mod:`repro.api.registry`): the spec supplies the factory (root-seed →
 per-structure RNG policy) and the uniform query hook; the subcommand
 table below only picks the spec for the workload (e.g. strict vs
-general turnstile) and formats the report.  The shared engine flags —
-``--chunk-size`` (pure throughput knob) and ``--no-kernels``
-(pure-NumPy update paths) — are registry-level: every estimator
-subcommand gets the same set from one helper.  Workload flags are
-range-checked at parse time: a bad value exits with status 2 and a
-usage line, not a traceback.
+general turnstile) and formats the report.  The shared engine flag
+``--chunk-size`` (a pure throughput knob) is registry-level: every
+estimator subcommand gets it from one helper.  The update backend is
+chosen by ``REPRO_KERNELS`` alone (see :mod:`repro.kernels`; ``repro
+kernels`` reports it).  Workload flags are range-checked at parse time:
+a bad value exits with status 2 and a usage line, not a traceback.
 
 ``--checkpoint-dir DIR`` makes an estimator run durable: the replay
 goes through a :class:`~repro.api.session.StreamSession` checkpointed
@@ -115,18 +115,12 @@ def _alpha(value: str) -> float:
 
 
 def add_engine_args(parser: argparse.ArgumentParser) -> None:
-    """The registry-level engine flags every replaying subcommand
-    shares (chunk size, kernel backend)."""
+    """The registry-level engine flag every replaying subcommand
+    shares (chunk size)."""
     parser.add_argument("--chunk-size", type=_positive_int,
                         default=DEFAULT_CHUNK_SIZE,
                         help="batch-replay chunk size (throughput knob; "
                              "estimates are identical for every value)")
-    parser.add_argument("--no-kernels", dest="kernels",
-                        action="store_false",
-                        help="force the pure-NumPy update paths instead of "
-                             "the compiled kernel backend; states and "
-                             "estimates are bit-identical either way — "
-                             "this is a throughput/debugging escape hatch")
 
 
 def add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -313,10 +307,8 @@ def _report_support(sketch, truth, args, spec_name):
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
     """Report the compiled kernel backend: mode, activity, compiler,
-    cache, per-kernel self-test status, and which registry specs
-    dispatch to it."""
+    cache and per-kernel self-test status."""
     from repro import kernels
-    from repro.api.registry import specs
 
     info = kernels.backend().describe()
     print(f"{'mode':>14}: {info['mode']}")
@@ -332,10 +324,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     print(f"{'cflags':>14}: {info['cflags']}")
     for name in sorted(info["kernels"]):
         print(f"{name:>14}: {'ok' if info['kernels'][name] else 'off'}")
-    dispatching = sorted(
-        s.name for s in specs() if s.capabilities().kernel
-    )
-    print(f"{'specs':>14}: {', '.join(dispatching)}")
     return 0
 
 
@@ -498,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "kernels",
         help="report the compiled kernel backend (mode, compiler, "
-             "per-kernel self-test status, dispatching specs)",
+             "per-kernel self-test status)",
     )
     p.set_defaults(func=_cmd_kernels)
 
@@ -535,14 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if not getattr(args, "kernels", True):
-        from repro import kernels
-
-        # Scoped override rather than a global set_mode: the CLI entry
-        # point is importable (tests call main() in-process) and must
-        # not leak backend state into its host.
-        with kernels.override("off"):
-            return args.func(args)
     return args.func(args)
 
 

@@ -3,7 +3,7 @@
 Each module implements one section of Jayaram-Woodruff PODS'18:
 
 * :mod:`repro.core.sampling` — the Sampling Lemma machinery (Lemma 1 / 13)
-  and adaptive uniform update samplers with counter halving.
+  and the adaptive Lemma 1 frequency sample with counter halving.
 * :mod:`repro.core.schedules` — the order-insensitive schedule core:
   paced-counter (Morris) pacing, budgeted adaptive acceptance,
   precision-sampling weights, and estimate-steered window segmentation —
@@ -22,7 +22,6 @@ Each module implements one section of Jayaram-Woodruff PODS'18:
 """
 
 from repro.core.sampling import (
-    AdaptiveUniformSampler,
     SampledFrequencies,
     lemma1_sampling_probability,
     binomial_thin,
@@ -50,7 +49,6 @@ from repro.core.support_sampler import AlphaSupportSampler
 from repro.core.l2_heavy_hitters import AlphaL2HeavyHitters
 
 __all__ = [
-    "AdaptiveUniformSampler",
     "AdaptiveSamplingSchedule",
     "PacedCounterSchedule",
     "PrecisionSamplingSchedule",

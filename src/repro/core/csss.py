@@ -281,11 +281,6 @@ class CSSS:
             eff_signs = self._sign_hashes[r].hash_array(items_arr) * delta_signs
             self._apply_row(r, buckets, eff_signs, mags, gross)
 
-    #: Hashing rides the fused Horner kernel; the accepted-segment
-    #: scatter dispatches to ``csss_scatter`` (:mod:`repro.kernels`).
-    #: Acceptance sampling stays in NumPy (it drives the RNG streams).
-    kernel_updates = True
-
     # Reads no summed view: every row consumes exactly one acceptance
     # uniform per *update*, so summing duplicates would change which
     # uniforms exist and desynchronise the sampling streams from the
@@ -456,10 +451,6 @@ class CSSSWithTailEstimate:
     factor estimate of ``‖s - ŷ‖_2`` per row — is turned into a value v
     with ``Err_2^k(z) <= v <= O(√k ε ‖z‖_1 + Err_2^k(z))`` w.h.p.
     """
-
-    #: Delegates wholesale to two CSSS instances, which dispatch to the
-    #: compiled kernels when active.
-    kernel_updates = True
 
     def __init__(
         self,

@@ -51,10 +51,6 @@ class AlphaHeavyHitters:
         shared — the knob a session's ``node`` index sets).
     """
 
-    #: Composes CSSS + norm tracker; the constituents dispatch to the
-    #: compiled kernels (:mod:`repro.kernels`) when active.
-    kernel_updates = True
-
     def __init__(
         self,
         n: int,

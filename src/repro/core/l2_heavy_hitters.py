@@ -74,10 +74,6 @@ class AlphaL2HeavyHitters:
         self._candidate_cs.update(item, abs(delta))
         self._verify_cs.update(item, delta)
 
-    #: Both constituent CountSketches dispatch to the fused table
-    #: kernel (:mod:`repro.kernels`) when active.
-    kernel_updates = True
-
     def update_batch(self, items, deltas) -> None:
         """Composed batch update (both CountSketches are deterministic,
         so chunk-major feeding equals the scalar interleaving)."""

@@ -1,4 +1,4 @@
-"""Sampling Lemma machinery (Lemma 1 / Lemma 13) and adaptive samplers.
+"""Sampling Lemma machinery (Lemma 1 / Lemma 13) and the Lemma 1 sample.
 
 The engine behind every L1 result in the paper: for an α-property stream,
 each coordinate sees at most ``α ‖f‖_1`` insertions and deletions, so a
@@ -9,7 +9,8 @@ to a single virtual counter up to ``γ m`` (Lemma 13).
 Because the stream length ``m`` is unknown in advance, the paper's data
 structures sample at rate ``2^-p`` and *halve* their retained counters via
 binomial thinning each time the sample budget overflows (Figure 2, step
-5a); :class:`AdaptiveUniformSampler` packages exactly that mechanism.
+5a); :class:`~repro.core.schedules.AdaptiveSamplingSchedule` runs that
+schedule, and :class:`SampledFrequencies` is the Lemma 1 sample built on it.
 Non-unit updates are folded in by binomial thinning of ``|Δ|`` trials
 (Section 1.3, Remark 2) via :func:`binomial_thin`.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import as_update_arrays, consume_stream
 from repro.space.accounting import counter_bits
 
 
@@ -211,26 +212,11 @@ class SampledFrequencies:
     ``f*_i`` with additive error ``ε ‖f‖_1`` once the retained budget is
     ``poly(α/ε)``.  Halves itself (binomial thinning of every counter)
     when the retained gross weight exceeds ``budget``, so the rate adapts
-    to unknown stream length exactly as in Figure 2.
-
-    ``universe`` switches the counter tables to the **dense fast path**
-    (ROADMAP lever d): preallocated int64 arrays over ``[0, universe)``
-    replace the dicts, so batch segments fold with one scatter-add
-    instead of a per-key Python loop, and halving thins all non-zero
-    counters with one vectorised binomial call.  The RNG consumption is
-    identical to dict mode — acceptance draws are schedule-owned, and
-    halving draws one binomial block over the non-zero counters in
-    ascending item order, exactly the sorted-key order of the dict fold
-    — so dense and dict instances with the same seed produce identical
-    estimates (pinned in ``tests/test_chunk_plan.py``).  Space
-    accounting still charges only the retained (non-zero) entries: the
-    dense array is a *workspace* representation, not a space claim.
+    to unknown stream length exactly as in Figure 2.  The tables hold
+    only the retained entries, which is what :meth:`space_bits` charges.
     """
 
-    def __init__(
-        self, budget: int, rng: np.random.Generator,
-        universe: int | None = None,
-    ) -> None:
+    def __init__(self, budget: int, rng: np.random.Generator) -> None:
         if budget < 1:
             raise ValueError("budget must be positive")
         self.budget = int(budget)
@@ -240,16 +226,8 @@ class SampledFrequencies:
 
         accept_rng, self._halve_rng = rng.spawn(2)
         self._sched = AdaptiveSamplingSchedule(budget, accept_rng)
-        self.universe = int(universe) if universe is not None else None
-        if self.universe is not None and self.universe < 1:
-            raise ValueError("universe must be positive")
-        self._dense = self.universe is not None
-        if self._dense:
-            self._pos_arr = np.zeros(self.universe, dtype=np.int64)
-            self._neg_arr = np.zeros(self.universe, dtype=np.int64)
-        else:
-            self._pos: dict[int, int] = {}
-            self._neg: dict[int, int] = {}
+        self._pos: dict[int, int] = {}
+        self._neg: dict[int, int] = {}
 
     @property
     def log2_inv_p(self) -> int:
@@ -264,49 +242,31 @@ class SampledFrequencies:
         return self._sched.weight
 
     def _retained_total(self) -> int:
-        if self._dense:
-            return exact_sum(self._pos_arr) + exact_sum(self._neg_arr)
         return sum(self._pos.values()) + sum(self._neg.values())
 
     def _halve(self) -> None:
-        """Thin every counter at 1/2 (non-zero entries in ascending item
-        order — the dict fold's sorted-key order — so the halving stream
-        is consumed identically however (and in whichever mode) the
-        table was built)."""
-        if self._dense:
-            for arr in (self._pos_arr, self._neg_arr):
-                nz = np.flatnonzero(arr)
-                if nz.size:
-                    arr[nz] = self._halve_rng.binomial(arr[nz], 0.5)
-        else:
-            for table in (self._pos, self._neg):
-                keys = sorted(table)
-                if not keys:
-                    continue
-                counts = np.fromiter(
-                    (table[k] for k in keys), dtype=np.int64, count=len(keys)
-                )
-                kept = self._halve_rng.binomial(counts, 0.5)
-                for key, c in zip(keys, kept.tolist()):
-                    if c:
-                        table[key] = c
-                    else:
-                        del table[key]
+        """Thin every counter at 1/2, in ascending item order, so the
+        halving stream is consumed identically however the table was
+        built."""
+        for table in (self._pos, self._neg):
+            keys = sorted(table)
+            if not keys:
+                continue
+            counts = np.fromiter(
+                (table[k] for k in keys), dtype=np.int64, count=len(keys)
+            )
+            kept = self._halve_rng.binomial(counts, 0.5)
+            for key, c in zip(keys, kept.tolist()):
+                if c:
+                    table[key] = c
+                else:
+                    del table[key]
         self._sched.register_halving(self._retained_total())
 
     def update(self, item: int, delta: int) -> None:
-        if self._dense and not 0 <= item < self.universe:
-            raise ValueError(
-                f"item {item} outside universe [0, {self.universe})"
-            )
         kept = self._sched.offer(abs(delta))
         if kept:
-            if self._dense:
-                if delta > 0:
-                    self._pos_arr[item] += kept
-                else:
-                    self._neg_arr[item] += kept
-            elif delta > 0:
+            if delta > 0:
                 self._pos[item] = self._pos.get(item, 0) + kept
             else:
                 self._neg[item] = self._neg.get(item, 0) + kept
@@ -320,26 +280,16 @@ class SampledFrequencies:
         segments; within a segment the retained magnitudes scatter into
         the tables by sign (integer adds commute), and an overflow
         closes the segment at exactly the scalar halving position before
-        the tail is re-quantised at the new rate.  In dense mode the
-        segment fold is a direct scatter-add into the preallocated
-        arrays — no per-key Python loop at all.
+        the tail is re-quantised at the new rate.
         """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.universe)
+        items_arr, deltas_arr = as_update_arrays(items, deltas)
         if items_arr.size == 0:
             return
         mags = np.abs(deltas_arr)
         positive = deltas_arr > 0
         for a, b, kept in self._sched.accept_batch(mags):
             nz = kept > 0
-            if nz.any() and self._dense:
-                seg_items = items_arr[a:b][nz]
-                seg_pos = positive[a:b][nz]
-                seg_kept = kept[nz]
-                np.add.at(self._pos_arr, seg_items[seg_pos],
-                          seg_kept[seg_pos])
-                np.add.at(self._neg_arr, seg_items[~seg_pos],
-                          seg_kept[~seg_pos])
-            elif nz.any():
+            if nz.any():
                 seg_items = items_arr[a:b][nz]
                 seg_pos = positive[a:b][nz]
                 seg_kept = kept[nz]
@@ -390,33 +340,20 @@ class SampledFrequencies:
         if (
             not isinstance(other, SampledFrequencies)
             or other.budget != self.budget
-            or other.universe != self.universe
         ):
             raise ValueError("samplers are not shard-compatible")
         while self._sched.log2_inv_p < other._sched.log2_inv_p:
             self._halve()
         diff = self._sched.log2_inv_p - other._sched.log2_inv_p
-        if self._dense:
-            for arr, oarr in ((self._pos_arr, other._pos_arr),
-                              (self._neg_arr, other._neg_arr)):
-                nz = np.flatnonzero(oarr)
-                if nz.size == 0:
-                    continue
-                kept = (
-                    self._halve_rng.binomial(oarr[nz], 0.5**diff)
-                    if diff else oarr[nz]
-                )
-                arr[nz] += kept
-        else:
-            for table, otable in (
-                (self._pos, other._pos), (self._neg, other._neg)
-            ):
-                for key in sorted(otable):
-                    c = otable[key]
-                    if diff:
-                        c = int(self._halve_rng.binomial(c, 0.5**diff))
-                    if c:
-                        table[key] = table.get(key, 0) + c
+        for table, otable in (
+            (self._pos, other._pos), (self._neg, other._neg)
+        ):
+            for key in sorted(otable):
+                c = otable[key]
+                if diff:
+                    c = int(self._halve_rng.binomial(c, 0.5**diff))
+                if c:
+                    table[key] = table.get(key, 0) + c
         self._sched.weight = self._retained_total()
         while self._sched.needs_halving():
             self._halve()
@@ -427,92 +364,24 @@ class SampledFrequencies:
 
     def estimate(self, item: int) -> float:
         """Rescaled ``f*_i`` (Lemma 1)."""
-        if self._dense:
-            raw = int(self._pos_arr[item]) - int(self._neg_arr[item])
-        else:
-            raw = self._pos.get(item, 0) - self._neg.get(item, 0)
-        return raw / self.rate
+        return (self._pos.get(item, 0) - self._neg.get(item, 0)) / self.rate
 
     def sum_estimate(self) -> float:
         """Rescaled ``sum_i f*_i`` (the final statement of Lemma 1)."""
-        if self._dense:
-            raw = exact_sum(self._pos_arr) - exact_sum(self._neg_arr)
-        else:
-            raw = sum(self._pos.values()) - sum(self._neg.values())
+        raw = sum(self._pos.values()) - sum(self._neg.values())
         return raw / self.rate
 
     def sampled_items(self) -> set[int]:
-        if self._dense:
-            nz = np.flatnonzero(self._pos_arr + self._neg_arr)
-            return {int(i) for i in nz}
         return set(self._pos) | set(self._neg)
-
-    def _table_entries(self):
-        if self._dense:
-            for arr in (self._pos_arr, self._neg_arr):
-                for i in np.flatnonzero(arr).tolist():
-                    yield i, int(arr[i])
-        else:
-            for table in (self._pos, self._neg):
-                yield from table.items()
 
     def space_bits(self) -> int:
         # Each retained entry: item id (log n not known here; charge the
-        # id at its own bit-length) + counter at observed width.  Dense
-        # mode charges the same retained entries — the dense array is a
-        # throughput workspace, not a bigger space claim.
+        # id at its own bit-length) + counter at observed width.
         bits = 0
-        for item, count in self._table_entries():
-            bits += max(1, int(item).bit_length()) + counter_bits(
-                count, signed=False
-            )
+        for table in (self._pos, self._neg):
+            for item, count in table.items():
+                bits += max(1, int(item).bit_length()) + counter_bits(
+                    count, signed=False
+                )
         bits += max(1, self.log2_inv_p.bit_length())  # the exponent p
         return bits
-
-
-class AdaptiveUniformSampler:
-    """Budgeted uniform sampling of an *unstructured* update sequence.
-
-    Generic building block for structures that need "a uniform sample of
-    the stream so far, of size about S, at a power-of-two rate" — CSSS
-    rows, the sampled Cauchy counters of Theorem 8, etc.  The caller
-    supplies a ``thin(structure, rng)`` halving callback; this class owns
-    the schedule: rate starts at 1, and each time the number of *sampled*
-    updates crosses ``budget`` it directs a halving and doubles the
-    inverse rate, exactly the Figure 2 step-5a schedule keyed to sample
-    counts rather than wall-clock t (equivalent up to constants, and
-    self-tuning when update magnitudes vary).
-    """
-
-    def __init__(self, budget: int, rng: np.random.Generator) -> None:
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        self.budget = int(budget)
-        self._rng = rng
-        self.log2_inv_p = 0
-        self.sampled_weight = 0
-
-    @property
-    def rate(self) -> float:
-        return 2.0**-self.log2_inv_p
-
-    def offer(self, delta: int) -> int:
-        """Thin an update through the current rate; returns the signed
-        retained magnitude (0 = dropped) and books the retained weight."""
-        kept = binomial_thin(delta, self.rate, self._rng)
-        self.sampled_weight += abs(kept)
-        return kept
-
-    def needs_halving(self) -> bool:
-        return self.sampled_weight > self.budget
-
-    def register_halving(self) -> None:
-        """Record that the caller thinned its structure by 1/2."""
-        self.log2_inv_p += 1
-        # The caller's thinning halves retained weight in expectation.
-        self.sampled_weight = self.sampled_weight // 2
-
-    def space_bits(self) -> int:
-        return max(1, self.log2_inv_p.bit_length()) + counter_bits(
-            max(1, self.sampled_weight), signed=False
-        )

@@ -17,8 +17,10 @@ Backend selection::
 
 Fallback (off / no compiler / failed build / failed self-test) is
 silent except for a one-time ``repro.kernels`` log line saying which.
-The singleton is :func:`backend`; :func:`override` swaps it for a
-``with`` block (the test fixtures and the ``--no-kernels`` CLI flag).
+``REPRO_KERNELS`` is the one backend selector; ``repro kernels``
+reports what it resolved to.  The singleton is :func:`backend`;
+:func:`override` swaps it for a ``with`` block (the test fixtures and
+the benchmarks' backend comparisons).
 
 Dispatch sites call the ``try_*`` helpers below, which return
 ``None``/``False`` whenever the kernel cannot take the call (backend

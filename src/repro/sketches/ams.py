@@ -21,11 +21,6 @@ from repro.space.accounting import counter_bits
 class AMSSketch:
     """AMS sketch: ``groups`` means of ``per_group`` atomic estimators."""
 
-    #: Batch/plan paths dispatch to the fused sign+accumulate kernel
-    #: (:mod:`repro.kernels`, z viewed as an (r, 1) table) when the
-    #: compiled backend is active.
-    kernel_updates = True
-
     def __init__(
         self,
         n: int,

@@ -162,10 +162,6 @@ class CauchyL1Sketch:
         )
         self._gross_weight += exact_sum(np.abs(deltas_arr))
 
-    #: Both update paths dispatch the left-fold to the compiled
-    #: ``cauchy_fold`` kernel (:mod:`repro.kernels`) when active.
-    kernel_updates = True
-
     # Reads no summed view: the y accumulators are float and the batch
     # contract is *bitwise* — regrouping e(i)·(Δ₁+Δ₂) differs from
     # e(i)·Δ₁ + e(i)·Δ₂ in the last ulp, so duplicates must stay

@@ -21,10 +21,6 @@ from repro.space.accounting import counter_bits
 class CountMin:
     """CountMin over ``[n]`` with ``depth`` rows of ``width`` buckets."""
 
-    #: Batch/plan paths dispatch to the fused hash+scatter kernel
-    #: (:mod:`repro.kernels`) when the compiled backend is active.
-    kernel_updates = True
-
     def __init__(
         self, n: int, width: int, depth: int, rng: np.random.Generator
     ) -> None:

@@ -80,10 +80,6 @@ class CountSketch:
         Randomness source for the hash seeds.
     """
 
-    #: Batch/plan paths dispatch to the fused hash+sign+scatter kernel
-    #: (:mod:`repro.kernels`) when the compiled backend is active.
-    kernel_updates = True
-
     def __init__(
         self, n: int, width: int, depth: int, rng: np.random.Generator
     ) -> None:

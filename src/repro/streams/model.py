@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.batch import as_update_arrays, exact_sum
+from repro.batch import _INT64_MAX, as_update_arrays, exact_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -26,7 +26,14 @@ class Update:
     """A single stream update ``(item, delta)``.
 
     ``item`` is a 0-based identity in ``[0, n)``; ``delta`` is a (possibly
-    negative) integer frequency change.
+    negative) integer frequency change.  Both must hold in the int64
+    columns of :meth:`Stream.as_arrays`, so the values
+    :func:`~repro.batch.as_update_arrays` refuses are refused here too.
+
+    >>> Update(1, -2**63)
+    Traceback (most recent call last):
+        ...
+    ValueError: delta -9223372036854775808 has no int64 magnitude
     """
 
     item: int
@@ -35,8 +42,12 @@ class Update:
     def __post_init__(self) -> None:
         if self.item < 0:
             raise ValueError("item must be non-negative")
+        if self.item > _INT64_MAX:
+            raise ValueError(f"item {self.item} does not fit in int64")
         if self.delta == 0:
             raise ValueError("zero-delta updates are not part of the model")
+        if abs(self.delta) > _INT64_MAX:
+            raise ValueError(f"delta {self.delta} has no int64 magnitude")
 
 
 class Stream:

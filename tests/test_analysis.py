@@ -327,45 +327,6 @@ class TestCapabilityConsistency:
         assert rules_of(found) == ["capability-consistency"]
         assert "update_plan" in found[0].message
 
-    def test_fires_on_kernel_flag_without_dispatch(self):
-        src = (
-            "class Foo:\n"
-            "    kernel_updates = True\n"
-            "    def update(self):\n"
-            "        pass\n"
-            "_register('foo', Foo)\n"
-        )
-        found = findings_for(
-            CapabilityConsistency(), (self.REGISTRY, src)
-        )
-        assert rules_of(found) == ["capability-consistency"]
-        assert "kernel" in found[0].message
-
-    def test_kernel_flag_via_composition_is_silent(self):
-        """A wrapper that instantiates a kernel-dispatching component
-        (the heavy-hitter/CSSS shape) satisfies the kernel check."""
-        inner = (
-            "from repro.kernels import try_csss_scatter\n"
-            "class Inner:\n"
-            "    kernel_updates = True\n"
-            "    def update(self):\n"
-            "        try_csss_scatter()\n"
-        )
-        wrapper = (
-            "class Wrapper:\n"
-            "    kernel_updates = True\n"
-            "    def __init__(self):\n"
-            "        self.inner = Inner()\n"
-            "    def update(self):\n"
-            "        self.inner.update()\n"
-            "_register('wrapper', Wrapper)\n"
-        )
-        assert findings_for(
-            CapabilityConsistency(),
-            ("src/repro/core/inner.py", inner),
-            (self.REGISTRY, wrapper),
-        ) == []
-
     def test_fires_on_unknown_class(self):
         found = findings_for(
             CapabilityConsistency(),
@@ -408,7 +369,6 @@ class TestCapabilityConsistency:
         )
         pins = (
             "EXPECTED_FLAGS = {'foo': (True, False, True)}\n"
-            "EXPECTED_KERNEL = {'foo': False}\n"
         )
         assert findings_for(
             CapabilityConsistency(),

@@ -1,32 +1,88 @@
 """Registry pin tests: every exported sketch has a spec whose
-capability flags are correct, and the root-seed RNG policy is
-deterministic (the property session merges and snapshots rest on)."""
+capabilities — what the :mod:`repro.batch` protocol checks read off a
+built instance, and whether its updates take a compiled kernel — are
+pinned, and the root-seed RNG policy is deterministic (the property
+session merges and snapshots rest on)."""
 
 from __future__ import annotations
 
+import functools
 import inspect
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+from repro import kernels
+from repro.analysis.core import SourceFile, load_path, run_rules
+from repro.analysis.rules.capability_consistency import (
+    CapabilityConsistency,
+)
 from repro.api.registry import (
     REGISTRY,
-    Capabilities,
     Params,
     build,
     get_spec,
     rng_for,
     specs,
 )
-from repro.batch import (
-    supports_batch,
-    supports_kernels,
-    supports_merge,
-    supports_plan,
-)
+from repro.batch import supports_batch, supports_merge, supports_plan
+from repro.streams.engine import replay
+from repro.streams.generators import zipfian_insertion_stream
 
 PROBE = Params(n=128, eps=0.25, delta=0.25, alpha=2.0, seed=3)
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+
+def _flags(name: str) -> tuple[bool, bool, bool]:
+    """(batch, plan, merge) as the protocol checks read them off a
+    probe build of the spec."""
+    sketch = get_spec(name).build(PROBE)
+    return supports_batch(sketch), supports_plan(sketch), \
+        supports_merge(sketch)
+
+
+@functools.lru_cache(maxsize=None)
+def _static_mismatches() -> tuple[str, ...]:
+    """The capability-consistency rule's findings with every spec
+    pinned at its runtime flags: one message per spec whose statically
+    derived (batch, plan, merge) differ from what a build reports."""
+    pins = {name: _flags(name) for name in REGISTRY}
+    files = load_path(SRC)
+    files.append(SourceFile("tests/test_api_registry.py",
+                            f"EXPECTED_FLAGS = {pins!r}\n"))
+    found = run_rules(files, [CapabilityConsistency()])
+    return tuple(f.message for f in found
+                 if f.rule == "capability-consistency")
+
+
+_KERNEL_HELPERS = (
+    "try_kwise", "try_table_update", "try_cauchy_fold", "try_csss_scatter",
+)
+
+
+def _takes_kernels(name: str, monkeypatch) -> bool:
+    """Whether one 4096-update chunk fed to a probe build of the spec
+    has some :mod:`repro.kernels` ``try_*`` helper take the call
+    (return neither ``None`` nor ``False``) with the backend active."""
+    taken = []
+
+    def counted(helper):
+        def call(*args, **kwargs):
+            out = helper(*args, **kwargs)
+            if out is not None and out is not False:
+                taken.append(helper)
+            return out
+        return call
+
+    for attr in _KERNEL_HELPERS:
+        monkeypatch.setattr(kernels, attr, counted(getattr(kernels, attr)))
+    stream = zipfian_insertion_stream(PROBE.n, 4096, skew=1.1, seed=5)
+    replay(stream, get_spec(name).build(PROBE), chunk_size=4096)
+    return bool(taken)
 
 
 def _exported_sketch_classes() -> list[type]:
@@ -64,18 +120,13 @@ class TestRegistryPins:
 
     @pytest.mark.parametrize("name", sorted(REGISTRY))
     def test_capability_flags_match_protocols(self, name):
-        """The cached flags must equal the batch.py protocol checks on
-        a freshly built instance — the registry is *derived from* the
-        protocols, never allowed to drift from them."""
-        spec = get_spec(name)
-        sketch = spec.build(PROBE)
-        caps = spec.capabilities()
-        assert caps == Capabilities(
-            supports_batch(sketch),
-            supports_plan(sketch),
-            supports_merge(sketch),
-            supports_kernels(sketch),
-        )
+        """The (batch, plan, merge) flags the protocol checks read off
+        a built instance equal the ones the capability-consistency lint
+        rule derives from the source, for every spec — so the rule's
+        compile-time pins and these runtime pins cannot drift apart."""
+        prefix = f"spec {name!r}"
+        assert [m for m in _static_mismatches()
+                if m.startswith(prefix)] == []
 
     #: Hard pins for the load-bearing structures: a silent capability
     #: regression (a sketch losing its plan path, a merge disappearing)
@@ -104,12 +155,12 @@ class TestRegistryPins:
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_FLAGS))
     def test_pinned_capability_flags(self, name):
-        caps = get_spec(name).capabilities()
-        assert (caps.batch, caps.plan, caps.merge) == \
-            self.EXPECTED_FLAGS[name], name
+        assert _flags(name) == self.EXPECTED_FLAGS[name], name
 
-    #: Kernel-dispatch pins: exactly these specs route their batch/plan
-    #: updates through :mod:`repro.kernels` when the backend is active.
+    #: Kernel-dispatch pins, observed rather than declared: whether a
+    #: chunk fed to the spec has a compiled kernel take some of its
+    #: work when the backend is active (support_sampler's hashing rides
+    #: the Horner kernel; the exact baselines hash nothing).
     EXPECTED_KERNEL = {
         "countsketch": True,
         "countmin": True,
@@ -122,13 +173,18 @@ class TestRegistryPins:
         "l2_heavy_hitters": True,
         "frequency_vector": False,
         "misra_gries": False,
-        "support_sampler": False,
+        "support_sampler": True,
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED_KERNEL))
-    def test_pinned_kernel_flags(self, name):
-        caps = get_spec(name).capabilities()
-        assert caps.kernel == self.EXPECTED_KERNEL[name], name
+    def test_pinned_kernel_flags(self, name, monkeypatch):
+        if os.environ.get("REPRO_KERNELS", "").strip().lower() == "off":
+            pytest.skip("REPRO_KERNELS=off forces the NumPy backend")
+        with kernels.override("auto") as backend:
+            if not backend.active:
+                pytest.skip(f"kernel backend inactive: {backend.reason}")
+            taken = _takes_kernels(name, monkeypatch)
+        assert taken == self.EXPECTED_KERNEL[name], name
 
     def test_every_spec_has_summary_and_docs(self):
         for spec in specs():

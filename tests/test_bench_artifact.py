@@ -85,3 +85,15 @@ def test_throughput_gates_read_the_median_of_the_runs(bench_throughput):
         report(-0.1, -0.05, -0.01, 0.1, 0.2))
     assert len(failures) == 1 and "push-mode" in failures[0]
     assert bench_throughput.ARTIFACT.read_bytes() == written
+
+
+def test_every_recorded_row_is_a_battery_structure(bench_throughput):
+    """``--check-floors`` re-measures each recorded row through
+    ``SKETCHES[name]``, so a row the battery no longer builds would end
+    the check with a ``KeyError``."""
+    artifact = json.loads(
+        (BENCHMARKS.parent / "BENCH_throughput.json").read_text())
+    rows = set(artifact["results"]) | set(artifact["kernels"]["results"])
+    for level in artifact["skew_sweep"].values():
+        rows |= set(level["results"])
+    assert rows - set(bench_throughput.SKETCHES) == set()

@@ -15,9 +15,7 @@ to the scalar loop) at every chunk size.  This module enforces:
   evaluates each distinct hash function once per chunk (value-equal
   hash functions share one evaluation), asserted via a call counter;
 * the ``replay_many`` pin: sketches fed together chunk-major end
-  bit-identical to sketches fed by dedicated replays;
-* the dense `SampledFrequencies` fast path: dense and dict modes agree
-  estimate-for-estimate, and dense scalar == dense batch bitwise.
+  bit-identical to sketches fed by dedicated replays.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.core.inner_product import AlphaInnerProduct
 from repro.core.l0_estimation import AlphaL0Estimator
 from repro.core.l1_estimation import AlphaL1EstimatorGeneral
 from repro.core.l2_heavy_hitters import AlphaL2HeavyHitters
-from repro.core.sampling import SampledFrequencies
 from repro.hashing.kwise import KWiseHash
 from repro.sketches.ams import AMSSketch
 from repro.sketches.cauchy import CauchyL1Sketch
@@ -493,63 +490,6 @@ def test_replay_many_matches_dedicated_replays():
     for fed, alone in zip(together, build()):
         replay(stream, alone, chunk_size=192)
         assert_same_state(alone, fed)
-
-
-# -- dense SampledFrequencies fast path ---------------------------------------
-
-@pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-def test_sampled_frequencies_dense_scalar_vs_batch(chunk_size):
-    """Dense mode obeys the batch contract: scalar loop == batch replay
-    bitwise (tables, schedule, and generators)."""
-    def build():
-        return SampledFrequencies(
-            budget=400, rng=np.random.default_rng(SEED), universe=N
-        )
-
-    reference = build()
-    for u in SKEWED:
-        reference.update(u.item, u.delta)
-    batched = replay(SKEWED, build(), chunk_size=chunk_size)
-    assert_same_state(reference, batched)
-
-
-def test_sampled_frequencies_dense_matches_dict_mode():
-    """Same seed, same stream: dense and dict modes consume identical
-    randomness and agree on every estimate (the dense array is a
-    workspace representation, not a different sampler)."""
-    dense = replay(
-        SKEWED,
-        SampledFrequencies(budget=400, rng=np.random.default_rng(SEED),
-                           universe=N),
-    )
-    sparse = replay(
-        SKEWED,
-        SampledFrequencies(budget=400, rng=np.random.default_rng(SEED)),
-    )
-    assert dense.log2_inv_p == sparse.log2_inv_p
-    assert dense.sampled_items() == sparse.sampled_items()
-    assert all(dense.estimate(i) == sparse.estimate(i) for i in range(N))
-    assert dense.sum_estimate() == sparse.sum_estimate()
-    assert dense.space_bits() == sparse.space_bits()
-
-
-def test_sampled_frequencies_dense_merge():
-    """Dense shards merge by the same rate-alignment rule; the merged
-    sampler is a valid budget-obeying sample of the concatenation."""
-    a = SampledFrequencies(budget=200, rng=np.random.default_rng(1),
-                           universe=N)
-    b = SampledFrequencies(budget=200, rng=np.random.default_rng(1),
-                           universe=N)
-    half = len(SKEWED) // 2
-    items, deltas = SKEWED.as_arrays()
-    a.update_batch(items[:half], deltas[:half])
-    b.update_batch(items[half:], deltas[half:])
-    merged = a.merge(b)
-    assert merged._retained <= merged.budget
-    truth = SKEWED.frequency_vector().l1()
-    assert merged.sum_estimate() == pytest.approx(truth, rel=0.6)
-    with pytest.raises(ValueError):
-        a.merge(SampledFrequencies(budget=200, rng=np.random.default_rng(1)))
 
 
 # -- general-L1 per-shard thinning seeds (ROADMAP lever c) --------------------

@@ -29,10 +29,8 @@ class TestParser:
         ["describe", "--m", "-5"],
         ["support", "--k", "0"],
         ["describe", "--chunk-size", "64"],
-        ["describe", "--no-kernels"],
     ], ids=["eps_zero", "eps_one", "n_zero", "alpha_below_one",
-            "m_negative", "k_zero", "chunk_size_on_describe",
-            "no_kernels_on_describe"])
+            "m_negative", "k_zero", "chunk_size_on_describe"])
     def test_bad_flags_exit_2_with_usage(self, capsys, argv):
         """Out-of-range workload flags, and engine flags on the
         subcommands that replay nothing, are refused at parse time:
@@ -73,15 +71,18 @@ class TestCommands:
         assert "Theorem 8" in out
 
     def test_no_kernels_is_estimate_invariant(self, capsys):
-        """--no-kernels forces the pure-NumPy update paths; every
-        reported line except the updates/sec figure must match the
-        kernel-backed replay exactly (the bit-identity contract,
-        observed end to end through the CLI)."""
+        """With the pure-NumPy backend selected (what REPRO_KERNELS=off
+        selects), every reported line except the updates/sec figure
+        must match the kernel-backed replay exactly (the bit-identity
+        contract, observed end to end through the CLI)."""
+        from repro import kernels
+
         args = ["heavy-hitters", "--n", "512", "--m", "4000",
                 "--alpha", "4", "--eps", "0.125"]
         assert main(args) == 0
         fused = capsys.readouterr().out
-        assert main(args + ["--no-kernels"]) == 0
+        with kernels.override("off"):
+            assert main(args) == 0
         numpy_only = capsys.readouterr().out
 
         def answers(out):
@@ -89,26 +90,15 @@ class TestCommands:
 
         assert answers(fused) == answers(numpy_only)
 
-    def test_no_kernels_restores_backend(self):
-        """The CLI's backend override must not leak into the host
-        process (tests import and call main() in-process)."""
-        from repro import kernels
-
-        before = kernels.backend()
-        assert main(["l0", "--n", "256", "--m", "500",
-                     "--no-kernels"]) == 0
-        assert kernels.backend() is before
-
     def test_kernels_subcommand_reports_backend(self, capsys):
-        """`repro kernels` prints the backend record and the registry
-        specs that dispatch to it."""
+        """`repro kernels` prints the backend record and each kernel's
+        self-test status."""
         assert main(["kernels"]) == 0
         out = capsys.readouterr().out
         assert "mode" in out and "active" in out
         for name in ("kwise_hash", "fused_table_update",
                      "cauchy_fold", "csss_scatter"):
             assert name in out
-        assert "countsketch" in out and "csss" in out
 
     def test_l0(self, capsys):
         assert main(["l0", "--workload", "sensor", "--n", "4096",

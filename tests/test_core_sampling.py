@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sampling import (
-    AdaptiveUniformSampler,
     SampledFrequencies,
     binomial_thin,
     lemma1_sampling_probability,
@@ -122,30 +121,6 @@ class TestSampledFrequencies:
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             SampledFrequencies(budget=0, rng=np.random.default_rng(10))
-
-
-class TestAdaptiveUniformSampler:
-    def test_rate_halves_on_overflow(self):
-        a = AdaptiveUniformSampler(budget=100, rng=np.random.default_rng(11))
-        kept_total = 0
-        for _ in range(1000):
-            kept_total += abs(a.offer(1))
-            while a.needs_halving():
-                a.register_halving()
-        assert a.log2_inv_p >= 2
-        assert a.rate == 2.0**-a.log2_inv_p
-
-    def test_retained_weight_bounded(self):
-        a = AdaptiveUniformSampler(budget=64, rng=np.random.default_rng(12))
-        for _ in range(5000):
-            a.offer(1)
-            while a.needs_halving():
-                a.register_halving()
-        assert a.sampled_weight <= 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveUniformSampler(budget=0, rng=np.random.default_rng(13))
 
 
 @given(

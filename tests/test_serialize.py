@@ -31,8 +31,9 @@ PARAMS = Params(n=N, eps=0.2, delta=0.25, alpha=4.0, seed=SEED)
 #: ISSUE requires round-trips for), plus the non-mergeable support
 #: sampler — persistence should not stop at the merge boundary.
 from repro.api.registry import specs
+from repro.batch import supports_merge
 
-MERGEABLE_SPECS = [s.name for s in specs() if s.capabilities().merge]
+MERGEABLE_SPECS = [s.name for s in specs() if supports_merge(s.build(PARAMS))]
 ALL_SPECS = MERGEABLE_SPECS + ["support_sampler"]
 
 #: Insertion-only structures ride the zipf stream.
@@ -192,6 +193,43 @@ class TestSessionSnapshots:
     def test_session_snapshot_rejects_foreign_format(self):
         with pytest.raises(ValueError):
             StreamSession.restore({"format": 0})
+
+    def test_parent_format_sampled_frequencies_restores(self):
+        """A SampledFrequencies snapshot from when the class still had
+        its dense mode (dict mode: the state also carries
+        ``universe: None`` and ``_dense: False``) restores, keeps
+        ingesting, and answers what a never-snapshotted twin answers."""
+        stream = bounded_deletion_stream(N, 6000, alpha=4, seed=3,
+                                         strict=False)
+        items, deltas = stream.as_arrays()
+
+        def fresh():
+            return StreamSession(N, params=PARAMS, chunk_size=512).track(
+                "sf", "sampled_frequencies", budget=300)
+
+        old = fresh().push(items[:3000], deltas[:3000])
+        payload = old.snapshot()
+
+        def parent_format(node):
+            if isinstance(node, dict):
+                if str(node.get("cls", "")).endswith(":SampledFrequencies"):
+                    node["state"].update(universe=None, _dense=False)
+                    return 1
+                return sum(parent_format(v) for v in node.values())
+            if isinstance(node, list):
+                return sum(parent_format(v) for v in node)
+            return 0
+
+        assert parent_format(payload["consumers"]) == 1
+        resumed = StreamSession.restore(payload)
+        resumed.push(items[3000:], deltas[3000:]).flush()
+        twin = fresh().push(items, deltas).flush()
+        got, want = resumed["sf"], twin["sf"]
+        assert got.log2_inv_p == want.log2_inv_p > 0
+        assert resumed.query("sf") == twin.query("sf")
+        assert got.space_bits() == want.space_bits()
+        assert got.sampled_items() == want.sampled_items()
+        assert all(got.estimate(i) == want.estimate(i) for i in range(N))
 
 
 class TestReviewHardening:

@@ -286,10 +286,14 @@ def _errors_total(client, code: str) -> float:
     (_post_sessions({"name": "s", "n": True}), "bad_session"),
     (_post_sessions({"name": "s", "n": N, "node": 2.7}), "bad_session"),
     (_post_sessions({"name": "s", "n": N, "seed": "7"}), "bad_session"),
+    (_post_sessions({"name": "s", "n": 16, "track": {
+        "fv": "frequency_vector",
+        "sf": {"spec": "sampled_frequencies", "universe": 8}}}),
+     "bad_session"),
 ], ids=["length_abc", "length_1e3", "length_negative", "unknown_field",
         "track_not_a_list", "params_not_an_object", "retired_coalesce",
         "chunk_size_float", "n_float", "n_bool", "node_float",
-        "seed_string"])
+        "seed_string", "sampled_frequencies_universe"])
 def test_malformed_http_request_is_a_typed_400(server, client,
                                                request_bytes, code):
     """A malformed request gets a 400 with its error code, counted in

@@ -276,6 +276,17 @@ class TestSessionSurface:
         with pytest.raises(ValueError):
             StreamSession(N).track("countmin", n=N * 2)
 
+    def test_sampled_frequencies_takes_no_universe(self):
+        """SampledFrequencies holds only its retained entries; its
+        dense mode and the ``universe`` argument that chose it are gone,
+        so the override is a TypeError and nothing is registered."""
+        session = StreamSession(16).track("fv", "frequency_vector")
+        with pytest.raises(TypeError, match="universe"):
+            session.track("sf", "sampled_frequencies", universe=8)
+        assert session.names() == ["fv"]
+        session.push([1, 12], [1, 1]).flush()
+        assert session["fv"].f[[1, 12]].tolist() == [1, 1]
+
     def test_add_rejects_objects_without_update(self):
         with pytest.raises(TypeError, match="no update method"):
             StreamSession(N).add("bad", object())

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from repro.api import Params, StreamSession
-from repro.batch import as_update_arrays, exact_sum
+from repro.batch import (
+    as_update_arrays,
+    exact_sum,
+    running_sum_extrema,
+    running_sums,
+    scaled_mod_increments,
+    signed_scatter_add_peak,
+)
 from repro.sketches.knw_l0 import ExactSmallL0
 from repro.streams.engine import ChunkDriver, iter_chunks, replay, replay_many
 from repro.streams.generators import bounded_deletion_stream
@@ -145,6 +152,54 @@ class TestValidatorHelper:
 
     def test_exact_sum_guard_sees_the_most_negative_int64(self):
         assert exact_sum(np.array([-2**63, -2**63])) == -2**64
+
+
+class TestOverflowGuards:
+    """Each int64 fast path is gated by a float64 magnitude bound, which
+    must be taken after the cast: ``np.abs`` wraps an int64 -2^63 back
+    to itself, and a bound read off the wrapped value lets the int64
+    arithmetic wrap too."""
+
+    LOWEST = np.array([-2**63, -2**63])
+
+    def test_running_sums(self):
+        assert running_sums(self.LOWEST).tolist() == [-2**63, -2**64]
+
+    def test_running_sum_extrema(self):
+        assert running_sum_extrema(0, self.LOWEST) == (-2**64, 2**64)
+
+    def test_scaled_mod_increments(self):
+        got = scaled_mod_increments(np.array([-2**63, 1]),
+                                    np.array([3, 3]), 1000003)
+        assert got.tolist() == [(-2**63 * 3) % 1000003, 3] == [973974, 3]
+
+    def test_signed_scatter_add_peak(self):
+        target = np.zeros(1, dtype=np.int64)
+        peak = signed_scatter_add_peak(target, np.array([0, 0]),
+                                       np.array([-2**63, 2**62]))
+        assert peak == 2**63
+        assert target.tolist() == [-2**62]
+
+
+class TestUpdateRange:
+    """``Update`` refuses at construction what the int64 columns of
+    ``Stream.as_arrays`` cannot hold, as ``as_update_arrays`` does."""
+
+    TOP = 2**63 - 1
+
+    @pytest.mark.parametrize("item, delta", [
+        (2**63, 1), (1, 2**63), (1, -2**63), (1, 2**64),
+    ], ids=["item_2^63", "delta_2^63", "delta_-2^63", "delta_2^64"])
+    def test_out_of_range_is_a_value_error(self, item, delta):
+        with pytest.raises(ValueError, match="int64"):
+            Update(item, delta)
+
+    def test_int64_bounds_are_accepted(self):
+        stream = Stream(2**63, [Update(self.TOP, self.TOP),
+                                Update(1, -self.TOP)])
+        items, deltas = stream.as_arrays()
+        assert items.tolist() == [self.TOP, 1]
+        assert deltas.tolist() == [self.TOP, -self.TOP]
 
 
 class TestEngine:
