@@ -28,8 +28,9 @@ non-blocking — wall-clock checks warn, they don't break builds).
 A **session** section measures the facade's push path: the same
 battery replayed by offline :func:`repro.streams.engine.replay_many`
 and pushed through :class:`repro.api.StreamSession` at a granularity
-that straddles chunk boundaries.  Acceptance: push-mode is
-bit-identical to offline and within 10% of its rate at chunk 4096.
+that straddles chunk boundaries, in alternating fresh pairs (the ratio
+is the median pair's).  Acceptance: push-mode is bit-identical to
+offline and within 10% of its rate at chunk 4096.
 
 The whole battery runs :data:`RUNS` times.  Every figure in the
 artifact is the median of its runs (:func:`median_report`), and each
@@ -295,6 +296,11 @@ SESSION_PUSH_SIZE = 1000
 #: offline ``replay_many`` rate at chunk 4096 (the facade's price tag).
 SESSION_MIN_RATIO = 0.9
 
+#: Fresh offline/session replay pairs per section run.  The two sides
+#: of a pair run back to back, so host drift between them cancels in
+#: the pair's ratio, and the section reports the median pair.
+SESSION_PAIRS = 3
+
 
 def _measure_session(chunk_size: int = CHUNK, m: int = M) -> dict:
     """Offline ``replay_many`` vs ``StreamSession.push`` on the same
@@ -302,13 +308,13 @@ def _measure_session(chunk_size: int = CHUNK, m: int = M) -> dict:
     check between the two paths."""
     stream = _streams(m)["general"]
     factories = [_factory(name) for name in SESSION_BATTERY]
-    offline = measure_offline_many(
-        stream, factories, chunk_size=chunk_size, repeats=3
-    )
-    pushed = measure_session_throughput(
-        stream, factories, chunk_size=chunk_size,
-        push_size=SESSION_PUSH_SIZE, repeats=3,
-    )
+    offline, pushed = [], []
+    for _ in range(SESSION_PAIRS):
+        offline.append(measure_offline_many(
+            stream, factories, chunk_size=chunk_size).updates_per_sec)
+        pushed.append(measure_session_throughput(
+            stream, factories, chunk_size=chunk_size,
+            push_size=SESSION_PUSH_SIZE).updates_per_sec)
     # Bit-identity of the two paths (the session contract).
     from repro.api.session import StreamSession
     from repro.streams.engine import replay_many
@@ -333,11 +339,10 @@ def _measure_session(chunk_size: int = CHUNK, m: int = M) -> dict:
         "battery": list(SESSION_BATTERY),
         "m": m,
         "push_size": SESSION_PUSH_SIZE,
-        "offline_updates_per_sec": int(round(offline.updates_per_sec)),
-        "session_updates_per_sec": int(round(pushed.updates_per_sec)),
-        "session_over_offline": round(
-            pushed.updates_per_sec / offline.updates_per_sec, 3
-        ),
+        "offline_updates_per_sec": int(round(statistics.median(offline))),
+        "session_updates_per_sec": int(round(statistics.median(pushed))),
+        "session_over_offline": round(statistics.median(
+            [p / o for p, o in zip(pushed, offline)]), 3),
         "identical_states": bool(identical),
     }
 

@@ -199,6 +199,9 @@ class StreamSession:
             query: Callable[[Any], Any] | None = None) -> "StreamSession":
         """Register an already-built sketch under ``name``.
 
+        The session's chunk driver admits it first (``ValueError``):
+        its universe, and no buffered deletion for an insertion-only one.
+
         >>> from repro.streams.model import FrequencyVector
         >>> StreamSession(n=8).add("truth", FrequencyVector(8)).names()
         ['truth']
@@ -210,21 +213,14 @@ class StreamSession:
                 raise TypeError(
                     f"{type(sketch).__name__} has no update method"
                 )
-            universe = getattr(sketch, "n", None)
-            if is_integer(universe) and universe != self.n:
-                # The session's universe is the stream's: a consumer
-                # over a smaller one would refuse a chunk that the
-                # consumers before it had already applied.
-                raise ValueError(
-                    f"{type(sketch).__name__} covers universe {universe}, "
-                    f"not the session's {self.n}"
-                )
+            driver = ChunkDriver([*self._sketches.values(), sketch],
+                                 self.n, self.chunk_size)
+            driver.admit(self._buf_deltas[:self._fill])
             self._sketches[name] = sketch
             self._queries[name] = query or _query_for_type(type(sketch))
             self._spec_names[name] = None
             self._custom_query[name] = query is not None
-            self._driver = ChunkDriver(self._sketches.values(), self.n,
-                                       self.chunk_size)
+            self._driver = driver
         return self
 
     def track(self, name: str, spec: str | SketchSpec | None = None,
@@ -304,6 +300,10 @@ class StreamSession:
     def push(self, items, deltas) -> "StreamSession":
         """Ingest a batch of updates of any size.
 
+        Update content is admitted here, before anything is buffered
+        (:func:`~repro.batch.as_update_arrays`, then the driver's
+        ``admit``), so a refused batch leaves the session as it was.
+
         Updates accumulate in a partial-chunk buffer; every full
         ``chunk_size`` worth goes through the engine's chunk driver to
         all registered consumers.  The resulting sketch states are
@@ -323,6 +323,7 @@ class StreamSession:
                     "no consumers registered; track() or add() "
                     "before push()"
                 )
+            self._driver.admit(deltas_arr)
             m = len(items_arr)
             self.updates_processed += m
             chunk = self.chunk_size
@@ -356,8 +357,8 @@ class StreamSession:
         (``seq <= watermark`` — already consumed; ack it again, apply
         nothing).  ``seq > watermark + 1`` raises
         :class:`SequenceGapError` — an earlier frame was lost and
-        applying out of order would silently skip it.  A batch the
-        validator refuses *consumes* its seq (the refusal is
+        applying out of order would silently skip it.  A batch
+        :meth:`push` refuses *consumes* its seq (the refusal is
         deterministic, so a retry of the same bytes would be refused
         again; advancing lets the client's next good frame through).
         The check and the push are one critical section under the

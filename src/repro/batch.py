@@ -89,7 +89,8 @@ class PlanConsumer(Protocol):
     ``update_batch(plan.items, plan.deltas)``.  The plan carries shared
     per-chunk precomputation — unique items, per-item summed deltas, a
     value-keyed hash-evaluation cache — so consumers fed from one plan
-    (``replay_many``, composed structures) never repeat work.
+    (``replay_many``, composed structures) never repeat work.  A plan
+    reaches only consumers the chunk driver admitted over its universe.
 
     >>> from repro.sketches.countmin import CountMin
     >>> import numpy as np

@@ -294,7 +294,6 @@ class CSSS:
         gathered back to per-update order; the sampling schedule then
         consumes the full chunk exactly as :meth:`update_batch` does, so
         the state — including every generator — is bit-identical."""
-        plan.check_universe(self.n)
         if plan.size == 0:
             return
         mags = plan.abs_deltas
@@ -481,6 +480,11 @@ class CSSSWithTailEstimate:
             n, k, eps, alpha, rng, depth, sample_budget,
             sampling_seed=seeds[1],
         )
+
+    @property
+    def n(self) -> int:
+        """The universe, the main instance's (the shadow's is the same)."""
+        return self.main.n
 
     def update(self, item: int, delta: int) -> None:
         self.main.update(item, delta)

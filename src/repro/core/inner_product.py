@@ -201,6 +201,11 @@ class AlphaInnerProductSketch:
         # Rescaled vectors folded in from merged shards (see merge()).
         self._merged_rescaled: np.ndarray | None = None
 
+    @property
+    def n(self) -> int:
+        """The universe, the shared context's."""
+        return self.ctx.n
+
     def _levels_for(self, t: int) -> range:
         """Levels r with ``t ∈ I_r = [s^r, s^(r+2)]`` (level 0 covers the
         prefix before ``s``)."""
@@ -262,7 +267,6 @@ class AlphaInnerProductSketch:
         chunk once, not once per stream.  The interval-segmented
         sampling then consumes the full chunk exactly as
         :meth:`update_batch` does (bit-identical state)."""
-        plan.check_universe(self.ctx.n)
         if plan.size == 0:
             return
         ctx = self.ctx

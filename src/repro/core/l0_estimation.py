@@ -396,7 +396,6 @@ class AlphaL0Estimator:
         the plan's inverse index.  αL0 is not ℤ-linear as a whole (rows
         are born mid-chunk), so the deltas stay per update.
         """
-        plan.check_universe(self.n)
         if plan.size == 0:
             return
         j2 = plan.unique_values(self._h2)

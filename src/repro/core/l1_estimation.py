@@ -432,7 +432,6 @@ class AlphaL1EstimatorGeneral:
         CauchyL1Sketch` sharing the generator) and is gathered back; the
         thinning draws then run in the exact scalar order, so the state
         matches :meth:`update_batch` bitwise."""
-        plan.check_universe(self.n)
         total = self.r + self.r_prime
         entries = np.empty((total, plan.size), dtype=np.float64)
         for j, row in enumerate(self._rows):

@@ -218,6 +218,11 @@ class AlphaL1MultiSampler:
             for _ in range(copies)
         ]
 
+    @property
+    def n(self) -> int:
+        """The universe, every attempt's."""
+        return self.samplers[0].n
+
     def update(self, item: int, delta: int) -> None:
         for s in self.samplers:
             s.update(item, delta)

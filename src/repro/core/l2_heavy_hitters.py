@@ -88,7 +88,6 @@ class AlphaL2HeavyHitters:
         sketches — the candidate folds per-item summed magnitudes (the
         insertion-only image), the verify sketch per-item summed
         deltas."""
-        plan.check_universe(self.n)
         self._candidate_cs._apply_plan(plan, signed=False)
         self._verify_cs._apply_plan(plan, signed=True)
 

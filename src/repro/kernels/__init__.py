@@ -62,7 +62,6 @@ __all__ = [
     "backend",
     "has",
     "override",
-    "set_mode",
     "try_cauchy_fold",
     "try_csss_scatter",
     "try_kwise",
@@ -411,14 +410,6 @@ def backend() -> KernelBackend:
         with _lock:
             if _backend is None:
                 _backend = KernelBackend()
-    return _backend
-
-
-def set_mode(mode: str) -> KernelBackend:
-    """Replace the singleton with a fresh backend in ``mode``."""
-    global _backend
-    with _lock:
-        _backend = KernelBackend(mode)
     return _backend
 
 

@@ -283,9 +283,10 @@ class ServiceClient:
         lost responses.  ``seq`` defaults to one past the highest
         sequence this client object has sent to ``name`` (starting at
         1); pass it explicitly to resume an older identity — see
-        :meth:`resync`.  A ``bad_frame`` refusal consumed its seq on
-        the server (the refusal is deterministic), so the next batch
-        moves past it; every other failure consumed nothing.
+        :meth:`resync`.  A ``bad_frame`` refusal of the content consumed
+        its seq (the refusal is deterministic), so the next batch moves
+        past it; framing refusals, which a frame built here never
+        draws, and every other failure consumed nothing.
         """
         cid = client_id if client_id is not None else self.client_id
         if cid is None:

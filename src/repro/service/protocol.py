@@ -25,13 +25,12 @@ Frame payloads:
   server applies a frame iff ``seq`` is exactly one past its
   per-``(session, client)`` watermark, acks ``seq <= watermark``
   idempotently as a duplicate, and refuses ``seq > watermark + 1`` with
-  a typed ``seq_gap`` error.  Decoding checks the exact length, then
-  applies the session's own admission
-  (:func:`repro.batch.as_update_arrays`: non-negative items, nonzero
-  deltas with an int64 magnitude) — and :func:`encode_ingest` applies
-  it too, so a client never stamps a frame the decoder would reject.
-  (The universe bound needs the target session and is enforced
-  server-side by ``push`` itself.)
+  a typed ``seq_gap`` error.  Decoding checks framing only (stamp,
+  count bounds, exact length), and a framing refusal consumes nothing.
+  The target session's ``push`` admits the content, universe included,
+  and its refusal consumes the seq; :func:`encode_ingest` applies the
+  same rules, so a client never stamps a frame ``push`` would refuse
+  (the universe aside).
 * ``INGEST_ACK`` — ``applied:u64 | seq:u64 | flags:u8``: the session's
   cumulative ``updates_processed``, the acked seq, and bit 0 set when
   the frame was a duplicate.
@@ -49,8 +48,8 @@ Frame payloads:
   ``MERGE_ACK`` — ``applied:u64`` cumulative updates after the fold.
 * ``ERROR`` — JSON ``{"code": ..., "message": ...}``.
 
-All refusals raise :class:`ProtocolError` (a ``ValueError``): truncated
-or trailing bytes, foreign magic, every version but
+All framing refusals raise :class:`ProtocolError` (a ``ValueError``):
+truncated or trailing bytes, foreign magic, every version but
 :data:`PROTOCOL_VERSION`, lengths beyond :data:`MAX_PAYLOAD`, and
 malformed payloads never reach a session.  :class:`FrameDecoder`
 reassembles frames from an arbitrarily chunked byte stream (the
@@ -261,8 +260,8 @@ def _decode_client_id(payload: bytes, what: str) -> tuple[str, int]:
 
 def _admit_columns(items, deltas) -> tuple[np.ndarray, np.ndarray]:
     """The session's own admission (:func:`repro.batch.as_update_arrays`)
-    applied to ingest columns at both ends, so the encoder refuses
-    exactly what the decoder and ``push`` would."""
+    applied before a frame is stamped, so the encoder refuses what
+    ``push`` would, the universe aside."""
     try:
         return as_update_arrays(items, deltas)
     except (TypeError, ValueError) as exc:
@@ -300,7 +299,7 @@ def _decode_columns(payload: bytes,
             f"{expected} bytes, got {len(payload)}"
         )
     base = offset + _COUNT.size
-    return _admit_columns(
+    return (
         np.frombuffer(payload, dtype="<i8", count=count, offset=base),
         np.frombuffer(payload, dtype="<i8", count=count,
                       offset=base + 8 * count),
@@ -327,13 +326,10 @@ def encode_ingest(items, deltas, *, client_id: str, seq: int) -> bytes:
 def decode_ingest(
     payload: bytes,
 ) -> tuple[np.ndarray, np.ndarray, str, int]:
-    """Validate and unpack an INGEST payload:
-    ``(items, deltas, client_id, seq)``.
+    """Unpack an INGEST payload: ``(items, deltas, client_id, seq)``.
 
-    The count must match the payload length exactly, and the columns
-    pass the session's admission (non-negative items, nonzero deltas
-    with an int64 magnitude).  The universe upper bound is the target
-    session's and is enforced by ``push``.
+    Checks framing only; the target session's ``push`` admits the
+    columns' content.
     """
     client_id, offset = _decode_client_id(payload, "ingest")
     if len(payload) < offset + _SEQ.size:

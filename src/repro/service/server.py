@@ -44,8 +44,11 @@ HTTP surface (all JSON unless noted)::
     GET    /v1/sessions/<name>/ws          WebSocket upgrade
 
 Consistency contract: an INGEST frame is applied atomically (the
-session lock) or refused whole; a connection dropped mid-frame applies
-nothing for the incomplete tail.  Queries flush the partial buffer
+session lock) or refused whole: bad framing consumes nothing, and
+content ``push`` refuses is a ``bad_frame`` that consumes its seq.  A
+connection dropped mid-frame applies nothing for the incomplete tail.
+``Params`` and ``StreamSession`` admit a session's fields; ``track``
+names registry specs only.  Queries flush the partial buffer
 first, so every answer reflects every acked update.  A merge folds the
 posted snapshot entirely or not at all (``StreamSession.merge``
 validates every consumer before mutating any).
@@ -83,7 +86,6 @@ from repro.api.session import (
     SequenceGapError,
     StreamSession,
 )
-from repro.batch import is_integer
 from repro.service import protocol
 from repro.service._ws import (
     OP_BINARY,
@@ -92,7 +94,7 @@ from repro.service._ws import (
     encode_ws_frame,
     read_ws_message,
 )
-from repro.service.metrics import MetricsRegistry, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.streams.io import payload_from_bytes, payload_to_bytes
 
 __all__ = [
@@ -151,8 +153,7 @@ class SketchService:
     methods, so the two transports cannot disagree about semantics.
     """
 
-    def __init__(self, metrics: ServiceMetrics | None = None,
-                 registry: MetricsRegistry | None = None, *,
+    def __init__(self, metrics: ServiceMetrics | None = None, *,
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every_updates: int | None = None,
                  checkpoint_every_seconds: float | None = None,
@@ -160,7 +161,7 @@ class SketchService:
                  ingest_deadline: float | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
         if metrics is None:
-            metrics = ServiceMetrics(registry)
+            metrics = ServiceMetrics()
         self.metrics = metrics
         self.sessions: dict[str, StreamSession] = {}
         # Reentrant: public accessors hold it and call each other
@@ -253,32 +254,27 @@ class SketchService:
                        ) -> dict:
         """Create a named session and track its consumer battery.
 
-        ``track`` maps consumer names to spec names (or to
-        ``{"spec": ..., <override>: ...}`` dicts); a plain list tracks
-        each spec under its own name.  ``params`` refines the session's
-        base :class:`~repro.api.registry.Params` (``eps`` / ``delta`` /
-        ``alpha``).  ``n``, ``seed``, ``node`` and ``chunk_size`` must
-        be integers (``chunk_size`` may be None): a JSON ``1.5`` or
-        ``true`` is refused, never truncated.
+        ``track`` names registry specs only: a list tracks each spec
+        under its own name, ``{consumer: spec}`` under the given names.
+        ``params`` refines the session's base
+        :class:`~repro.api.registry.Params` (``eps`` / ``delta`` /
+        ``alpha``).  ``Params`` and ``StreamSession`` admit the other
+        fields.  Every refusal, an impossible allocation included, is a
+        ``bad_session`` that leaves no session behind.
         """
         if not isinstance(name, str) or not _NAME_RE.match(name):
             raise ServiceError(
                 "bad_name",
                 "session names are 1-128 chars of [A-Za-z0-9_.-]",
             )
-        integers = {"n": n, "seed": seed, "node": node}
-        if chunk_size is not None:
-            integers["chunk_size"] = chunk_size
-        for field, value in integers.items():
-            if not is_integer(value):
-                raise ServiceError(
-                    "bad_session", f"{field} must be an integer, not {value!r}"
-                )
+        specs = track.values() if isinstance(track, dict) else track
         if not (isinstance(params or {}, dict)
-                and isinstance(track or {}, (dict, list, tuple))):
+                and isinstance(track or {}, (dict, list, tuple))
+                and all(isinstance(spec, str) for spec in specs or ())):
             raise ServiceError(
                 "bad_session",
-                "params is an object; track an object or a list of specs",
+                "params is an object; track a list of spec names or an "
+                "object mapping consumer names to spec names",
             )
         with self._lock:
             if name in self.sessions:
@@ -294,20 +290,14 @@ class SketchService:
                     f"{sorted(PARAM_FIELDS - {'n', 'seed'})}",
                 )
             try:
-                base = Params(n=int(n), seed=int(seed), **params)
-                session = StreamSession(
-                    int(n), params=base, chunk_size=chunk_size,
-                    node=int(node),
-                )
+                base = Params(n=n, seed=seed, **params)
+                session = StreamSession(n, params=base,
+                                        chunk_size=chunk_size, node=node)
                 if isinstance(track, (list, tuple)):
                     track = {spec: spec for spec in track}
                 for cname, spec in (track or {}).items():
-                    overrides = {}
-                    if isinstance(spec, dict):
-                        overrides = dict(spec)
-                        spec = overrides.pop("spec", cname)
-                    session.track(cname, spec, **overrides)
-            except (KeyError, ValueError, TypeError) as exc:
+                    session.track(cname, spec)
+            except (KeyError, ValueError, TypeError, MemoryError) as exc:
                 raise ServiceError("bad_session", str(exc)) from exc
             self.sessions[name] = session
             self._attach_checkpointer(name, session)

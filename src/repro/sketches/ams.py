@@ -67,7 +67,6 @@ class AMSSketch:
         against the per-item summed deltas — the same integer sum as
         :meth:`update_batch`, an order of magnitude fewer hash
         evaluations on skewed chunks."""
-        plan.check_universe(self.n)
         if not plan.coalesce_safe:
             self.update_batch(plan.items, plan.deltas)
             return

@@ -173,7 +173,6 @@ class CauchyL1Sketch:
         consumer) and is gathered back to per-update order; the shared
         cumsum fold then sees exactly the arrays :meth:`update_batch`
         builds, so the state is bit-identical."""
-        plan.check_universe(self.n)
         entries_of = lambda row: plan.values(row, row.entries)  # noqa: E731
         unique_of = lambda row: plan.unique_values(row, row.entries)  # noqa: E731
         self._accumulate_batch(

@@ -56,7 +56,6 @@ class CountMin:
         """Planned batch update: one cached hash evaluation over the
         chunk's unique items per row, one coalesced scatter-add —
         bit-identical to :meth:`update_batch` by linearity."""
-        plan.check_universe(self.n)
         if not plan.coalesce_safe:
             self.update_batch(plan.items, plan.deltas)
             return

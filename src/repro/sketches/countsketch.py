@@ -128,7 +128,6 @@ class CountSketch:
     def _apply_plan(self, plan, signed: bool) -> None:
         """Shared plan fold; ``signed=False`` feeds the insertion-only
         image ``|Δ|`` instead (the L2 heavy hitters candidate sketch)."""
-        plan.check_universe(self.n)
         if not plan.coalesce_safe:
             deltas = plan.deltas if signed else np.abs(plan.deltas)
             self.update_batch(plan.items, deltas)

@@ -135,7 +135,6 @@ class ExactSmallL0:
         bucket exactly as in :meth:`update_batch` (never the plan's
         ``summed_*`` views), so the tables end bit-identical.  Retired
         trials cost nothing."""
-        plan.check_universe(self.n)
         groups = []
         for h, tbl in zip(self._hashes, self._tables):
             if tbl is None:

@@ -40,6 +40,10 @@ class MisraGries:
         Threshold; ``ceil(1/eps) - 1`` counters are kept.
     """
 
+    #: Read by :class:`repro.streams.engine.ChunkDriver`, whose admission
+    #: refuses every deletion before a chunk reaches any consumer.
+    insertion_only = True
+
     def __init__(self, n: int, eps: float) -> None:
         if not 0 < eps < 1:
             raise ValueError("eps must be in (0, 1)")

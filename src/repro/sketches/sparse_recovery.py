@@ -92,21 +92,6 @@ class SparseRecovery:
     def consume(self, stream) -> "SparseRecovery":
         return consume_stream(self, stream)
 
-    def _bucket_is_pure(self, r: int, b: int) -> int | None:
-        """If bucket (r, b) contains exactly one item, return it."""
-        w = self.counts[r, b]
-        if w == 0:
-            return None
-        iw = self.ids[r, b]
-        if iw % w != 0:
-            return None
-        item = iw // w
-        if not 0 <= item < self.n:
-            return None
-        if self._hashes[r](int(item)) != b:
-            return None
-        return int(item)
-
     def recover(self) -> dict[int, int]:
         """Peel and return ``{item: weight}``; raises :class:`DenseError`
         if the residual does not vanish (vector was not s-sparse).

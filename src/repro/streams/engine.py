@@ -23,6 +23,11 @@ Typical use::
 
     sketch = replay(stream, CountSketch(n, 96, 6, rng), chunk_size=4096)
 
+**Admission.**  :class:`ChunkDriver` refuses a consumer whose integer
+``n`` is not the stream's universe, and its :meth:`~ChunkDriver.admit`
+refuses deletions beside an ``insertion_only`` consumer before the
+first chunk, so no consumer re-checks a chunk.
+
 **The plan policy.**  A chunk is pre-planned (:mod:`repro.streams.plan`:
 unique items, per-item summed deltas, a value-keyed hash-evaluation
 cache) iff some consumer implements ``update_plan``
@@ -89,7 +94,8 @@ def _feed(
 
 
 class ChunkDriver:
-    """The chunk loop and plan policy behind every replay and session.
+    """The chunk loop, plan policy and admission behind every replay
+    and session.
 
     :meth:`feed` cuts ``(items, deltas)`` columns into ``chunk_size``
     chunks and hands each chunk to every consumer in order.  A chunk is
@@ -109,12 +115,34 @@ class ChunkDriver:
     [0, 5, 0, 0, -1, 0, 0, 0]
     """
 
-    def __init__(self, consumers: Iterable[Any], universe: int | None,
+    def __init__(self, consumers: Iterable[Any], universe: int,
                  chunk_size: int | None = None) -> None:
         self.consumers = list(consumers)
+        for consumer in self.consumers:
+            n = getattr(consumer, "n", None)
+            if is_integer(n) and n != universe:
+                # A consumer over another universe would refuse a chunk
+                # that the consumers before it had already applied.
+                raise ValueError(
+                    f"{type(consumer).__name__} covers universe {n}, "
+                    f"not the stream's {universe}"
+                )
         self.chunk_size = _chunk_size(chunk_size)
+        self._insertion_only = next(
+            (type(c).__name__ for c in self.consumers
+             if getattr(c, "insertion_only", False)),
+            None,
+        )
         plans = any(supports_plan(c) for c in self.consumers)
         self.planner = ChunkPlanner(universe) if plans else None
+
+    def admit(self, deltas: np.ndarray) -> None:
+        """Refuse validated ``deltas`` holding a deletion that an
+        insertion-only consumer would be fed."""
+        if self._insertion_only and deltas.size and deltas.min() < 0:
+            raise ValueError(f"{self._insertion_only} is insertion-only; "
+                             "use the alpha-property algorithms for "
+                             "deletions")
 
     def feed(self, items: np.ndarray, deltas: np.ndarray) -> None:
         """Feed every consumer the columns, one chunk at a time."""
@@ -141,8 +169,7 @@ def replay(stream: Stream, sketch: Any, chunk_size: int | None = None):
     >>> replay(s, FrequencyVector(8), chunk_size=2).f.tolist()
     [0, 5, 0, 0, -1, 0, 0, 0]
     """
-    ChunkDriver([sketch], stream.n, chunk_size).feed(*stream.as_arrays())
-    return sketch
+    return replay_many(stream, [sketch], chunk_size)[0]
 
 
 def replay_many(
@@ -167,5 +194,7 @@ def replay_many(
     True
     """
     driver = ChunkDriver(sketches, stream.n, chunk_size)
-    driver.feed(*stream.as_arrays())
+    items, deltas = stream.as_arrays()
+    driver.admit(deltas)
+    driver.feed(items, deltas)
     return driver.consumers

@@ -28,6 +28,8 @@ computed lazily and at most once.  :class:`ChunkPlanner` owns the
 workspaces and builds one plan per chunk; the engine
 (:mod:`repro.streams.engine`) threads plans to every structure that
 implements ``update_plan(plan)`` (see :func:`repro.batch.supports_plan`).
+Plans are built only for consumers the engine's chunk driver admitted
+over the plan's universe, so ``update_plan`` never re-checks it.
 The contract mirrors the batch contract: ``update_plan(plan)`` MUST
 leave the structure bit-identical to ``update_batch(plan.items,
 plan.deltas)`` — coalescing is only consumed by structures whose state
@@ -93,7 +95,6 @@ class ChunkPlan:
         self._nonzero: np.ndarray | None = None
         self._nonzero_known = False
         self._gross: int | None = None
-        self._max_item: int | None = None
         self._abs: np.ndarray | None = None
         self._signs: np.ndarray | None = None
 
@@ -131,14 +132,6 @@ class ChunkPlan:
         uncoalesced batch path when False (the scalar/batch contract is
         exact at any magnitude; the coalesced fold is int64)."""
         return self.gross_weight < _INT64_SAFE_BOUND
-
-    def check_universe(self, n: int) -> None:
-        """Validate the chunk against a consumer's universe (plans are
-        built with the *stream* universe, which may be looser)."""
-        if self._max_item is None:
-            self._max_item = int(self.items.max()) if self.size else -1
-        if self._max_item >= n:
-            raise ValueError(f"item {self._max_item} outside universe [0, {n})")
 
     # -- duplicate coalescing ------------------------------------------------
     def _build_unique(self) -> None:

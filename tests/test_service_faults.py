@@ -158,6 +158,27 @@ def test_application_errors_keep_connection_usable(server, client):
     asyncio.run(drive())
 
 
+def test_deletion_beside_misra_gries_is_refused_at_ingest(service, client):
+    """ROADMAP item 1's probe: a deletion in a session tracking
+    Misra-Gries used to be acked as applied, and every later query then
+    failed and fed the buffered chunk to ``frequency_vector`` again.
+    Now the frame is a ``bad_frame`` that consumes its seq and buffers
+    nothing, and the client's next frame follows on."""
+    client.create_session("edge", n=64, chunk_size=8,
+                          track=["frequency_vector", "misra_gries"])
+    with pytest.raises(ServiceClientError, match="bad_frame"):
+        client.ingest("edge", [1, 2, 3], [1, 1, -1])
+    info = client.info("edge")
+    assert info["ingest_watermarks"] == {CLIENT_ID: 1}
+    assert (info["updates_processed"], info["pending"]) == (0, 0)
+    for _ in range(3):
+        assert client.query("edge", "frequency_vector") == 0
+    f = service.get("edge")["frequency_vector"].f
+    assert f[1:4].tolist() == [0, 0, 0]
+    assert client.ingest("edge", [1, 2], [1, 1])["applied"] == 2
+    assert client.query("edge", "frequency_vector") == 2
+
+
 def test_raising_query_hook_leaves_session_consistent(service, server):
     """A query hook that raises is contained: the ERROR frame comes
     back, the pre-query flush has applied (at-least-once), and every
@@ -290,10 +311,15 @@ def _errors_total(client, code: str) -> float:
         "fv": "frequency_vector",
         "sf": {"spec": "sampled_frequencies", "universe": 8}}}),
      "bad_session"),
+    (_post_sessions({"name": "s", "n": 2**45,
+                     "track": ["frequency_vector"]}), "bad_session"),
+    (_post_sessions({"name": "s", "n": N, "track": {
+        "cs": {"spec": "countsketch", "width": 2**45}}}), "bad_session"),
 ], ids=["length_abc", "length_1e3", "length_negative", "unknown_field",
         "track_not_a_list", "params_not_an_object", "retired_coalesce",
         "chunk_size_float", "n_float", "n_bool", "node_float",
-        "seed_string", "sampled_frequencies_universe"])
+        "seed_string", "sampled_frequencies_universe", "n_unallocatable",
+        "track_constructor_keywords"])
 def test_malformed_http_request_is_a_typed_400(server, client,
                                                request_bytes, code):
     """A malformed request gets a 400 with its error code, counted in
@@ -308,6 +334,27 @@ def test_malformed_http_request_is_a_typed_400(server, client,
     assert _errors_total(client, code) == before + 1
     assert client.healthz()
     assert client.sessions() == []
+
+
+@pytest.mark.parametrize("field", ["n", "seed", "node", "chunk_size"])
+@pytest.mark.parametrize("value, match", [
+    (1.5, "must be an integer, not 1.5"),
+    (True, "must be an integer, not True"),
+    (-1, "positive|non-negative"),
+])
+def test_session_fields_are_admitted_by_their_constructors(service, field,
+                                                           value, match):
+    """``Params`` and ``StreamSession`` admit the raw JSON values: a
+    non-integer or negative size, seed or index is a bad_session, and
+    no session is left behind."""
+    from repro.service.server import ServiceError
+
+    fields = {"n": N, field: value}
+    with pytest.raises(ServiceError, match=match) as err:
+        service.create_session("s", track=["countmin"], **fields)
+    assert err.value.code == "bad_session"
+    assert service.sessions == {}
+
 
 class TestMergeFrameValidation:
     """Regression: SketchService.merge routes the container through

@@ -217,27 +217,18 @@ class TestRefusals:
             protocol.decode_ingest(too_many)
 
     def test_ingest_refuses_negative_items_and_zero_deltas(self):
-        """Both ends refuse the same columns: the decoder on hostile
-        bytes, the encoder before a frame is ever stamped."""
-        good = protocol.decode_frame(ingest_frame([5, 6], [1, 2])).payload
-        items_at = STAMP_C + protocol._COUNT.size
-        negative = bytearray(good)
-        negative[items_at:items_at + 8] = np.int64(-3).tobytes()
-        with pytest.raises(ProtocolError, match="negative"):
-            protocol.decode_ingest(bytes(negative))
-        zero = bytearray(good)
-        zero[items_at + 16:items_at + 24] = np.int64(0).tobytes()
-        with pytest.raises(ProtocolError, match="zero delta"):
-            protocol.decode_ingest(bytes(zero))
+        """The encoder refuses, before a frame is ever stamped, the
+        columns ``push`` would (TestServedAdmission has the served
+        refusal of the same content in hostile bytes)."""
         with pytest.raises(ProtocolError, match="negative"):
             ingest_frame([-3, 6], [1, 2])
         with pytest.raises(ProtocolError, match="zero delta"):
             ingest_frame([5, 6], [1, 0])
 
     def test_ingest_refuses_values_outside_int64(self):
-        """Both ends refuse a delta of -2^63 (no int64 magnitude); the
-        encoder refuses an unsigned column the int64 cast would wrap
-        (2^64 - 1 used to travel as -1)."""
+        """The encoder refuses a delta of -2^63 (no int64 magnitude) and
+        an unsigned column the int64 cast would wrap (2^64 - 1 used to
+        travel as -1)."""
         top = np.array([2**64 - 1], dtype=np.uint64)
         with pytest.raises(ProtocolError, match="does not fit in int64"):
             ingest_frame([1], top)
@@ -245,12 +236,6 @@ class TestRefusals:
             ingest_frame(top, [1])
         with pytest.raises(ProtocolError, match="no int64 magnitude"):
             ingest_frame([1], [-2**63])
-        good = protocol.decode_frame(ingest_frame([5, 6], [1, 2])).payload
-        hostile = bytearray(good)
-        deltas_at = STAMP_C + protocol._COUNT.size + 16
-        hostile[deltas_at:deltas_at + 8] = np.int64(-2**63).tobytes()
-        with pytest.raises(ProtocolError, match="no int64 magnitude"):
-            protocol.decode_ingest(bytes(hostile))
         items, deltas, _, _ = protocol.decode_ingest(
             protocol.decode_frame(ingest_frame(
                 np.array([7], dtype=np.uint64), [-2**63 + 1])).payload)
@@ -344,6 +329,54 @@ class TestStampedIngest:
             protocol.decode_hello(frame.payload + b"\x00")
         with pytest.raises(ProtocolError, match="seq field"):
             protocol.decode_ingest(b"\x01a\x00")
+
+
+#: Offsets into a ``client_id="c"`` INGEST payload of two updates.
+ITEMS_AT = STAMP_C + protocol._COUNT.size
+DELTAS_AT = ITEMS_AT + 16
+
+
+class TestServedAdmission:
+    """The decoder checks framing only; a stamped frame whose columns
+    ``push`` refuses is a ``bad_frame`` that consumes its seq and
+    applies nothing, whatever rule it breaks."""
+
+    @pytest.fixture()
+    def service(self):
+        from repro.service import MetricsRegistry, ServiceMetrics, SketchService
+
+        service = SketchService(ServiceMetrics(MetricsRegistry()))
+        service.create_session("s", n=16, chunk_size=4,
+                               track=["frequency_vector"])
+        return service
+
+    @pytest.mark.parametrize("at, value, match", [
+        (ITEMS_AT, -3, "negative"),
+        (ITEMS_AT, 16, "outside universe"),
+        (DELTAS_AT + 8, 0, "zero delta"),
+        (DELTAS_AT + 8, -2**63, "no int64 magnitude"),
+    ], ids=["negative_item", "item_at_universe", "zero_delta",
+            "delta_without_magnitude"])
+    def test_hostile_columns_consume_their_seq(self, service, at, value,
+                                               match):
+        from repro.service.server import ServiceError
+
+        hostile = bytearray(
+            protocol.decode_frame(ingest_frame([5, 6], [1, 2])).payload)
+        hostile[at:at + 8] = np.int64(value).tobytes()
+        items, _, _, seq = protocol.decode_ingest(bytes(hostile))
+        assert seq == 1 and len(items) == 2  # framing is sound
+        with pytest.raises(ServiceError, match=match) as err:
+            service.ingest("s", bytes(hostile))
+        assert err.value.code == "bad_frame"
+        session = service.get("s")
+        assert session.ingest_watermark("c") == 1
+        assert (session.updates_processed, session.pending) == (0, 0)
+        assert not session["frequency_vector"].f.any()
+        # The client's next frame follows on: no seq_gap.
+        nxt = protocol.decode_frame(ingest_frame([5], [2], seq=2)).payload
+        assert service.ingest("s", nxt)["applied"] == 1
+        assert session.query("frequency_vector") == 2
 
 
 class TestGoldenFrame:
