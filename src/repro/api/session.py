@@ -200,7 +200,9 @@ class StreamSession:
         """Register an already-built sketch under ``name``.
 
         The session's chunk driver admits it first (``ValueError``):
-        its universe, and no buffered deletion for an insertion-only one.
+        its universe.  The partial buffer is then flushed to the
+        consumers already registered, so the new one sees exactly the
+        updates pushed after it, whatever the chunk size.
 
         >>> from repro.streams.model import FrequencyVector
         >>> StreamSession(n=8).add("truth", FrequencyVector(8)).names()
@@ -215,7 +217,7 @@ class StreamSession:
                 )
             driver = ChunkDriver([*self._sketches.values(), sketch],
                                  self.n, self.chunk_size)
-            driver.admit(self._buf_deltas[:self._fill])
+            self.flush()
             self._sketches[name] = sketch
             self._queries[name] = query or _query_for_type(type(sketch))
             self._spec_names[name] = None

@@ -2,21 +2,26 @@
 
 The stack's per-chunk update pipeline (uint64 Horner hash -> bucket ->
 sign -> scatter-add) is NumPy-saturated: each stage is one more full
-pass over the chunk.  This package compiles a small C99 source tree
-(:mod:`._build`, no third-party deps) into single-pass kernels bound
-through :mod:`ctypes`, with one hard rule: **every kernel is
+pass over the chunk.  This package compiles one C99 source file
+(:mod:`._build`, no third-party deps) into a small CPython extension
+module of single-pass kernels, with one hard rule: **every kernel is
 bit-identical to the NumPy path it replaces** — the equivalence
-harnesses run against both backends at every chunk size.
+harnesses run against both backends at every chunk size.  Each kernel
+is one ``METH_FASTCALL`` call that takes the NumPy arrays themselves
+through the buffer protocol and releases the GIL around its loop; the
+build needs the interpreter's ``Python.h``.
 
 Backend selection::
 
-    REPRO_KERNELS=auto   (default) use kernels when a compiler exists
-                         and every self-test passes; else fall back
+    REPRO_KERNELS=auto   (default) use kernels when a compiler and
+                         Python.h exist and every self-test passes;
+                         else fall back
     REPRO_KERNELS=on     require kernels; raise when unavailable
     REPRO_KERNELS=off    pure NumPy, never compile
 
-Fallback (off / no compiler / failed build / failed self-test) is
-silent except for a one-time ``repro.kernels`` log line saying which.
+Fallback (off / no compiler / no ``Python.h`` / failed build / failed
+self-test) is silent except for a one-time ``repro.kernels`` log line
+saying which.
 ``REPRO_KERNELS`` is the one backend selector; ``repro kernels``
 reports what it resolved to.  The singleton is :func:`backend`;
 :func:`override` swaps it for a ``with`` block (the test fixtures and
@@ -24,8 +29,11 @@ the benchmarks' backend comparisons).
 
 Dispatch sites call the ``try_*`` helpers below, which return
 ``None``/``False`` whenever the kernel cannot take the call (backend
-inactive, wrong dtype/layout, non-uniform hash rows) — the caller then
-runs its NumPy path.  No sketch ever *requires* the backend.
+inactive, non-uniform hash rows, or an array the binding refuses: not
+C-contiguous, not int64/uint64/float64 by format, a read-only output,
+mismatched lengths) — the caller then runs its NumPy path, and nothing
+was written.  The array checks live in the binding alone.  No sketch
+ever *requires* the backend.
 
 This module must not import the hashing or sketch layers (they import
 it); the self-tests compare each kernel against local NumPy reference
@@ -34,7 +42,8 @@ implementations of the exact array idioms those layers use.
 
 from __future__ import annotations
 
-import ctypes
+import importlib.machinery
+import importlib.util
 import logging
 import os
 import threading
@@ -70,7 +79,7 @@ __all__ = [
 
 _LOG = logging.getLogger("repro.kernels")
 
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 KERNEL_NAMES = (
     "kwise_hash",
@@ -80,35 +89,6 @@ KERNEL_NAMES = (
 )
 
 _MODES = ("auto", "on", "off")
-
-_c = ctypes
-#: symbol -> (argtypes, restype); pointers travel as raw addresses
-#: (``ndarray.ctypes.data``) through ``c_void_p``.
-_SIGNATURES = {
-    "repro_abi_version": ((), _c.c_int64),
-    "repro_kwise_hash": (
-        (_c.c_void_p, _c.c_int64, _c.c_void_p, _c.c_int64,
-         _c.c_uint64, _c.c_uint64, _c.c_void_p),
-        None,
-    ),
-    "repro_fused_table_update": (
-        (_c.c_void_p, _c.c_int64, _c.c_int64,
-         _c.c_void_p, _c.c_int64, _c.c_uint64,
-         _c.c_void_p, _c.c_int64, _c.c_uint64,
-         _c.c_void_p, _c.c_void_p, _c.c_int64),
-        None,
-    ),
-    "repro_cauchy_fold": (
-        (_c.c_void_p, _c.c_int64, _c.c_void_p, _c.c_void_p,
-         _c.c_void_p, _c.c_int64),
-        None,
-    ),
-    "repro_csss_scatter": (
-        (_c.c_void_p, _c.c_void_p, _c.c_void_p, _c.c_void_p,
-         _c.c_void_p, _c.c_int64),
-        _c.c_int64,
-    ),
-}
 
 _logged: set[str] = set()
 
@@ -200,11 +180,10 @@ def _selftest_kwise(lib) -> bool:
     rng = _selftest_rng()
     items = _test_items(rng)
     coeffs = _coeff_rows(rng, 1, 4)[0]
-    out = np.empty(items.shape, dtype=np.int64)
-    lib.repro_kwise_hash(items.ctypes.data, items.size, coeffs.ctypes.data,
-                         coeffs.size, _TEST_PRIME, 97, out.ctypes.data)
+    out = lib.kwise_hash(items, coeffs, _TEST_PRIME, 97,
+                         np.empty(items.shape, dtype=np.int64))
     want = _np_kwise(items, coeffs, _TEST_PRIME, 97)
-    return bool(np.array_equal(out, want))
+    return out is not None and bool(np.array_equal(out, want))
 
 
 def _selftest_table(lib) -> bool:
@@ -222,19 +201,13 @@ def _selftest_table(lib) -> bool:
     for bucket_rows, sign_rows, width in cases:
         got = np.zeros((3, width), dtype=np.int64)
         want = np.zeros((3, width), dtype=np.int64)
-        lib.repro_fused_table_update(
-            got.ctypes.data, 3, width,
-            bucket_rows.ctypes.data if bucket_rows is not None else None,
-            bucket_rows.shape[1] if bucket_rows is not None else 0,
-            _TEST_PRIME,
-            sign_rows.ctypes.data if sign_rows is not None else None,
-            sign_rows.shape[1] if sign_rows is not None else 0,
-            _TEST_PRIME,
-            items.ctypes.data, deltas.ctypes.data, items.size,
+        taken = lib.fused_table_update(
+            got, bucket_rows, _TEST_PRIME, width,
+            sign_rows, _TEST_PRIME, 2, items, deltas,
         )
         _np_table_update(want, bucket_rows, _TEST_PRIME, sign_rows,
                          _TEST_PRIME, items, deltas)
-        if not np.array_equal(got, want):
+        if taken is None or not np.array_equal(got, want):
             return False
     return True
 
@@ -250,14 +223,9 @@ def _selftest_cauchy(lib) -> bool:
     for ent, inv in ((full, None), (entries, inverse)):
         got = rng.standard_normal(n_rows)
         want = got.copy()
-        ptrs = np.array([e.ctypes.data for e in ent], dtype=np.uintp)
-        lib.repro_cauchy_fold(
-            got.ctypes.data, n_rows, ptrs.ctypes.data,
-            inv.ctypes.data if inv is not None else None,
-            deltas.ctypes.data, m,
-        )
+        taken = lib.cauchy_fold(got, ent, inv, deltas)
         _np_cauchy_fold(want, ent, deltas, inv)
-        if not np.array_equal(got, want):
+        if taken is None or not np.array_equal(got, want):
             return False
     return True
 
@@ -271,16 +239,10 @@ def _selftest_csss(lib) -> bool:
     pos_got = rng.integers(0, 40, size=width, dtype=np.int64)
     neg_got = rng.integers(0, 40, size=width, dtype=np.int64)
     pos_want, neg_want = pos_got.copy(), neg_got.copy()
-    got = int(lib.repro_csss_scatter(
-        pos_got.ctypes.data, neg_got.ctypes.data, buckets.ctypes.data,
-        signs.ctypes.data, kept.ctypes.data, m,
-    ))
+    got = lib.csss_scatter(pos_got, neg_got, buckets, signs, kept)
     want = _np_csss_scatter(pos_want, neg_want, buckets, signs, kept)
-    none_kept = np.zeros(m, dtype=np.int64)
-    empty = int(lib.repro_csss_scatter(
-        pos_got.ctypes.data, neg_got.ctypes.data, buckets.ctypes.data,
-        signs.ctypes.data, none_kept.ctypes.data, m,
-    ))
+    empty = lib.csss_scatter(pos_got, neg_got, buckets, signs,
+                             np.zeros(m, dtype=np.int64))
     return (got == want and empty == -1
             and np.array_equal(pos_got, pos_want)
             and np.array_equal(neg_got, neg_want))
@@ -297,9 +259,20 @@ _SELF_TESTS = {
 # ---------------------------------------------------------------------------
 # The backend object and its singleton.
 
+def _import_extension(path):
+    """Import the built extension module from ``path`` (kept out of
+    ``sys.modules``: each backend holds its own module object)."""
+    name = f"{__name__}._kernels"  # PyInit__kernels names the last part
+    loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
 class KernelBackend:
-    """State of the compiled backend: mode, loaded library (or the
-    reason there is none), and per-kernel self-test verdicts."""
+    """State of the compiled backend: mode, loaded extension module (or
+    the reason there is none), and per-kernel self-test verdicts."""
 
     def __init__(self, mode: str | None = None):
         if mode is None:
@@ -315,7 +288,7 @@ class KernelBackend:
         # uninstrumented library.
         self.sanitize = sanitize_mode()
         self.compiler = find_compiler()
-        self.lib: ctypes.CDLL | None = None
+        self.lib = None  # the extension module once its self-tests pass
         self.lib_path = None
         self.reason: str | None = None
         self.kernels = {name: False for name in KERNEL_NAMES}
@@ -335,17 +308,10 @@ class KernelBackend:
         except BuildError as exc:
             return self._fail(f"compile failed: {exc}")
         try:
-            lib = ctypes.CDLL(str(path))
-        except OSError as exc:  # pragma: no cover - stale/foreign .so
-            return self._fail(f"dlopen failed: {exc}")
-        try:
-            for name, (argtypes, restype) in _SIGNATURES.items():
-                fn = getattr(lib, name)
-                fn.argtypes = list(argtypes)
-                fn.restype = restype
-        except AttributeError as exc:  # pragma: no cover - stale .so
-            return self._fail(f"missing symbol: {exc}")
-        got_abi = int(lib.repro_abi_version())
+            lib = _import_extension(path)
+        except ImportError as exc:  # pragma: no cover - stale/foreign .so
+            return self._fail(f"import failed: {exc}")
+        got_abi = lib.abi_version()
         if got_abi != ABI_VERSION:  # pragma: no cover - stale .so
             return self._fail(
                 f"ABI mismatch (library {got_abi}, expected {ABI_VERSION})"
@@ -371,7 +337,7 @@ class KernelBackend:
 
     @property
     def active(self) -> bool:
-        """True when the compiled library is loaded and every kernel
+        """True when the extension module is loaded and every kernel
         passed its bit-identity self-test."""
         return self.lib is not None and all(self.kernels.values())
 
@@ -455,54 +421,36 @@ def _packed_matrix(coeff_rows: tuple) -> np.ndarray:
     return arr
 
 
-def _packed_rows(hashes, depth: int, expected_range: int):
+def _packed_rows(hashes):
     """Pack per-row Horner coefficients into one (depth, k) uint64
-    matrix; ``None`` when the rows are not uniform enough for the fused
-    kernel (mixed k/prime, big-prime object path, wrong range)."""
-    if len(hashes) != depth:
+    matrix: ``(matrix, prime, range)``, ``(None, 0, 0)`` for no hash
+    rows, or ``None`` when the rows are not uniform enough for the
+    fused kernel (mixed k/prime/range, big-prime object path).  The
+    binding checks the matrix against the table."""
+    if hashes is None:
+        return None, 0, 0
+    hashes = [getattr(h, "_h", h) for h in hashes]  # SignHash wraps one
+    if not all(getattr(h, "_u64_ok", False) for h in hashes):
         return None
-    rows = []
-    prime = None
-    for h in hashes:
-        h = getattr(h, "_h", h)  # SignHash wraps a range-2 KWiseHash
-        if not getattr(h, "_u64_ok", False):
-            return None
-        if h.range_size != expected_range:
-            return None
-        if prime is None:
-            prime = h.prime
-        elif h.prime != prime:
-            return None
-        rows.append(h._coeffs)
-    if len({len(r) for r in rows}) != 1:
+    if len({(h.prime, h.range_size, len(h._coeffs)) for h in hashes}) != 1:
         return None
-    return _packed_matrix(tuple(rows)), len(rows[0]), prime
-
-
-def _int64_vector(arr) -> bool:
-    return (isinstance(arr, np.ndarray) and arr.dtype == np.int64
-            and arr.ndim == 1 and arr.flags.c_contiguous)
+    matrix = _packed_matrix(tuple(h._coeffs for h in hashes))
+    return matrix, hashes[0].prime, hashes[0].range_size
 
 
 # ---------------------------------------------------------------------------
 # Dispatch helpers.  Each returns None/False when the kernel cannot
-# take the call; the caller then runs its NumPy path.
+# take the call (the binding declines any array it cannot dereference
+# as the kernel needs); the caller then runs its NumPy path.
 
 def try_kwise(arr: np.ndarray, h) -> np.ndarray | None:
     """Fused Horner hash of ``arr`` under hash object ``h`` (anything
     with ``_coeffs``/``prime``/``range_size``/``_u64_ok``)."""
-    b = backend()
-    if not b.has("kwise_hash"):
+    lib = backend().lib
+    if lib is None or not getattr(h, "_u64_ok", False):
         return None
-    if not getattr(h, "_u64_ok", False) or not _int64_vector(arr):
-        return None
-    coeffs = _packed_coeffs(h._coeffs)
-    out = np.empty(arr.shape, dtype=np.int64)
-    b.lib.repro_kwise_hash(
-        arr.ctypes.data, arr.size, coeffs.ctypes.data, coeffs.size,
-        h.prime, h.range_size, out.ctypes.data,
-    )
-    return out
+    return lib.kwise_hash(arr, _packed_coeffs(h._coeffs), h.prime,
+                          h.range_size, np.empty(arr.shape, np.int64))
 
 
 def try_table_update(table, bucket_hashes, sign_hashes, items,
@@ -514,70 +462,23 @@ def try_table_update(table, bucket_hashes, sign_hashes, items,
     Serves the raw-chunk path and the plan-coalesced path alike (zero
     sums are identity adds).
     """
-    b = backend()
-    if not b.has("fused_table_update"):
+    lib = backend().lib
+    if lib is None:
         return False
-    if not (isinstance(table, np.ndarray) and table.dtype == np.int64
-            and table.ndim == 2 and table.flags.c_contiguous):
+    bucket, sign = _packed_rows(bucket_hashes), _packed_rows(sign_hashes)
+    if bucket is None or sign is None:
         return False
-    if not (_int64_vector(items) and _int64_vector(deltas)):
-        return False
-    if items.size != deltas.size:
-        return False
-    depth, width = table.shape
-    if bucket_hashes is None:
-        if width != 1:
-            return False
-        bc, kb, bprime = None, 0, 1
-    else:
-        packed = _packed_rows(bucket_hashes, depth, width)
-        if packed is None:
-            return False
-        bc, kb, bprime = packed
-    if sign_hashes is None:
-        sc, ks, sprime = None, 0, 1
-    else:
-        packed = _packed_rows(sign_hashes, depth, 2)
-        if packed is None:
-            return False
-        sc, ks, sprime = packed
-    b.lib.repro_fused_table_update(
-        table.ctypes.data, depth, width,
-        bc.ctypes.data if bc is not None else None, kb, bprime,
-        sc.ctypes.data if sc is not None else None, ks, sprime,
-        items.ctypes.data, deltas.ctypes.data, items.size,
-    )
-    return True
+    return lib.fused_table_update(table, *bucket, *sign, items,
+                                  deltas) is not None
 
 
 def try_cauchy_fold(acc, entries, deltas, inverse=None) -> bool:
     """Sequential left-fold ``acc[r] += sum entries[r][idx] * deltas``
     over precomputed per-row entry arrays (``inverse`` gathers the
     plan's unique entries back onto the chunk)."""
-    b = backend()
-    if not b.has("cauchy_fold"):
-        return False
-    if not (isinstance(acc, np.ndarray) and acc.dtype == np.float64
-            and acc.ndim == 1 and acc.flags.c_contiguous):
-        return False
-    if len(entries) != acc.size or not _int64_vector(deltas):
-        return False
-    if inverse is not None:
-        if not _int64_vector(inverse) or inverse.size != deltas.size:
-            return False
-    for e in entries:
-        if not (isinstance(e, np.ndarray) and e.dtype == np.float64
-                and e.ndim == 1 and e.flags.c_contiguous):
-            return False
-        if inverse is None and e.size != deltas.size:
-            return False
-    ptrs = np.array([e.ctypes.data for e in entries], dtype=np.uintp)
-    b.lib.repro_cauchy_fold(
-        acc.ctypes.data, acc.size, ptrs.ctypes.data,
-        inverse.ctypes.data if inverse is not None else None,
-        deltas.ctypes.data, deltas.size,
-    )
-    return True
+    lib = backend().lib
+    return (lib is not None
+            and lib.cauchy_fold(acc, entries, inverse, deltas) is not None)
 
 
 def try_csss_scatter(pos_row, neg_row, buckets, eff_signs,
@@ -585,15 +486,7 @@ def try_csss_scatter(pos_row, neg_row, buckets, eff_signs,
     """Drive one accepted CSSS segment into the pos/neg counter rows;
     returns the post-add max over touched cells (-1: nothing kept), or
     ``None`` when the kernel cannot take the call."""
-    b = backend()
-    if not b.has("csss_scatter"):
+    lib = backend().lib
+    if lib is None:
         return None
-    for arr in (pos_row, neg_row, buckets, eff_signs, kept):
-        if not _int64_vector(arr):
-            return None
-    if not (buckets.size == eff_signs.size == kept.size):
-        return None
-    return int(b.lib.repro_csss_scatter(
-        pos_row.ctypes.data, neg_row.ctypes.data, buckets.ctypes.data,
-        eff_signs.ctypes.data, kept.ctypes.data, kept.size,
-    ))
+    return lib.csss_scatter(pos_row, neg_row, buckets, eff_signs, kept)

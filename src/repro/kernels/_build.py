@@ -1,13 +1,16 @@
-"""On-demand compilation of the C kernel source.
+"""On-demand compilation of the C kernel source into an extension module.
 
 No build system, no third-party deps: one ``subprocess`` call to the
 host C compiler (discovered through ``$REPRO_KERNELS_CC``/``$CC``,
-:mod:`sysconfig`, then ``cc``/``gcc``/``clang`` on ``PATH``) produces a
-shared object in a content-addressed cache — the sha256 of the source
-text, compiler path, and flag set keys the ``.so`` filename, so a
-source or toolchain change recompiles and anything else reuses the
-cached build.  Compilation lands in a temp file first and is moved
-into place with ``os.replace``, so concurrent processes race safely.
+:mod:`sysconfig`, then ``cc``/``gcc``/``clang`` on ``PATH``) compiles
+``_kernels.c`` against this interpreter's ``Python.h`` into a CPython
+extension module in a content-addressed cache.  The sha256 of the
+source text, compiler path, flag set, and the interpreter's include
+directory and ``EXT_SUFFIX`` keys the filename, so a source, toolchain
+or interpreter change recompiles (a build for 3.11 never loads into
+3.12) and anything else reuses the cached build.  Compilation lands in
+a temp file first and is moved into place with ``os.replace``, so
+concurrent processes race safely.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -27,7 +31,11 @@ SOURCE = Path(__file__).with_name("_kernels.c")
 #: fold keeps NumPy's one-rounding-per-operation semantics.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-std=c99", "-fwrapv",
           "-ffp-contract=off")
-LDFLAGS = ("-lm",)
+#: An extension module leaves the interpreter's symbols unresolved
+#: until import; macOS's linker must be told so, ELF linkers allow it.
+LDFLAGS = ("-lm",) + (
+    ("-undefined", "dynamic_lookup") if sys.platform == "darwin" else ()
+)
 
 #: ``$REPRO_KERNELS_SANITIZE`` selects an instrumented build.  ASan
 #: keeps frame pointers for readable reports; UBSan aborts on the first
@@ -42,7 +50,15 @@ SANITIZER_FLAGS = {
 
 
 class BuildError(RuntimeError):
-    """Kernel compilation failed (missing or broken compiler)."""
+    """Kernel compilation failed (missing headers, missing or broken
+    compiler)."""
+
+
+def interpreter() -> tuple[str, str]:
+    """This interpreter's C include directory and extension suffix: a
+    build is loadable only into an interpreter with the same pair."""
+    return (sysconfig.get_paths()["include"],
+            sysconfig.get_config_var("EXT_SUFFIX") or ".so")
 
 
 def sanitize_mode() -> str | None:
@@ -112,11 +128,12 @@ def cache_key(compiler: str, sanitize=_READ_ENV) -> str:
     digest.update(
         " ".join(effective_cflags(sanitize) + LDFLAGS).encode()
     )
+    digest.update("\0".join(interpreter()).encode())
     return digest.hexdigest()[:16]
 
 
 def build(compiler: str | None = None, sanitize=_READ_ENV) -> Path:
-    """Compile (or reuse) the kernel shared object; returns its path.
+    """Compile (or reuse) the kernel extension module; returns its path.
 
     ``sanitize`` defaults to :func:`sanitize_mode` (pass None to force
     a plain build) — instrumented and plain builds land under different
@@ -131,15 +148,23 @@ def build(compiler: str | None = None, sanitize=_READ_ENV) -> Path:
     if sanitize is _READ_ENV:
         sanitize = sanitize_mode()
     cflags = effective_cflags(sanitize)
+    include, suffix = interpreter()
     target_dir = cache_dir()
     key = cache_key(compiler, sanitize)
-    target = target_dir / f"repro_kernels_{key}.so"
+    target = target_dir / f"repro_kernels_{key}{suffix}"
     if target.exists():
         return target
+    if not (Path(include) / "Python.h").is_file():
+        raise BuildError(
+            f"Python.h not found in {include}: the kernels build as a "
+            "CPython extension and need this interpreter's development "
+            "headers"
+        )
     target_dir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(dir=target_dir) as tmp:
         tmp_so = Path(tmp) / target.name
-        cmd = [compiler, *cflags, str(SOURCE), "-o", str(tmp_so), *LDFLAGS]
+        cmd = [compiler, *cflags, f"-I{include}", str(SOURCE),
+               "-o", str(tmp_so), *LDFLAGS]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise BuildError(

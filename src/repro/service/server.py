@@ -254,8 +254,10 @@ class SketchService:
                        ) -> dict:
         """Create a named session and track its consumer battery.
 
-        ``track`` names registry specs only: a list tracks each spec
-        under its own name, ``{consumer: spec}`` under the given names.
+        ``track`` names registry specs only, at least one: a list tracks
+        each spec under its own name, ``{consumer: spec}`` under the
+        given names.  (No wire verb adds a consumer later, and a session
+        without one could never ingest.)
         ``params`` refines the session's base
         :class:`~repro.api.registry.Params` (``eps`` / ``delta`` /
         ``alpha``).  ``Params`` and ``StreamSession`` admit the other
@@ -295,7 +297,12 @@ class SketchService:
                                         chunk_size=chunk_size, node=node)
                 if isinstance(track, (list, tuple)):
                     track = {spec: spec for spec in track}
-                for cname, spec in (track or {}).items():
+                if not track:
+                    raise ValueError(
+                        "track names at least one registry spec: a "
+                        "session without consumers could never ingest"
+                    )
+                for cname, spec in track.items():
                     session.track(cname, spec)
             except (KeyError, ValueError, TypeError, MemoryError) as exc:
                 raise ServiceError("bad_session", str(exc)) from exc

@@ -152,20 +152,22 @@ class TestInsertionOnlyAdmission:
             session.query("frequency_vector")
         assert session["frequency_vector"].f[1:4].tolist() == [0, 0, 0]
 
-    def test_add_refuses_insertion_only_while_a_deletion_is_pending(self):
-        """A consumer added mid-stream is fed the partial buffer, so an
-        insertion-only one is refused while that buffer holds a
-        deletion."""
+    def test_add_never_feeds_a_pending_deletion_to_insertion_only(self):
+        """``add`` flushes the partial buffer to the consumers already
+        registered before it registers, so an insertion-only consumer
+        added while a deletion is pending never sees that deletion."""
         session = StreamSession(N, chunk_size=8).track("frequency_vector")
         session.push([1, 2], [1, -1])
         mg = get_spec("misra_gries").build(PARAMS)
-        with pytest.raises(ValueError, match="insertion-only"):
-            session.add("mg", mg)
-        assert session.names() == ["frequency_vector"]
-        session.flush()
+        session.add("mg", mg)
+        assert session.pending == 0
         assert session["frequency_vector"].f[1:3].tolist() == [1, -1]
-        session.add("mg", mg).push([4], [2]).flush()
+        assert payload_equal(snapshot(mg),
+                             snapshot(get_spec("misra_gries").build(PARAMS)))
+        session.push([4], [2]).flush()
         assert mg.query(4) == 2
+        with pytest.raises(ValueError, match="insertion-only"):
+            session.push([1], [-1])
 
     def test_admit_refuses_deletions_only_beside_insertion_only(self):
         mg = get_spec("misra_gries").build(PARAMS)

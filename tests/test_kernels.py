@@ -12,6 +12,7 @@ directly.
 from __future__ import annotations
 
 import os
+import sysconfig
 from functools import lru_cache
 
 import numpy as np
@@ -68,10 +69,52 @@ def test_compile_cache_reuses_library(tmp_path, monkeypatch):
     first = _build.build(compiler)
     assert first.parent == tmp_path
     assert _build.cache_key(compiler) in first.name
+    assert first.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
     stamp = first.stat().st_mtime_ns
     second = _build.build(compiler)
     assert second == first
     assert second.stat().st_mtime_ns == stamp  # no rebuild
+
+
+def test_cache_key_tracks_the_interpreter(monkeypatch):
+    """A build for one interpreter never loads into another: the key
+    hashes the extension suffix and the include directory."""
+    compiler = _build.find_compiler() or "cc"
+    real_var, real_paths = sysconfig.get_config_var, sysconfig.get_paths
+
+    def key(suffix, include):
+        monkeypatch.setattr(
+            sysconfig, "get_config_var",
+            lambda name: suffix if name == "EXT_SUFFIX" else real_var(name))
+        monkeypatch.setattr(
+            sysconfig, "get_paths",
+            lambda *a, **k: {**real_paths(*a, **k), "include": include})
+        return _build.cache_key(compiler, None)
+
+    py311 = key(".cpython-311-x86_64-linux-gnu.so", "/py/include")
+    assert py311 != key(".cpython-312-x86_64-linux-gnu.so", "/py/include")
+    assert py311 != key(".cpython-311-x86_64-linux-gnu.so", "/py2/include")
+    assert py311 == key(".cpython-311-x86_64-linux-gnu.so", "/py/include")
+
+
+def test_missing_python_header_is_a_named_build_error(tmp_path,
+                                                      monkeypatch):
+    """Without ``Python.h`` the extension cannot build: ``auto`` falls
+    back to NumPy with a reason naming the header, ``on`` raises."""
+    if _build.find_compiler() is None:
+        pytest.skip("no C compiler")
+    empty = tmp_path / "include"
+    empty.mkdir()
+    real_paths = sysconfig.get_paths
+    monkeypatch.setattr(
+        sysconfig, "get_paths",
+        lambda *a, **k: {**real_paths(*a, **k), "include": str(empty)})
+    monkeypatch.setenv("REPRO_KERNELS_CACHE", str(tmp_path / "cache"))
+    b = kernels.KernelBackend("auto")
+    assert not b.active and b.lib is None
+    assert "Python.h" in b.reason
+    with pytest.raises(RuntimeError, match="Python.h"):
+        kernels.KernelBackend("on")
 
 
 def test_backend_loads_from_fresh_cache_dir(tmp_path, monkeypatch):
@@ -179,7 +222,7 @@ def test_describe_reports_sanitize(monkeypatch):
 def test_ubsan_build_loads_and_stays_bit_identical(
     tmp_path, monkeypatch
 ):
-    """A UBSan-instrumented library builds, dlopens, passes the
+    """A UBSan-instrumented module builds, imports, passes the
     self-tests, and hashes bit-identically to NumPy — with
     -fno-sanitize-recover, any undefined operation would abort the
     process here instead.  (The ASan leg needs its runtime preloaded
@@ -235,22 +278,147 @@ def test_dispatch_helpers_decline_when_off():
             np.ones(4, dtype=np.int64)) is None
 
 
-def test_table_kernel_rejects_unsuitable_arrays():
-    """Wrong dtype / layout never reaches C — the helper declines and
-    leaves the target untouched."""
+# -- binding contract -----------------------------------------------------------
+#
+# The extension checks every array it dereferences: C-contiguous layout,
+# the element format (int64 / uint64 / float64 by format code, native
+# byte order), writable outputs, matching lengths.  Anything else is a
+# decline that writes nothing, and the caller's NumPy path then lands
+# on the kernel's bits for the same values.
+
+def _variants(good: np.ndarray, output: bool) -> dict[str, np.ndarray]:
+    """Arrays holding ``good``'s values that the binding must refuse:
+    the other element types, the byte-swapped dtype, a strided view,
+    Fortran order for a matrix, and a read-only copy of an output."""
+    out = {np.dtype(t).name: good.astype(t)
+           for t in (np.int32, np.uint64, np.float64, np.int64)
+           if np.dtype(t) != good.dtype}
+    out["byteswapped"] = good.astype(good.dtype.newbyteorder("S"))
+    out["strided"] = np.repeat(good, 2, axis=-1)[..., ::2]
+    if good.ndim == 2:
+        out["fortran"] = np.asfortranarray(good)
+    if output:
+        out["readonly"] = good.copy()
+        out["readonly"].flags.writeable = False
+    return out
+
+
+def _bad_calls(args: tuple, names: dict, outputs=()) -> dict:
+    """``args`` with one array (positions keyed in ``names``) swapped
+    for each of its refused variants."""
+    return {f"{name}_{label}": args[:i] + (bad,) + args[i + 1:]
+            for i, name in names.items()
+            for label, bad in _variants(args[i], i in outputs).items()}
+
+
+def _assert_declines(helper, cases: dict, outputs) -> None:
+    """Every case declines (``None``/``False``) and leaves the arrays
+    at positions ``outputs`` as they were."""
+    for label, args in cases.items():
+        before = [args[i].copy() for i in outputs]
+        result = helper(*args)
+        assert result is None or result is False, label
+        for i, was in zip(outputs, before):
+            assert np.array_equal(args[i], was), label
+
+
+def _rng_arrays(m=300):
+    rng = np.random.default_rng(SEED)
+    items = rng.integers(0, N, size=m, dtype=np.int64)
+    deltas = rng.integers(1, 10, size=m, dtype=np.int64)
+    deltas[::3] *= -1
+    return rng, items, deltas
+
+
+def test_kwise_binding_declines_what_it_cannot_dereference():
     _require_kernels()
+    _, items, _ = _rng_arrays()
+    h = KWiseHash(N, 97, k=4, rng=np.random.default_rng(1))
+    with kernels.override("auto") as b:
+        want = kernels.try_kwise(items, h)
+        assert want is not None
+        for label, bad in _variants(items, False).items():
+            assert kernels.try_kwise(bad, h) is None, label
+            # hash_array falls back to its NumPy path: the kernel's bits.
+            assert np.array_equal(h.hash_array(bad), want), label
+        out = np.full(items.shape, -7, dtype=np.int64)
+        args = (items, kernels._packed_coeffs(h._coeffs), h.prime,
+                h.range_size, out)
+        cases = _bad_calls(args, {0: "items", 1: "coeffs", 4: "out"}, (4,))
+        cases["out_length"] = args[:4] + (out[:-1],)
+        _assert_declines(b.lib.kwise_hash, cases, (4,))
+
+
+def test_table_binding_declines_what_it_cannot_dereference():
+    _require_kernels()
+    _, items, deltas = _rng_arrays()
     with kernels.override("auto"):
-        cs = CountSketch(N, 8, 2, np.random.default_rng(0))
-        items = np.arange(4, dtype=np.int64)
-        deltas = np.ones(4, dtype=np.int64)
-        bad_dtype = cs.table.astype(np.float64)
-        assert kernels.try_table_update(
-            bad_dtype, cs._bucket_hashes, cs._sign_hashes,
-            items, deltas) is False
-        bad_layout = np.asfortranarray(np.zeros((3, 8), dtype=np.int64))
-        assert kernels.try_table_update(
-            bad_layout, cs._bucket_hashes, cs._sign_hashes[:3],
-            items, deltas) is False
+        cs = CountSketch(N, 8, 3, np.random.default_rng(0))
+
+        def update(table, items, deltas):
+            return kernels.try_table_update(
+                table, cs._bucket_hashes, cs._sign_hashes, items, deltas)
+
+        args = (cs.table, items, deltas)
+        cases = _bad_calls(args, {0: "table", 1: "items", 2: "deltas"}, (0,))
+        cases["table_rows"] = (cs.table[:2], items, deltas)
+        cases["lengths"] = (cs.table, items, deltas[:-1])
+        _assert_declines(update, cases, (0,))
+        assert update(*args)
+    with kernels.override("off"):
+        ref = CountSketch(N, 8, 3, np.random.default_rng(0))
+        ref.update_batch(items, deltas)
+    assert np.array_equal(cs.table, ref.table)
+
+
+def test_cauchy_binding_declines_what_it_cannot_dereference():
+    _require_kernels()
+    rng, _, deltas = _rng_arrays()
+    m, n_rows, n_unique = deltas.size, 3, 41
+    full = [np.tan(np.pi * (rng.random(m) - 0.5)) for _ in range(n_rows)]
+    unique = [np.tan(np.pi * (rng.random(n_unique) - 0.5))
+              for _ in range(n_rows)]
+    inverse = rng.integers(0, n_unique, size=m, dtype=np.int64)
+    acc = rng.standard_normal(n_rows)
+    cases = {
+        **_bad_calls((acc, full, deltas), {0: "acc", 2: "deltas"}, (0,)),
+        **_bad_calls((acc, unique, deltas, inverse), {3: "inverse"}),
+        "entries_count": (acc, full[:2], deltas),
+        "entry_length": (acc, [full[0], full[1][:-1], full[2]], deltas),
+        "inverse_length": (acc, unique, deltas, inverse[:-1]),
+    }
+    for label, bad in _variants(full[1], False).items():
+        cases[f"entry_{label}"] = (acc, [full[0], bad, full[2]], deltas)
+    with kernels.override("auto"):
+        _assert_declines(kernels.try_cauchy_fold, cases, (0,))
+        for entries, inv in ((full, None), (unique, inverse)):
+            got, want = acc.copy(), acc.copy()
+            assert kernels.try_cauchy_fold(got, entries, deltas, inv)
+            kernels._np_cauchy_fold(want, entries, deltas, inv)
+            assert np.array_equal(got, want)
+
+
+def test_csss_binding_declines_what_it_cannot_dereference():
+    _require_kernels()
+    rng, _, _ = _rng_arrays()
+    m, width = 173, 16
+    args = (
+        rng.integers(0, 40, size=width, dtype=np.int64),  # pos
+        rng.integers(0, 40, size=width, dtype=np.int64),  # neg
+        rng.integers(0, width, size=m, dtype=np.int64),  # buckets
+        rng.choice(np.array([-1, 1], dtype=np.int64), size=m),  # signs
+        rng.integers(0, 5, size=m, dtype=np.int64),  # kept
+    )
+    names = dict(enumerate(("pos", "neg", "buckets", "signs", "kept")))
+    cases = _bad_calls(args, names, (0, 1))
+    cases["kept_length"] = args[:4] + (args[4][:-1],)
+    cases["signs_length"] = args[:3] + (args[3][:-1], args[4])
+    pos, neg = args[0].copy(), args[1].copy()
+    want = kernels._np_csss_scatter(pos, neg, *args[2:])
+    with kernels.override("auto"):
+        _assert_declines(kernels.try_csss_scatter, cases, (0, 1))
+        assert kernels.try_csss_scatter(*args) == want
+    assert np.array_equal(args[0], pos) and np.array_equal(args[1], neg)
 
 
 # -- targeted parity ----------------------------------------------------------

@@ -179,6 +179,20 @@ def test_deletion_beside_misra_gries_is_refused_at_ingest(service, client):
     assert client.query("edge", "frequency_vector") == 2
 
 
+def test_a_session_without_consumers_is_refused(client):
+    """A session must track at least one consumer: no wire verb adds
+    one later, and an INGEST into an empty session used to answer a 500
+    ``internal``.  The refusal is a ``bad_session`` that leaves no
+    session behind, so the name stays free."""
+    with pytest.raises(ServiceClientError, match="bad_session") as err:
+        client.create_session("edge", n=16)
+    assert err.value.status == 400
+    assert client.sessions() == []
+    client.create_session("edge", n=16, track=["frequency_vector"])
+    assert client.ingest("edge", [1], [1])["applied"] == 1
+    assert client.query("edge", "frequency_vector") == 1
+
+
 def test_raising_query_hook_leaves_session_consistent(service, server):
     """A query hook that raises is contained: the ERROR frame comes
     back, the pre-query flush has applied (at-least-once), and every
@@ -315,11 +329,15 @@ def _errors_total(client, code: str) -> float:
                      "track": ["frequency_vector"]}), "bad_session"),
     (_post_sessions({"name": "s", "n": N, "track": {
         "cs": {"spec": "countsketch", "width": 2**45}}}), "bad_session"),
+    (_post_sessions({"name": "s", "n": 16}), "bad_session"),
+    (_post_sessions({"name": "s", "n": 16, "track": []}), "bad_session"),
+    (_post_sessions({"name": "s", "n": 16, "track": {}}), "bad_session"),
 ], ids=["length_abc", "length_1e3", "length_negative", "unknown_field",
         "track_not_a_list", "params_not_an_object", "retired_coalesce",
         "chunk_size_float", "n_float", "n_bool", "node_float",
         "seed_string", "sampled_frequencies_universe", "n_unallocatable",
-        "track_constructor_keywords"])
+        "track_constructor_keywords", "track_missing", "track_empty_list",
+        "track_empty_object"])
 def test_malformed_http_request_is_a_typed_400(server, client,
                                                request_bytes, code):
     """A malformed request gets a 400 with its error code, counted in

@@ -304,6 +304,33 @@ class TestSessionSurface:
         session.push([12, 1, 2, 3], [1, 1, 1, 1]).flush()
         assert first.f[[12, 1, 2, 3]].tolist() == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("chunk_size", [2, 8])
+    def test_add_flushes_before_registering(self, chunk_size):
+        """A consumer added mid-stream sees exactly the updates pushed
+        after it, whatever the chunk size: the partial buffer goes to
+        the consumers already registered first, and they end where a
+        twin session without the add ends."""
+        from repro.api.serialize import payload_equal, snapshot
+
+        names = ("frequency_vector", "countsketch", "csss", "cauchy")
+        session, twin = (
+            StreamSession(N, params=PARAMS, chunk_size=chunk_size)
+            for _ in range(2))
+        for name in names:
+            session.track(name)
+            twin.track(name)
+        late = FrequencyVector(N)
+        for s in (session, twin):
+            s.push([1, 2, 3], [1, 1, 1])
+        session.add("late", late)
+        assert late.f[1:4].tolist() == [0, 0, 0]
+        for s in (session, twin):
+            s.push([4, 5], [1, -1]).flush()
+        assert late.f[1:6].tolist() == [0, 0, 0, 1, -1]
+        for name in names:
+            assert payload_equal(snapshot(session[name]),
+                                 snapshot(twin[name])), name
+
     def test_space_report_skips_consumers_without_space_bits(self):
         from repro.counters.exact import ExactL1Counter
 
