@@ -2,18 +2,17 @@
 
 Nine PRs of growth made bit-identity the acceptance bar for every
 execution path, but the invariants that *guarantee* it (rooted-RNG
-construction, snapshot-complete state, capability flags matching
-implemented protocols, lock discipline, overflow-safe accumulation)
-lived only in prose and runtime pins.  This package turns them into
-machine-checked rules.
+construction, snapshot-complete state, lock discipline, overflow-safe
+accumulation) lived only in prose and runtime pins.  This package turns
+them into machine-checked rules.
 
 The model:
 
 * :class:`SourceFile` — one parsed python file: AST, raw lines, and the
   ``# repro: allow[rule-id] -- justification`` pragmas found in it.
 * :class:`Project` — the set of files under analysis, with helpers to
-  locate files by their dotted ``repro.*`` module path (rules that
-  cross-check files, like capability-consistency, need the whole set).
+  locate files by their dotted ``repro.*`` module path (protocol-hygiene
+  finds the wire module this way).
 * :class:`Rule` — a named check producing :class:`Finding` records.
   Rules live in :mod:`repro.analysis.rules`; each owns one invariant.
 * :func:`run_rules` — parse, check, apply pragma suppression, report

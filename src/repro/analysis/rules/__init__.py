@@ -9,9 +9,6 @@ key: ``# repro: allow[rule-id] -- justification``.
 from __future__ import annotations
 
 from repro.analysis.core import Rule
-from repro.analysis.rules.capability_consistency import (
-    CapabilityConsistency,
-)
 from repro.analysis.rules.lock_discipline import LockDiscipline
 from repro.analysis.rules.no_wall_clock import NoWallClock
 from repro.analysis.rules.overflow_discipline import OverflowDiscipline
@@ -25,7 +22,6 @@ from repro.analysis.rules.snapshot_completeness import (
 _RULE_CLASSES: tuple[type[Rule], ...] = (
     RngDiscipline,
     SnapshotCompleteness,
-    CapabilityConsistency,
     LockDiscipline,
     OverflowDiscipline,
     ProtocolHygiene,
@@ -46,7 +42,6 @@ def rule_ids() -> list[str]:
 __all__ = [
     "all_rules",
     "rule_ids",
-    "CapabilityConsistency",
     "LockDiscipline",
     "NoWallClock",
     "OverflowDiscipline",

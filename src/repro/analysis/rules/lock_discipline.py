@@ -36,9 +36,9 @@ from repro.analysis.core import (
 GUARDED: dict[str, dict[str, frozenset[str]]] = {
     "repro.api.session": {
         "StreamSession": frozenset({
-            "_sketches", "_queries", "_spec_names", "_custom_query",
-            "_driver", "_buf_items", "_buf_deltas",
-            "_fill", "_ingest_watermarks", "updates_processed",
+            "_sketches", "_queries", "_spec_names", "_driver",
+            "_buf_items", "_buf_deltas", "_fill", "_ingest_watermarks",
+            "updates_processed",
         }),
     },
     "repro.service.server": {

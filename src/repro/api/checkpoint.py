@@ -49,7 +49,7 @@ import time
 import warnings
 import zipfile
 from pathlib import Path
-from typing import Any, Callable
+from typing import Callable
 
 from repro.api.session import StreamSession
 from repro.streams.io import load_payload, save_payload
@@ -184,11 +184,12 @@ class Checkpointer:
     ``Checkpointer`` as a context manager starts and stops that thread
     and writes a final checkpoint on clean exit.
 
-    All snapshotting happens under an internal lock shared with
-    :meth:`push`, so the background thread never snapshots a session
-    mid-push.  (Pushes that bypass this object's ``push`` are outside
-    that protection — route everything through the checkpointer while
-    the thread runs.)
+    A snapshot is taken under the session's own lock, so it never sees
+    a push half-applied, whether the push came through :meth:`push` or
+    went to the session directly; a direct push only skips the trigger
+    check, which the next :meth:`push` or :meth:`maybe_checkpoint`
+    makes.  An internal lock keeps the trigger bookkeeping consistent
+    between :meth:`push` and the background thread.
     """
 
     def __init__(
@@ -309,7 +310,6 @@ class Checkpointer:
 def recover(
     directory: str | Path | CheckpointStore,
     *,
-    queries: dict[str, Callable[[Any], Any]] | None = None,
     keep_last: int = 3,
 ) -> StreamSession | None:
     """Restore the newest valid checkpoint in ``directory``.
@@ -318,8 +318,9 @@ def recover(
     watermark to resume the stream from — or ``None`` when the
     directory holds no readable checkpoint.  Feeding the session every
     update after the watermark reproduces the uninterrupted run
-    bit-for-bit.  ``queries`` re-attaches custom query hooks exactly as
-    in :meth:`StreamSession.restore`.
+    bit-for-bit.  Every consumer answers through its registry hook
+    again; a checkpoint that loads but that
+    :meth:`StreamSession.restore` refuses raises its ``ValueError``.
     """
     store = (
         directory if isinstance(directory, CheckpointStore)
@@ -329,7 +330,7 @@ def recover(
     if found is None:
         return None
     payload, _ = found
-    return StreamSession.restore(payload, queries=queries)
+    return StreamSession.restore(payload)
 
 
 def recover_all(
@@ -344,7 +345,9 @@ def recover_all(
     Returns ``{name: restored session}`` for every subdirectory holding
     a readable checkpoint; empty or unreadable subdirectories are
     skipped (the per-file warnings of :meth:`CheckpointStore.latest`
-    still fire).  A missing ``root`` recovers nothing.
+    still fire), and so, with a warning, is one whose checkpoint
+    :meth:`StreamSession.restore` refuses, so the other sessions still
+    recover.  A missing ``root`` recovers nothing.
     """
     root = Path(root)
     recovered: dict[str, StreamSession] = {}
@@ -353,7 +356,12 @@ def recover_all(
     for sub in sorted(root.iterdir()):
         if not sub.is_dir():
             continue
-        session = recover(CheckpointStore(sub, keep_last=keep_last))
+        try:
+            session = recover(CheckpointStore(sub, keep_last=keep_last))
+        except ValueError as exc:
+            warnings.warn(f"skipping session {sub.name!r}: {exc}",
+                          RuntimeWarning, stacklevel=2)
+            continue
         if session is not None:
             recovered[sub.name] = session
     return recovered
@@ -368,13 +376,9 @@ def export_snapshot(session: StreamSession, path: str | Path) -> Path:
     return path
 
 
-def import_session(
-    path: str | Path,
-    *,
-    queries: dict[str, Callable[[Any], Any]] | None = None,
-) -> StreamSession:
+def import_session(path: str | Path) -> StreamSession:
     """Load a session shipped with :func:`export_snapshot`."""
-    return StreamSession.restore(load_payload(Path(path)), queries=queries)
+    return StreamSession.restore(load_payload(Path(path)))
 
 
 def import_and_merge(session: StreamSession, path: str | Path) -> StreamSession:

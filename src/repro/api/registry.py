@@ -197,6 +197,16 @@ class SketchSpec:
         """
         return _node_sensitive(self.name)
 
+    def state_attributes(self) -> frozenset[str]:
+        """The attribute names a fresh build holds (cached per spec).
+
+        The snapshot-completeness lint rule makes every state attribute
+        a constructor assignment, so one probe build lists them all;
+        :meth:`repro.api.session.StreamSession.restore` refuses a
+        tracked consumer that lacks any of them.
+        """
+        return _state_attributes(self.name)
+
 
 REGISTRY: dict[str, SketchSpec] = {}
 
@@ -240,6 +250,11 @@ def _node_sensitive(name: str) -> bool:
         snapshot(spec.build(_PROBE_PARAMS, shard_index=0)),
         snapshot(spec.build(_PROBE_PARAMS, shard_index=1)),
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _state_attributes(name: str) -> frozenset[str]:
+    return frozenset(vars(REGISTRY[name].build(_PROBE_PARAMS)))
 
 
 def build(name: str, params: Params | None = None, shard_index: int = 0,

@@ -91,30 +91,6 @@ class SequenceGapError(ValueError):
         self.got = got
 
 
-def _default_query(sketch: Any):
-    """The fallback answer surface for spec-less consumers: the common
-    estimator verbs, in order of specificity (verbs whose signatures
-    need arguments are skipped; a verb that *accepts* a bare call but
-    then fails raises loudly — that is a real error, not a skip)."""
-    import inspect
-
-    for verb in ("estimate", "heavy_hitters", "sample"):
-        fn = getattr(sketch, verb, None)
-        if not callable(fn):
-            continue
-        try:
-            inspect.signature(fn).bind()
-        except TypeError:
-            continue  # needs arguments: not a headline answer
-        except ValueError:
-            pass  # no retrievable signature: attempt the call
-        return fn()
-    raise QueryNotSupported(
-        f"{type(sketch).__name__} has no no-argument answer surface; "
-        "access the structure via session[name] and use its query methods"
-    )
-
-
 class StreamSession:
     """One push-based ingestion surface for many sketches.
 
@@ -174,9 +150,6 @@ class StreamSession:
         self._sketches: dict[str, Any] = {}
         self._queries: dict[str, Callable[[Any], Any] | None] = {}
         self._spec_names: dict[str, str | None] = {}
-        #: Which consumers carry a user-supplied query hook (functions
-        #: cannot travel in a pickle-free snapshot; restore() warns).
-        self._custom_query: dict[str, bool] = {}
         self._buf_items = np.empty(self.chunk_size, dtype=np.int64)
         self._buf_deltas = np.empty(self.chunk_size, dtype=np.int64)
         self._fill = 0
@@ -195,19 +168,24 @@ class StreamSession:
         self._lock = threading.RLock()
 
     # -- consumer registration ----------------------------------------------
-    def add(self, name: str, sketch: Any,
-            query: Callable[[Any], Any] | None = None) -> "StreamSession":
+    def add(self, name: str, sketch: Any) -> "StreamSession":
         """Register an already-built sketch under ``name``.
 
         The session's chunk driver admits it first (``ValueError``):
         its universe.  The partial buffer is then flushed to the
         consumers already registered, so the new one sees exactly the
-        updates pushed after it, whatever the chunk size.
+        updates pushed after it, whatever the chunk size.  It answers
+        :meth:`query` through the hook of the registry spec that builds
+        its class, if one has a hook.
 
         >>> from repro.streams.model import FrequencyVector
         >>> StreamSession(n=8).add("truth", FrequencyVector(8)).names()
         ['truth']
         """
+        return self._add(name, sketch, None)
+
+    def _add(self, name: str, sketch: Any,
+             spec: SketchSpec | None) -> "StreamSession":
         with self._lock:
             if name in self._sketches:
                 raise ValueError(f"duplicate consumer name {name!r}")
@@ -219,9 +197,12 @@ class StreamSession:
                                  self.n, self.chunk_size)
             self.flush()
             self._sketches[name] = sketch
-            self._queries[name] = query or _query_for_type(type(sketch))
-            self._spec_names[name] = None
-            self._custom_query[name] = query is not None
+            if spec is None:
+                self._queries[name] = _query_for_type(type(sketch))
+                self._spec_names[name] = None
+            else:
+                self._queries[name] = spec.query
+                self._spec_names[name] = spec.name
             self._driver = driver
         return self
 
@@ -251,16 +232,9 @@ class StreamSession:
             raise ValueError("cannot override n away from the session "
                              "universe")
         params = self.params.replace(**param_changes)
-        with self._lock:
-            self.add(name,
-                     resolved.build(params, shard_index=self.node,
-                                    **overrides),
-                     query=resolved.query)
-            self._spec_names[name] = resolved.name
-            # The hook came from the registry, not the user: a restored
-            # session can re-resolve it from the spec name.
-            self._custom_query[name] = False
-        return self
+        return self._add(
+            name, resolved.build(params, shard_index=self.node, **overrides),
+            resolved)
 
     def spec_of(self, name: str) -> str | None:
         """The registry spec a consumer was built from (``None`` for
@@ -443,7 +417,13 @@ class StreamSession:
     # -- answers -------------------------------------------------------------
     def query(self, name: str):
         """The headline estimate of consumer ``name`` (buffer flushed
-        first, so the answer reflects every pushed update)."""
+        first, so the answer reflects every pushed update).
+
+        The answer is the registry spec's ``query`` hook: the tracked
+        spec's, or for a consumer registered with :meth:`add`, that of
+        the spec that builds its class.  A consumer without one (a
+        point-query structure) raises :class:`QueryNotSupported`.
+        """
         with self._lock:
             if name not in self._sketches:
                 raise KeyError(
@@ -452,10 +432,14 @@ class StreamSession:
                 )
             self.flush()
             sketch = self._sketches[name]
-            query = self._queries.get(name)
-            if query is not None:
-                return query(sketch)
-            return _default_query(sketch)
+            query = self._queries[name]
+            if query is None:
+                raise QueryNotSupported(
+                    f"{type(sketch).__name__} has no no-argument answer "
+                    "surface; access the structure via session[name] and "
+                    "use its query methods"
+                )
+            return query(sketch)
 
     def query_all(self) -> dict[str, Any]:
         """Every queryable consumer's headline estimate (point-query
@@ -535,7 +519,12 @@ class StreamSession:
                 )
         self.flush()
         other.flush()
-        for name, sketch in self._sketches.items():
+        # A consumer can still refuse its sibling (an αL0 built at
+        # another α), so rehearse every merge on a restored copy first:
+        # the live consumers merge only once all of them can.  No merge
+        # mutates its argument, so the sibling is merged twice safely.
+        rehearsal = _restore_state(_snapshot_state(self._sketches))
+        for name, sketch in [*rehearsal.items(), *self._sketches.items()]:
             sketch.merge(other._sketches[name])
         self.updates_processed += other.updates_processed
         # Dedup watermarks union by max: after a merge this session has
@@ -574,32 +563,21 @@ class StreamSession:
                     "seed": self.params.seed,
                 },
                 "specs": dict(self._spec_names),
-                "custom_queries": [
-                    name for name, custom in self._custom_query.items()
-                    if custom
-                ],
                 "ingest_watermarks": dict(self._ingest_watermarks),
             },
             "consumers": _snapshot_state(self._sketches),
         }
 
     @classmethod
-    def restore(
-        cls,
-        payload: dict,
-        queries: dict[str, Callable[[Any], Any]] | None = None,
-    ) -> "StreamSession":
+    def restore(cls, payload: dict) -> "StreamSession":
         """Rebuild a session from :meth:`snapshot`; ingestion continues
         bit-identically to a session that never snapshotted.
 
-        Query-hook contract: hooks for tracked specs are re-resolved
-        from the registry.  Custom hooks passed to :meth:`add` are
-        functions and cannot travel in a pickle-free payload — the
-        snapshot records *which* consumers had one, and restoring such
-        a consumer without a replacement emits a ``UserWarning`` and
-        falls back to the inferred hook (sketch state is untouched
-        either way).  Pass ``queries={name: hook}`` to re-attach custom
-        hooks; names not present in the snapshot raise ``KeyError``.
+        Each consumer answers through the same hook as before: a
+        tracked one's is looked up again by its spec name.  A tracked
+        consumer that lacks an attribute a fresh build of its spec
+        holds is refused (``ValueError``) before it could fail
+        mid-chunk; extra attributes are allowed.
         """
         version = payload.get("format")
         if version != FORMAT_VERSION:
@@ -607,16 +585,10 @@ class StreamSession:
                 f"unsupported session snapshot format {version!r}"
             )
         meta = payload["session"]
-        queries = dict(queries or {})
-        unknown = set(queries) - set(meta["specs"])
-        if unknown:
-            raise KeyError(
-                f"queries supplied for consumers not in the snapshot: "
-                f"{sorted(unknown)}"
-            )
-        had_custom = set(meta.get("custom_queries", ()))
-        # Older snapshots also carry a "coalesce" flag; it is ignored,
-        # since planning follows the consumers (repro.streams.engine).
+        # Older snapshots also carry a "coalesce" flag and a
+        # "custom_queries" list; both are ignored, since planning
+        # follows the consumers (repro.streams.engine) and every hook
+        # comes from the registry.
         session = cls(
             meta["n"],
             params=Params(**meta["params"]),
@@ -626,22 +598,17 @@ class StreamSession:
         sketches = _restore_state(payload["consumers"])
         for name, sketch in sketches.items():
             spec_name = meta["specs"].get(name)
-            if name in queries:
-                session.add(name, sketch, query=queries[name])
-            else:
-                if name in had_custom:
-                    warnings.warn(
-                        f"consumer {name!r} had a custom query hook "
-                        "that cannot be serialized; restored with the "
-                        "inferred hook — pass queries={name: hook} to "
-                        "StreamSession.restore to re-attach it",
-                        UserWarning,
-                        stacklevel=2,
+            spec = None
+            if spec_name is not None:
+                spec = get_spec(spec_name)
+                missing = spec.state_attributes() - set(vars(sketch))
+                if missing:
+                    raise ValueError(
+                        f"consumer {name!r} (spec {spec_name!r}) lacks "
+                        f"state its class sets at construction: "
+                        f"{sorted(missing)}"
                     )
-                query = get_spec(spec_name).query if spec_name else None
-                session.add(name, sketch, query=query)
-                session._custom_query[name] = False
-            session._spec_names[name] = spec_name
+            session._add(name, sketch, spec)
         session.updates_processed = int(meta["updates_processed"])
         # Absent in pre-reliability snapshots: those sessions had no
         # stamped clients, so the empty default is exact, not a guess.

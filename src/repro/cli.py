@@ -306,8 +306,8 @@ def _report_support(sketch, truth, args, spec_name):
 
 
 def _cmd_kernels(args: argparse.Namespace) -> int:
-    """Report the compiled kernel backend: mode, activity, compiler,
-    cache and per-kernel self-test status."""
+    """Report the compiled kernel backend: mode, activity (or the
+    reason it is off), compiler and cache."""
     from repro import kernels
 
     info = kernels.backend().describe()
@@ -322,8 +322,6 @@ def _cmd_kernels(args: argparse.Namespace) -> int:
     if info["library"]:
         print(f"{'library':>14}: {info['library']}")
     print(f"{'cflags':>14}: {info['cflags']}")
-    for name in sorted(info["kernels"]):
-        print(f"{name:>14}: {'ok' if info['kernels'][name] else 'off'}")
     return 0
 
 
@@ -485,8 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "kernels",
-        help="report the compiled kernel backend (mode, compiler, "
-             "per-kernel self-test status)",
+        help="report the compiled kernel backend (mode, active, "
+             "compiler, cache)",
     )
     p.set_defaults(func=_cmd_kernels)
 

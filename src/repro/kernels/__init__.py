@@ -65,11 +65,9 @@ from repro.kernels._build import (
 
 __all__ = [
     "ABI_VERSION",
-    "KERNEL_NAMES",
     "BuildError",
     "KernelBackend",
     "backend",
-    "has",
     "override",
     "try_cauchy_fold",
     "try_csss_scatter",
@@ -80,13 +78,6 @@ __all__ = [
 _LOG = logging.getLogger("repro.kernels")
 
 ABI_VERSION = 2
-
-KERNEL_NAMES = (
-    "kwise_hash",
-    "fused_table_update",
-    "cauchy_fold",
-    "csss_scatter",
-)
 
 _MODES = ("auto", "on", "off")
 
@@ -271,8 +262,10 @@ def _import_extension(path):
 
 
 class KernelBackend:
-    """State of the compiled backend: mode, loaded extension module (or
-    the reason there is none), and per-kernel self-test verdicts."""
+    """State of the compiled backend: mode, and the loaded extension
+    module or the reason there is none.  The module is kept only when
+    every kernel passes its self-test, so one bit says which backend
+    runs."""
 
     def __init__(self, mode: str | None = None):
         if mode is None:
@@ -291,7 +284,6 @@ class KernelBackend:
         self.lib = None  # the extension module once its self-tests pass
         self.lib_path = None
         self.reason: str | None = None
-        self.kernels = {name: False for name in KERNEL_NAMES}
         if self.mode == "off":
             self.reason = "disabled (REPRO_KERNELS=off)"
             _log_once(f"pure NumPy backend: {self.reason}")
@@ -325,7 +317,6 @@ class KernelBackend:
             )
         self.lib = lib
         self.lib_path = path
-        self.kernels = {name: True for name in KERNEL_NAMES}
 
     def _fail(self, reason: str) -> None:
         if self.mode == "on":
@@ -337,12 +328,9 @@ class KernelBackend:
 
     @property
     def active(self) -> bool:
-        """True when the extension module is loaded and every kernel
-        passed its bit-identity self-test."""
-        return self.lib is not None and all(self.kernels.values())
-
-    def has(self, name: str) -> bool:
-        return self.lib is not None and self.kernels.get(name, False)
+        """True when the extension module is loaded, which it is only
+        once every kernel passed its bit-identity self-test."""
+        return self.lib is not None
 
     def describe(self) -> dict:
         """CLI-facing state record (``repro kernels``)."""
@@ -356,7 +344,6 @@ class KernelBackend:
             "library": str(self.lib_path) if self.lib_path else None,
             "cflags": " ".join(effective_cflags(self.sanitize)),
             "source": str(SOURCE),
-            "kernels": dict(self.kernels),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -393,11 +380,6 @@ def override(mode: str):
     finally:
         with _lock:
             _backend = previous
-
-
-def has(name: str) -> bool:
-    """Is kernel ``name`` available on the current backend?"""
-    return backend().has(name)
 
 
 # ---------------------------------------------------------------------------

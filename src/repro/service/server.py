@@ -50,8 +50,11 @@ connection dropped mid-frame applies nothing for the incomplete tail.
 ``Params`` and ``StreamSession`` admit a session's fields; ``track``
 names registry specs only.  Queries flush the partial buffer
 first, so every answer reflects every acked update.  A merge folds the
-posted snapshot entirely or not at all (``StreamSession.merge``
-validates every consumer before mutating any).
+posted snapshot entirely or not at all: ``StreamSession.restore``
+refuses a consumer missing state its class sets at construction, and
+``StreamSession.merge`` rehearses every consumer's merge on a restored
+copy before it mutates any, so a refusal is a ``bad_merge`` that
+leaves the session unchanged.
 
 Delivery semantics: every INGEST frame is stamped ``(client_id, seq)``
 and applied **exactly once** — the per-session watermark

@@ -135,7 +135,7 @@ class CauchyL1Sketch:
         # np.tan differs from libm by an ulp on part of the angle grid.
         # The plan path hands the kernel the *unique* entries plus the
         # inverse gather, skipping the per-update gather copy entirely.
-        if _kernels.has("cauchy_fold"):
+        if _kernels.backend().active:
             if unique_of is not None and inverse is not None:
                 entries = [unique_of(row) for row in rows]
                 if _kernels.try_cauchy_fold(acc, entries, deltas, inverse):

@@ -81,6 +81,23 @@ def traffic_pair():
     return f, g
 
 
+@pytest.fixture
+def drop_state():
+    """``drop_state(payload, cls_name, attr)`` deletes ``attr`` from
+    every ``cls_name`` object in a snapshot payload (what a snapshot of
+    an older class layout holds) and returns how many it found."""
+    def drop(node, cls_name, attr):
+        if isinstance(node, dict):
+            if str(node.get("cls", "")).endswith(f":{cls_name}"):
+                del node["state"][attr]
+                return 1
+            return sum(drop(v, cls_name, attr) for v in node.values())
+        if isinstance(node, list):
+            return sum(drop(v, cls_name, attr) for v in node)
+        return 0
+    return drop
+
+
 def median_over_seeds(fn, seeds, *args, **kwargs):
     """Run ``fn(seed, ...)`` over seeds and return the median result."""
     vals = [fn(seed, *args, **kwargs) for seed in seeds]

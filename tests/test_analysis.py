@@ -17,9 +17,6 @@ import pytest
 from repro import analysis
 from repro.analysis.core import lint_sources, module_of
 from repro.analysis.rules import all_rules, rule_ids
-from repro.analysis.rules.capability_consistency import (
-    CapabilityConsistency,
-)
 from repro.analysis.rules.lock_discipline import LockDiscipline
 from repro.analysis.rules.no_wall_clock import NoWallClock
 from repro.analysis.rules.overflow_discipline import OverflowDiscipline
@@ -189,7 +186,7 @@ class TestExitCodes:
             analysis.EXIT_CLEAN
         listed = {line.split(":")[0] for line in lines}
         assert listed == set(rule_ids())
-        assert len(rule_ids()) == 8
+        assert len(rule_ids()) == 7
 
 
 # ---------------------------------------------------------------------------
@@ -307,89 +304,6 @@ class TestSnapshotCompleteness:
         assert findings_for(
             SnapshotCompleteness(), ("src/repro/core/x.py", src)
         ) == []
-
-
-class TestCapabilityConsistency:
-    REGISTRY = "src/repro/api/registry.py"
-
-    def test_fires_on_plan_without_batch(self):
-        src = (
-            "class Foo:\n"
-            "    def update(self):\n"
-            "        pass\n"
-            "    def update_plan(self, plan):\n"
-            "        pass\n"
-            "_register('foo', Foo)\n"
-        )
-        found = findings_for(
-            CapabilityConsistency(), (self.REGISTRY, src)
-        )
-        assert rules_of(found) == ["capability-consistency"]
-        assert "update_plan" in found[0].message
-
-    def test_fires_on_unknown_class(self):
-        found = findings_for(
-            CapabilityConsistency(),
-            (self.REGISTRY, "_register('ghost', Ghost)\n"),
-        )
-        assert rules_of(found) == ["capability-consistency"]
-        assert "not" in found[0].message and "defined" in \
-            found[0].message
-
-    def test_fires_on_pin_mismatch(self):
-        registry = (
-            "class Foo:\n"
-            "    def update(self):\n"
-            "        pass\n"
-            "    def update_batch(self, items, deltas):\n"
-            "        pass\n"
-            "_register('foo', Foo)\n"
-        )
-        pins = (
-            "EXPECTED_FLAGS = {'foo': (True, True, True)}\n"
-        )
-        found = findings_for(
-            CapabilityConsistency(),
-            (self.REGISTRY, registry),
-            ("tests/test_api_registry.py", pins),
-        )
-        assert rules_of(found) == ["capability-consistency"]
-        assert "pin" in found[0].message
-
-    def test_silent_on_consistent_spec(self):
-        src = (
-            "class Foo:\n"
-            "    def update(self):\n"
-            "        pass\n"
-            "    def update_batch(self, items, deltas):\n"
-            "        pass\n"
-            "    def merge(self, other):\n"
-            "        pass\n"
-            "_register('foo', Foo)\n"
-        )
-        pins = (
-            "EXPECTED_FLAGS = {'foo': (True, False, True)}\n"
-        )
-        assert findings_for(
-            CapabilityConsistency(),
-            (self.REGISTRY, src),
-            ("tests/test_api_registry.py", pins),
-        ) == []
-
-    def test_real_registry_is_consistent(self):
-        """The shipped registry + pins pass the rule (meta-check that
-        keeps the rule wired to reality, not a fixture)."""
-        paths = [
-            REPO_ROOT / "src" / "repro",
-            REPO_ROOT / "tests" / "test_api_registry.py",
-        ]
-        from repro.analysis.core import lint_paths
-
-        found, _ = lint_paths(
-            [str(p) for p in paths], rules=[CapabilityConsistency()]
-        )
-        assert [f for f in found
-                if f.rule == "capability-consistency"] == []
 
 
 class TestLockDiscipline:
@@ -583,13 +497,13 @@ class TestPickleBan:
 
 class TestShippedTree:
     def test_whole_tree_is_clean(self):
-        """`repro lint src tests benchmarks` — the CI gate — finds
-        nothing; every intentional deviation carries a justified
+        """`repro lint src tests benchmarks examples` — the CI gate —
+        finds nothing; every intentional deviation carries a justified
         pragma."""
         from repro.analysis.core import lint_paths
 
         paths = [str(REPO_ROOT / p)
-                 for p in ("src", "tests", "benchmarks")
+                 for p in ("src", "tests", "benchmarks", "examples")
                  if (REPO_ROOT / p).exists()]
         found, scanned = lint_paths(paths)
         assert found == [], "\n".join(f.format() for f in found)
@@ -599,11 +513,10 @@ class TestShippedTree:
         assert rule_ids() == [
             "rng-discipline",
             "snapshot-completeness",
-            "capability-consistency",
             "lock-discipline",
             "overflow-discipline",
             "protocol-hygiene",
             "no-wall-clock",
             "pickle-ban",
         ]
-        assert len(all_rules()) == 8
+        assert len(all_rules()) == 7

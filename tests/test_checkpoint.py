@@ -36,6 +36,7 @@ from repro.api.checkpoint import (
     import_and_merge,
     import_session,
     recover,
+    recover_all,
 )
 from repro.streams.generators import (
     bounded_deletion_stream,
@@ -447,6 +448,25 @@ class TestRecover:
         by_store = recover(CheckpointStore(tmp_path))
         assert by_path["countmin"].query(9) == 4
         assert by_store.updates_processed == by_path.updates_processed
+
+    def test_recover_all_skips_a_session_restore_refuses(
+            self, tmp_path, drop_state):
+        """A session whose checkpoint ``restore`` refuses (a consumer
+        missing state its class sets at construction) is skipped with a
+        warning, and the others still recover: a durable service
+        starts instead of failing on one session."""
+        for name in ("good", "legacy"):
+            session = StreamSession(N, params=PARAMS).track(
+                "sampled_frequencies")
+            payload = session.push([9], [4]).snapshot()
+            if name == "legacy":
+                drop_state(payload, "SampledFrequencies", "_pos")
+            CheckpointStore(tmp_path / name).save(payload, updates=1)
+        with pytest.warns(RuntimeWarning, match="'legacy'.*_pos"):
+            recovered = recover_all(tmp_path)
+        assert list(recovered) == ["good"]
+        with pytest.raises(ValueError, match="_pos"):
+            recover(tmp_path / "legacy")
 
 
 # -- the CLI durable path ----------------------------------------------------

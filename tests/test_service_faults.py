@@ -193,7 +193,8 @@ def test_a_session_without_consumers_is_refused(client):
     assert client.query("edge", "frequency_vector") == 1
 
 
-def test_raising_query_hook_leaves_session_consistent(service, server):
+def test_raising_query_hook_leaves_session_consistent(service, server,
+                                                     monkeypatch):
     """A query hook that raises is contained: the ERROR frame comes
     back, the pre-query flush has applied (at-least-once), and every
     other consumer still answers exactly."""
@@ -202,11 +203,13 @@ def test_raising_query_hook_leaves_session_consistent(service, server):
     )
     assert session_info["name"] == "edge"
 
-    def boom(sketch):
+    def explode():
         raise RuntimeError("hook exploded")
 
     from repro.streams.model import FrequencyVector
-    service.sessions["edge"].add("boom", FrequencyVector(N), query=boom)
+    boom = FrequencyVector(N)
+    service.sessions["edge"].add("boom", boom)
+    monkeypatch.setattr(boom, "l1", explode)  # what its hook calls
 
     async def drive(handle):
         async with AsyncSessionClient(handle.host, handle.port, "edge",
@@ -395,6 +398,54 @@ class TestMergeFrameValidation:
             service.merge("s", b"\x00" * (protocol.MAX_PAYLOAD + 1))
         assert err.value.code == "bad_merge"
         assert "ceiling" in err.value.message
+
+class TestMergeIsAllOrNothing:
+    """A MERGE folds the posted snapshot entirely or not at all: one a
+    consumer refuses answers ``bad_merge`` and leaves the session as it
+    was, so a retried merge cannot count anything twice."""
+
+    TRACK = ["frequency_vector", "sampled_frequencies", "alpha_l0"]
+
+    def _feed(self, server, name, client_id, **fields):
+        with ServiceClient(server.host, server.port,
+                           client_id=client_id) as c:
+            c.create_session(name, n=64, seed=1, track=self.TRACK,
+                             **fields)
+            c.ingest(name, np.arange(50), np.ones(50, dtype=np.int64))
+            return c.snapshot(name)
+
+    @pytest.mark.parametrize("refusal", ["alpha", "missing_state"])
+    def test_refused_merge_leaves_the_session_unchanged(
+            self, server, client, drop_state, refusal):
+        """Refused by αL0 (the sibling's α differs, which no pre-check
+        sees; ``frequency_vector`` and ``sampled_frequencies`` would
+        merge first) or at restore (a ``SampledFrequencies`` without
+        the ``_pos`` table its class sets at construction)."""
+        from repro.api.serialize import payload_equal
+        from repro.streams.io import payload_from_bytes, payload_to_bytes
+
+        self._feed(server, "a", "east")
+        before = payload_from_bytes(client.snapshot("a"))
+        info = client.info("a")
+        if refusal == "alpha":
+            container = self._feed(server, "b", "west", node=1,
+                                   params={"alpha": 8.0})
+        else:
+            payload = payload_from_bytes(
+                self._feed(server, "b", "west", node=1))
+            assert drop_state(payload, "SampledFrequencies", "_pos") == 1
+            container = payload_to_bytes(payload)
+        with pytest.raises(ServiceClientError, match="bad_merge"):
+            client.merge("a", container)
+        assert payload_equal(payload_from_bytes(client.snapshot("a")),
+                             before)
+        assert client.info("a") == info
+        merged = client.merge("a", self._feed(server, "c", "west", node=1))
+        assert merged["updates_processed"] == 100
+        assert client.info("a")["ingest_watermarks"] == {"east": 1,
+                                                         "west": 1}
+        assert client.query("a", "frequency_vector") == 100
+
 
 class TestServiceLockPins:
     def test_accessors_hold_the_service_lock(self, service):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Params, StreamSession, build, specs
+from repro.api import Params, StreamSession, build, get_spec, specs
+from repro.api.session import QueryNotSupported
 from repro.streams.engine import replay_many
 from repro.streams.generators import (
     bounded_deletion_stream,
@@ -241,15 +242,36 @@ class TestSessionSurface:
         truth = general_stream.frequency_vector().l1()
         assert session.query("l1_strict") == pytest.approx(truth, rel=0.5)
 
-    @pytest.mark.parametrize("name", sorted(
-        spec.name for spec in specs() if spec.query is not None))
+    #: The point-query structures: no registry hook, no headline answer.
+    NO_HOOK = {"countmin", "csss", "csss_tail", "inner_product",
+               "sparse_recovery"}
+
+    @pytest.mark.parametrize("name", sorted(spec.name for spec in specs()))
     def test_every_query_hook_answers(self, insertion_stream, name):
-        """Every registry query hook runs on a tracked consumer (the
-        stream is insertion-only, so misra_gries stays valid)."""
+        """The one answer rule, per spec: a tracked consumer answers
+        what its spec's hook answers on a restored twin, and so do a
+        restored session and a session that registered the twin with
+        ``add``; a spec without a hook raises ``QueryNotSupported`` and
+        ``query_all`` leaves it out.  (The stream is insertion-only, so
+        misra_gries stays valid.)"""
+        spec = get_spec(name)
+        assert (spec.query is None) == (name in self.NO_HOOK)
         items, deltas = insertion_stream.as_arrays()
         session = StreamSession(N, params=PARAMS).track(name)
-        session.push(items[:500], deltas[:500])
-        session.query(name)
+        payload = session.push(items[:500], deltas[:500]).snapshot()
+        added = StreamSession(N).add(
+            name, StreamSession.restore(payload)[name])
+        sessions = (session, StreamSession.restore(payload), added)
+        if spec.query is None:
+            for s in sessions:
+                with pytest.raises(QueryNotSupported):
+                    s.query(name)
+                assert s.query_all() == {}
+            return
+        want = spec.query(StreamSession.restore(payload)[name])
+        for s in sessions:
+            assert s.query(name) == want
+            assert list(s.query_all()) == [name]
 
     def test_query_point_structures_raise_helpfully(self):
         session = StreamSession(N, params=PARAMS).track("countmin")
@@ -399,6 +421,32 @@ class TestSessionMerge:
         with pytest.raises(TypeError, match="merge"):
             a.merge(b)
 
+    def test_refused_merge_changes_nothing(self):
+        """A consumer can refuse its sibling after the type and spec
+        pre-checks pass: an αL0 built at another α.  The merge is then
+        refused whole, although ``frequency_vector`` merges first: the
+        snapshot, ``updates_processed`` and the watermarks read as
+        before, and a compatible merge still lands."""
+        from repro.api.serialize import payload_equal
+
+        def make(client, alpha):
+            session = StreamSession(64, seed=1).track("frequency_vector")
+            session.track("alpha_l0", alpha=alpha)
+            session.push_once(client, 1, np.arange(50), np.ones(50, int))
+            return session
+
+        a = make("east", 4.0)
+        before = a.snapshot()
+        with pytest.raises(ValueError, match="dimensions"):
+            a.merge(make("west", 8.0))
+        assert payload_equal(a.snapshot(), before)
+        assert a.updates_processed == 50
+        assert a.ingest_watermarks == {"east": 1}
+        a.merge(make("west", 4.0))
+        assert a.updates_processed == 100
+        assert a.ingest_watermarks == {"east": 1, "west": 1}
+        assert int(a["frequency_vector"].f.sum()) == 100
+
 
 class TestReviewHardening:
     """Regression pins for the review findings on the facade."""
@@ -447,18 +495,19 @@ class TestReviewHardening:
         for r in range(csss.depth):
             assert int(csss._row_weight[r]) <= csss.budget
 
-    def test_query_all_propagates_hook_failures(self):
+    def test_query_all_propagates_hook_failures(self, monkeypatch):
         """query_all skips point-query structures but must NOT swallow
         a genuinely failing query hook."""
         session = StreamSession(N, params=PARAMS).track("countmin")
         session.push([1], [1])
         assert session.query_all() == {}  # point-query: skipped
 
-        def broken(sketch):
+        def broken():
             raise TypeError("boom")
 
-        session2 = StreamSession(N, params=PARAMS)
-        session2.add("fv", FrequencyVector(N), query=broken)
+        fv = FrequencyVector(N)
+        session2 = StreamSession(N, params=PARAMS).add("fv", fv)
+        monkeypatch.setattr(fv, "l1", broken)  # what the hook calls
         session2.push([1], [1])
         with pytest.raises(TypeError, match="boom"):
             session2.query_all()
@@ -466,9 +515,9 @@ class TestReviewHardening:
 
 class TestPersistencePathBugSweep:
     """Regression pins for the durable-sessions bug sweep: buffered
-    updates must survive a failing dispatch, custom query hooks must
-    not vanish silently across restore, and merge must validate
-    per-name type/spec agreement up front."""
+    updates must survive a failing dispatch, legacy snapshot fields
+    must not block a restore, and merge must validate per-name
+    type/spec agreement up front."""
 
     class _Raising:
         """A consumer whose update path fails (e.g. a full downstream
@@ -509,41 +558,15 @@ class TestPersistencePathBugSweep:
         assert raising.seen == 3
         assert session["fv"].f[1] == 5  # the updates really landed
 
-    def test_restore_warns_about_lost_custom_query_hook(self):
-        session = StreamSession(N, params=PARAMS)
-        session.add("fv", FrequencyVector(N), query=lambda s: int(s.f.sum()))
-        session.push([1, 2], [3, 4])
-        payload = session.snapshot()
-        assert payload["session"]["custom_queries"] == ["fv"]
-        with pytest.warns(UserWarning, match="custom query hook"):
-            restored = StreamSession.restore(payload)
-        # State is intact either way; only the hook fell back.
-        assert np.array_equal(restored["fv"].f, session["fv"].f)
-
-    def test_restore_reattaches_supplied_query_hooks(self):
-        import warnings as _w
-
-        hook = lambda s: int(s.f.sum())
-        session = StreamSession(N, params=PARAMS)
-        session.add("fv", FrequencyVector(N), query=hook)
-        session.push([1, 2], [3, 4])
-        with _w.catch_warnings():
-            _w.simplefilter("error")  # re-attaching must not warn
-            restored = StreamSession.restore(
-                session.snapshot(), queries={"fv": hook}
-            )
-        assert restored.query("fv") == session.query("fv") == 7
-        # The re-attached hook is custom again: it survives into the
-        # next snapshot's manifest.
-        assert restored.snapshot()["session"]["custom_queries"] == ["fv"]
-
     @pytest.mark.parametrize("legacy_flag", [False, True])
     def test_restore_ignores_the_legacy_coalesce_flag(
             self, monkeypatch, general_stream, legacy_flag):
         """Snapshots written while the engine had a ``coalesce`` switch
-        still carry it in their session meta, and a durable service
-        recovers every session from such files.  Either value restores,
-        the restored session still plans its chunks, and it ends
+        still carry it in their session meta (and those written while
+        ``add`` took custom query hooks, a ``custom_queries`` list), and
+        a durable service recovers every session from such files.
+        Either value restores, the restored session still plans its
+        chunks, answers through the registry hooks, and ends
         bit-identical to an uninterrupted session."""
         from repro.streams.plan import ChunkPlanner
 
@@ -563,6 +586,8 @@ class TestPersistencePathBugSweep:
         interrupted = fresh().push(items[:half], deltas[:half])
         payload = interrupted.snapshot()
         payload["session"]["coalesce"] = legacy_flag
+        payload["session"]["custom_queries"] = (
+            ["frequency_vector"] if legacy_flag else [])
         planned = []
         original = ChunkPlanner.plan
 
@@ -578,18 +603,61 @@ class TestPersistencePathBugSweep:
         assert len(planned) == -(-rest // chunk) and sum(planned) == rest
         for name in names:
             assert_bit_identical(reference[name], restored[name], name)
+        assert restored.query_all() == reference.query_all()
 
-    def test_restore_rejects_queries_for_unknown_consumers(self):
-        session = StreamSession(N, params=PARAMS).track("countmin")
-        payload = session.snapshot()
-        with pytest.raises(KeyError, match="typo"):
-            StreamSession.restore(payload, queries={"typo": lambda s: 0})
+    def test_restore_refuses_a_consumer_missing_built_state(
+            self, drop_state):
+        """A ``SampledFrequencies`` payload without ``_pos`` (what a
+        snapshot from the deleted dense mode holds) used to restore,
+        and every later flush raised ``AttributeError`` after the
+        consumers before it had applied the chunk.  ``restore`` refuses
+        it, naming the consumer, its spec and what is missing."""
+        session = (StreamSession(N, params=PARAMS)
+                   .track("fv", "frequency_vector")
+                   .track("sf", "sampled_frequencies"))
+        payload = session.push([1, 2, 3], [1, 1, 1]).snapshot()
+        assert drop_state(payload, "SampledFrequencies", "_pos") == 1
+        with pytest.raises(ValueError,
+                           match="'sf' .*'sampled_frequencies'.*'_pos'"):
+            StreamSession.restore(payload)
 
-    def test_tracked_specs_never_flag_custom_queries(self):
-        """Registry hooks are re-resolvable by spec name; only add()'s
-        user-supplied hooks go into the manifest."""
-        session = StreamSession(N, params=PARAMS).track("l1_strict")
-        assert session.snapshot()["session"]["custom_queries"] == []
+    @pytest.mark.parametrize("name", sorted(spec.name for spec in specs()))
+    def test_every_spec_holds_the_state_restore_checks(
+            self, insertion_stream, name):
+        """``restore`` checks a consumer against one probe build of its
+        spec, so that build must list exactly the attributes the spec's
+        consumers hold at other params and node indices, before and
+        after feeding and after a restore: a longer list would refuse a
+        sound snapshot, a shorter one would miss a gap."""
+        spec = get_spec(name)
+        items, deltas = insertion_stream.as_arrays()
+        other = Params(n=N, eps=0.1, delta=0.1, alpha=8.0, seed=7)
+        for params, node in ((PARAMS, 0), (other, 1)):
+            session = StreamSession(N, params=params, node=node).track(name)
+            assert set(vars(session[name])) == spec.state_attributes()
+            session.push(items[:500], deltas[:500]).flush()
+            assert set(vars(session[name])) == spec.state_attributes()
+            restored = StreamSession.restore(session.snapshot())
+            assert set(vars(restored[name])) == spec.state_attributes()
+
+    @pytest.mark.parametrize("name", sorted(spec.name for spec in specs()))
+    def test_restore_refuses_every_spec_missing_any_built_state(
+            self, insertion_stream, name):
+        """Per spec, and per attribute a fresh build holds: a snapshot
+        of a consumer without that attribute (what an older class
+        layout encodes) is refused, naming the consumer, its spec and
+        the attribute."""
+        import re
+
+        items, deltas = insertion_stream.as_arrays()
+        payload = (StreamSession(N, params=PARAMS).track("c", name)
+                   .push(items[:500], deltas[:500]).snapshot())
+        for attr in sorted(get_spec(name).state_attributes()):
+            older = StreamSession.restore(payload)
+            delattr(older["c"], attr)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"consumer 'c' (spec '{name}')") + f".*'{attr}'"):
+                StreamSession.restore(older.snapshot())
 
     def test_merge_rejects_same_name_different_type(self):
         from repro.counters.exact import ExactL1Counter
