@@ -214,7 +214,13 @@ class _Decoder:
             if kind == "obj":
                 return self._decode_object(node)
             if kind == "ref":
-                return self._memo[node["id"]]
+                try:
+                    return self._memo[node["id"]]
+                except KeyError:
+                    raise ValueError(
+                        f"snapshot refers to object id {node['id']!r}, "
+                        "which it never defines"
+                    ) from None
             raise ValueError(f"unknown snapshot node tag {kind!r}")
         if isinstance(node, np.ndarray):  # bare array (inside "data")
             return node

@@ -18,8 +18,9 @@ from "as fast as the hardware allows".  This module defines the package's
 * :class:`PlanConsumer` — the chunk-planning contract (see
   :mod:`repro.streams.plan`): ``update_plan(plan)`` absorbs a
   pre-planned chunk (shared hash evaluations, and — for ℤ-linear
-  structures — per-item coalesced deltas), bit-identical to
-  ``update_batch``;
+  structures — per-item coalesced deltas) and is the structure's one
+  vectorised body: its ``update_batch`` runs it over an unplanned
+  plan of the bare chunk;
 * :func:`is_integer` — the one rule for integer arguments (sizes,
   seeds, indices): a ``1.5`` or ``True`` is refused, never truncated.
 
@@ -85,10 +86,13 @@ class PlanConsumer(Protocol):
     """A sketch that can absorb a pre-planned chunk.
 
     ``update_plan(plan)`` receives a :class:`repro.streams.plan.ChunkPlan`
-    and MUST leave the sketch bit-identical to
-    ``update_batch(plan.items, plan.deltas)``.  The plan carries shared
-    per-chunk precomputation — unique items, per-item summed deltas, a
-    value-keyed hash-evaluation cache — so consumers fed from one plan
+    and is the sketch's one vectorised body: its ``update_batch(items,
+    deltas)`` is ``update_plan(ChunkPlan.unplanned(items, deltas, n))``,
+    so a planned chunk and ``update_batch(plan.items, plan.deltas)`` run
+    the same code over views that agree, and leave the sketch
+    bit-identical.  The plan carries shared per-chunk
+    precomputation — unique items, per-item summed deltas, a value-keyed
+    hash-evaluation cache — so consumers fed from one plan
     (``replay_many``, composed structures) never repeat work.  A plan
     reaches only consumers the chunk driver admitted over its universe.
 
@@ -99,7 +103,7 @@ class PlanConsumer(Protocol):
     """
 
     def update_plan(self, plan) -> None:
-        """Apply a planned chunk; must equal ``update_batch`` bitwise."""
+        """Apply a planned chunk; ``update_batch`` runs it unplanned."""
         ...  # pragma: no cover - protocol
 
 

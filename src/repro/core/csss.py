@@ -26,11 +26,12 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kernels as _kernels
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import consume_stream, exact_sum
 from repro.core.schedules import AdaptiveSamplingSchedule
 from repro.hashing.kwise import FourWiseHash, SignHash
 from repro.sketches.countsketch import median_scan_survivors
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 def derive_sampling_seed(seed, index: int):
@@ -82,7 +83,7 @@ class CSSS:
         per-row *sampling* randomness comes from generators spawned off
         it (one acceptance stream and one halving stream per row), which
         is what makes the batched sampling schedule order-insensitive —
-        see :meth:`update_batch`.
+        see :meth:`update_plan`.
     depth:
         Number of rows (``O(log n)``; default ``max(5, ceil(log2 n))``).
     sample_budget:
@@ -259,41 +260,23 @@ class CSSS:
                 self._halve_row(r)
 
     def update_batch(self, items, deltas) -> None:
-        """Vectorised batch update, bit-identical to the scalar loop.
-
-        Per row: one array hash pass for buckets and signs, one block of
-        acceptance uniforms (exactly one per update — the same draws the
-        scalar loop makes), one inverse-CDF quantisation of those
-        uniforms into retained magnitudes, and one scatter-add per
-        budget segment (:meth:`_apply_row`).  Because acceptance
-        randomness is keyed to updates (not to processing order) and
-        halving randomness lives on a separate per-row stream, the final
-        state is identical for every chunking of the input.
-        """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        if items_arr.size == 0:
-            return
-        mags = np.abs(deltas_arr)
-        gross = exact_sum(mags)
-        delta_signs = np.where(deltas_arr > 0, 1, -1)
-        for r in range(self.depth):
-            buckets = self._bucket_hashes[r].hash_array(items_arr)
-            eff_signs = self._sign_hashes[r].hash_array(items_arr) * delta_signs
-            self._apply_row(r, buckets, eff_signs, mags, gross)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Reads no summed view: every row consumes exactly one acceptance
     # uniform per *update*, so summing duplicates would change which
     # uniforms exist and desynchronise the sampling streams from the
-    # scalar loop.  The plan still pays off through cached unique-item
-    # hashing.
+    # scalar loop.  A planned chunk still pays off through cached
+    # unique-item hashing.
     def update_plan(self, plan) -> None:
-        """Planned batch update: bucket/sign hashes are evaluated once
-        over the chunk's *unique* items (cached on the plan — shared
-        with the shadow instance of :class:`CSSSWithTailEstimate`, other
-        same-seeded CSSS copies, and any value-equal consumer) and
-        gathered back to per-update order; the sampling schedule then
-        consumes the full chunk exactly as :meth:`update_batch` does, so
-        the state — including every generator — is bit-identical."""
+        """Per row: one bucket and one sign hash pass over the chunk's
+        unique items (cached on a planned chunk, and shared there with
+        the :class:`CSSSWithTailEstimate` shadow, same-seeded copies and
+        any value-equal consumer), one acceptance uniform per update
+        (the scalar loop's draws), one inverse-CDF quantisation and one
+        scatter-add per budget segment (:meth:`_apply_row`).  Acceptance
+        randomness is keyed to updates and halving draws from a separate
+        per-row stream, so the state, every generator included, is the
+        same for every chunking of the input."""
         if plan.size == 0:
             return
         mags = plan.abs_deltas
@@ -491,18 +474,14 @@ class CSSSWithTailEstimate:
         self.shadow.update(item, delta)
 
     def update_batch(self, items, deltas) -> None:
-        """Batch update of both instances (chunk-major; equivalent to the
-        scalar loop because the instances sample from independent
-        generators)."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.main.n)
-        self.main.update_batch(items_arr, deltas_arr)
-        self.shadow.update_batch(items_arr, deltas_arr)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     def update_plan(self, plan) -> None:
-        """Planned batch update of both instances from one shared plan
-        (the chunk's unique items are computed once; the two instances'
-        hash functions differ by seed, so each still evaluates its own —
-        over unique items instead of the full chunk)."""
+        """Update both instances from one plan (chunk-major; equivalent
+        to the scalar loop because the instances sample from independent
+        generators).  The chunk's unique items are computed once; the
+        two instances' hash functions differ by seed, so each still
+        evaluates its own."""
         self.main.update_plan(plan)
         self.shadow.update_plan(plan)
 

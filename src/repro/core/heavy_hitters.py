@@ -23,6 +23,7 @@ from repro.batch import consume_stream
 from repro.core.csss import CSSS
 from repro.counters.exact import ExactL1Counter
 from repro.sketches.cauchy import CauchyL1Sketch
+from repro.streams.plan import ChunkPlan
 
 
 class AlphaHeavyHitters:
@@ -96,20 +97,16 @@ class AlphaHeavyHitters:
             self._l1_sketch.update(item, delta)
 
     def update_batch(self, items, deltas) -> None:
-        """Composed batch update: the CSSS and the norm tracker are
-        independent structures, so feeding each the whole chunk leaves
-        the same state as the interleaved scalar loop."""
-        self.csss.update_batch(items, deltas)
-        if self._l1_exact is not None:
-            self._l1_exact.update_batch(items, deltas)
-        else:
-            self._l1_sketch.update_batch(items, deltas)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     def update_plan(self, plan) -> None:
-        """Composed plan update: the CSSS reuses the plan's cached
-        unique-item hash evaluations; the norm tracker takes the full
-        per-update columns (its running-peak accounting is
-        multiplicity-sensitive, so it is never coalesced)."""
+        """Composed update: the CSSS and the norm tracker are
+        independent structures, so feeding each the whole chunk leaves
+        the same state as the interleaved scalar loop.  The CSSS (and a
+        Cauchy tracker) reuse the plan's unique-item hash evaluations;
+        the exact tracker takes the full per-update columns (its
+        running-peak accounting is multiplicity-sensitive, so it is
+        never coalesced)."""
         self.csss.update_plan(plan)
         if self._l1_exact is not None:
             self._l1_exact.update_batch(plan.items, plan.deltas)

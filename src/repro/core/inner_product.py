@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch import as_update_arrays, consume_stream, signed_scatter_add_peak
+from repro.batch import consume_stream, signed_scatter_add_peak
 from repro.core.schedules import (
     IntervalAcceptance,
     drive_interval_segments,
@@ -39,6 +39,7 @@ from repro.hashing.kwise import KWiseHash, SignHash
 from repro.hashing.modhash import StreamingModReducer
 from repro.hashing.primes import random_prime_in_range
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 class AlphaInnerProduct:
@@ -180,11 +181,11 @@ class AlphaInnerProductSketch:
 
     Maintains the two live interval sketches; ``final_vector_and_rate``
     returns the longest-running one and its sampling rate.
-    ``update_batch`` segments a chunk at the (analytically located)
-    ``s^r`` interval boundaries and folds each segment vectorised — one
-    hash/reduction pass per chunk, one inverse-CDF quantisation per
-    (interval, segment) — bit-identical to the scalar loop at every
-    chunk size.
+    ``update_plan`` (and so ``update_batch``) segments a chunk at the
+    (analytically located) ``s^r`` interval boundaries and folds each
+    segment vectorised — one hash/reduction pass per chunk, one
+    inverse-CDF quantisation per (interval, segment) — bit-identical to
+    the scalar loop at every chunk size.
     """
 
     def __init__(self, ctx: AlphaInnerProduct) -> None:
@@ -236,38 +237,23 @@ class AlphaInnerProductSketch:
             self._live[lvl].offer(bucket, signed_unit, mag)
 
     def update_batch(self, items, deltas) -> None:
-        """Segmented batch update, bit-identical to the scalar loop.
-
-        The reduction mod P and the bucket/sign hashes run once per
-        chunk as array passes; the interval window moves only at ``s^r``
-        position crossings (located analytically by
-        :func:`repro.core.schedules.exponential_interval_changes`), so
-        each constant-window segment folds into every live interval with
-        one block of acceptance uniforms — the same draws, in the same
-        order, as the scalar loop.
-        """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.ctx.n)
-        if len(items_arr) == 0:
-            return
-        reduced = self.ctx._reducer.reduce_array(items_arr)
-        buckets = self.ctx._bucket_hash.hash_array(reduced)
-        eff_signs = self.ctx._sign_hash.hash_array(reduced) * np.where(
-            deltas_arr > 0, 1, -1
-        )
-        self._drive_chunk(buckets, eff_signs, np.abs(deltas_arr))
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Reads no summed view: each live interval consumes one acceptance
     # uniform per update; coalescing would change the draw sequence.
     def update_plan(self, plan) -> None:
-        """Planned batch update: the mod-``P`` reduction and bucket/sign
-        hashes are evaluated once over the chunk's *unique* items and
-        cached on the plan keyed by the shared context's value-equal
-        reducer and hashes — so the **pair** of Theorem 2 sketches (f
-        and g share one :class:`AlphaInnerProduct` context) hashes each
-        chunk once, not once per stream.  The interval-segmented
-        sampling then consumes the full chunk exactly as
-        :meth:`update_batch` does (bit-identical state)."""
-        if plan.size == 0:
+        """Segmented update (see the class docstring).  A planned chunk
+        caches the mod-``P`` reduction and the bucket/sign hashes keyed
+        by the shared context's value-equal reducer and hashes, so the
+        **pair** of Theorem 2 sketches (f and g share one
+        :class:`AlphaInnerProduct` context) hashes each chunk once, not
+        once per stream.  The window moves only at ``s^r`` position
+        crossings (:func:`repro.core.schedules.exponential_interval_changes`),
+        and each constant-window segment folds into every live interval
+        with one block of acceptance uniforms — the scalar loop's draws,
+        in its order."""
+        m = plan.size
+        if m == 0:
             return
         ctx = self.ctx
         reducer, bucket_hash, sign_hash = (
@@ -284,17 +270,11 @@ class AlphaInnerProductSketch:
             ("mod", reducer, sign_hash),
             lambda u: sign_hash.hash_array(reduced_u),
         ) * plan.delta_signs
-        self._drive_chunk(buckets, eff_signs, plan.abs_deltas)
-
-    def _drive_chunk(
-        self, buckets: np.ndarray, eff_signs: np.ndarray, mags: np.ndarray
-    ) -> None:
-        """Shared interval-segmented chunk driver (batch and plan paths)."""
-        m = len(buckets)
+        mags = plan.abs_deltas
         t0 = self.t
         self.t = t0 + m
         changes = exponential_interval_changes(
-            t0, m, self.ctx.s, self._current_window()
+            t0, m, ctx.s, self._current_window()
         )
         drive_interval_segments(
             m,

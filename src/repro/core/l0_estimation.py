@@ -39,6 +39,7 @@ from repro.hashing.kwise import KWiseHash, PairwiseHash
 from repro.hashing.modhash import capped_lsb, lsb_array
 from repro.hashing.primes import random_prime_in_range
 from repro.sketches.knw_l0 import ExactSmallL0, RoughF0Estimator
+from repro.streams.plan import ChunkPlan
 
 
 class AlphaRoughL0Estimate:
@@ -367,52 +368,17 @@ class AlphaL0Estimator:
                 )
 
     def update_batch(self, items, deltas) -> None:
-        """Segmented batch update with vectorised hashing and routing.
-
-        All hash passes (KMV, h1-lsb row routing, h2/h3/h4 bucketing) run
-        as array operations over the chunk; :meth:`_absorb` walks it.
-        """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        if items_arr.size == 0:
-            return
-        j2 = self._h2.hash_array(items_arr)
-        self._absorb(
-            deltas_arr,
-            self._rough.kmv_hash.hash_array(items_arr),
-            lsb_array(self._h1.hash_array(items_arr), cap=self.log_n),
-            self._h3.hash_array(j2),
-            self._h3_small.hash_array(j2),
-            self._u[self._h4.hash_array(j2)],
-        )
-        self._exact_small.update_batch(items_arr, deltas_arr)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     def update_plan(self, plan) -> None:
-        """Planned update, bit-identical to :meth:`update_batch`.
+        """Segmented update with vectorised hashing and routing.
 
         Every item-keyed hash (the KMV halves, h1, h2, and h3/h4/h3-small
         over h2's outputs) runs once over the chunk's *unique* items —
         through the plan cache where keyed by an item hash — and the
-        per-update columns of :meth:`_absorb` are gathered back through
-        the plan's inverse index.  αL0 is not ℤ-linear as a whole (rows
-        are born mid-chunk), so the deltas stay per update.
-        """
-        if plan.size == 0:
-            return
-        j2 = plan.unique_values(self._h2)
-        self._absorb(
-            plan.deltas,
-            plan.values(self._rough.kmv_hash),
-            plan.gather(
-                lsb_array(plan.unique_values(self._h1), cap=self.log_n)
-            ),
-            plan.gather(self._h3.hash_array(j2)),
-            plan.gather(self._h3_small.hash_array(j2)),
-            plan.gather(self._u[self._h4.hash_array(j2)]),
-        )
-        self._exact_small.update_plan(plan)
-
-    def _absorb(self, deltas, hvs, rows, cols, cols_s, scales) -> None:
-        """Fold one chunk given its per-update hash columns.
+        per-update columns are gathered back through the plan.  αL0 is
+        not ℤ-linear as a whole (rows are born mid-chunk), so the deltas
+        stay per update.
 
         The row window only moves when the rough estimate moves, which
         only happens at KMV fold candidates
@@ -421,17 +387,31 @@ class AlphaL0Estimator:
         each inter-candidate segment is scatter-added into the live rows
         in one vectorised pass per row, and the window is re-synced at
         exactly the scalar stream positions.  The collapsed small row
-        absorbs the whole chunk afterwards, as does the exact small L0
-        (by the caller); they share no state with the rows, so the
-        reordering is unobservable.
+        and the exact small L0 absorb the whole chunk afterwards; they
+        share no state with the rows, so the reordering is unobservable.
         """
-        incs = scaled_mod_increments(deltas, scales, self.p)
+        if plan.size == 0:
+            return
+        j2 = plan.unique_values(self._h2)
+        rows = plan.gather(
+            lsb_array(plan.unique_values(self._h1), cap=self.log_n)
+        )
+        cols = plan.gather(self._h3.hash_array(j2))
+        incs = scaled_mod_increments(
+            plan.deltas, plan.gather(self._u[self._h4.hash_array(j2)]),
+            self.p,
+        )
+        hvs = plan.values(self._rough.kmv_hash)
         for a, b in windowed_segments(self._rough, hvs, self._window):
             # Flush each constant-window segment, then sync (row creation
             # happens at exactly the scalar stream position).
             self._route_segment(rows, cols, incs, a, b)
             self._sync_rows()
-        mod_scatter_add(self.B_small, cols_s, incs, self.p)
+        mod_scatter_add(
+            self.B_small, plan.gather(self._h3_small.hash_array(j2)), incs,
+            self.p,
+        )
+        self._exact_small.update_plan(plan)
 
     def consume(self, stream) -> "AlphaL0Estimator":
         return consume_stream(self, stream)

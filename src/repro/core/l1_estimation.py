@@ -37,6 +37,7 @@ from repro.core.schedules import (
 )
 from repro.sketches.cauchy import _CauchyRow
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 class _SampledIntervalLevel(IntervalAcceptance):
@@ -406,51 +407,26 @@ class AlphaL1EstimatorGeneral:
             self._row_update(row, item, delta)
 
     def update_batch(self, items, deltas) -> None:
-        """Batch update with vectorised (clipped) Cauchy entry evaluation.
-
-        The per-row hash/tan/clip pipeline — the dominant cost — runs
-        once per row over the whole chunk; the thinning draws then run in
-        the exact scalar order (item-major, rows inner), so the sampled
-        counters and the generator state match the scalar loop bitwise.
-        """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        total = self.r + self.r_prime
-        entries = np.empty((total, len(items_arr)), dtype=np.float64)
-        for j, row in enumerate(self._rows):
-            entries[j] = row.entries(items_arr)
-        for j, row in enumerate(self._cal_rows):
-            entries[self.r + j] = row.entries(items_arr)
-        self._thin_chunk(items_arr, deltas_arr, entries)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Reads no summed view: the thinning stream draws once per
     # (row, update).
     def update_plan(self, plan) -> None:
-        """Planned batch update: each Cauchy row's hash/tan entry pass —
-        the dominant vectorised cost — runs over the chunk's *unique*
-        items (cached on the plan, shared with value-equal rows of a
+        """Each row's hash/tan/clip entry pipeline — the dominant
+        vectorised cost — runs once over the chunk's unique items
+        (cached on a planned chunk, shared with value-equal rows of a
         same-seeded sibling or a :class:`~repro.sketches.cauchy.
-        CauchyL1Sketch` sharing the generator) and is gathered back; the
-        thinning draws then run in the exact scalar order, so the state
-        matches :meth:`update_batch` bitwise."""
+        CauchyL1Sketch` sharing the generator); the thinning draws then
+        run in the scalar order (item-major, rows inner), so the state
+        matches the scalar loop bitwise, generator included."""
         total = self.r + self.r_prime
         entries = np.empty((total, plan.size), dtype=np.float64)
-        for j, row in enumerate(self._rows):
+        for j, row in enumerate(self._rows + self._cal_rows):
             entries[j] = plan.values(row, row.entries)
-        for j, row in enumerate(self._cal_rows):
-            entries[self.r + j] = plan.values(row, row.entries)
-        self._thin_chunk(plan.items, plan.deltas, entries)
-
-    def _thin_chunk(
-        self, items_arr: np.ndarray, deltas_arr: np.ndarray,
-        entries: np.ndarray,
-    ) -> None:
-        """Shared chunk tail: clip entries, then thin in scalar order
-        (item-major, rows inner) so the generator state stays bitwise
-        equal to the scalar loop."""
-        total = self.r + self.r_prime
         np.clip(entries, -self._CAUCHY_CLIP, self._CAUCHY_CLIP, out=entries)
-        for t, delta in enumerate(deltas_arr.tolist()):
-            item = int(items_arr[t])
+        items = plan.items
+        for t, delta in enumerate(plan.deltas.tolist()):
+            item = int(items[t])
             for row in range(total):
                 self._row_update(row, item, delta, entry=float(entries[row, t]))
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.batch import as_update_arrays, consume_stream
+from repro.batch import consume_stream
 from repro.sketches.countsketch import CountSketch
+from repro.streams.plan import ChunkPlan
 
 
 class AlphaL2HeavyHitters:
@@ -75,19 +76,16 @@ class AlphaL2HeavyHitters:
         self._verify_cs.update(item, delta)
 
     def update_batch(self, items, deltas) -> None:
-        """Composed batch update (both CountSketches are deterministic,
-        so chunk-major feeding equals the scalar interleaving)."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._candidate_cs.update_batch(items_arr, np.abs(deltas_arr))
-        self._verify_cs.update_batch(items_arr, deltas_arr)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Both constituent CountSketch tables are ℤ-linear, so in-chunk
     # duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
-        """Composed plan update: one unique-item pass serves both
-        sketches — the candidate folds per-item summed magnitudes (the
-        insertion-only image), the verify sketch per-item summed
-        deltas."""
+        """Composed update (both CountSketches are deterministic, so
+        chunk-major feeding equals the scalar interleaving): one
+        unique-item pass serves both sketches — the candidate folds
+        per-item summed magnitudes (the insertion-only image), the
+        verify sketch per-item summed deltas."""
         self._candidate_cs._apply_plan(plan, signed=False)
         self._verify_cs._apply_plan(plan, signed=True)
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kernels as _kernels
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import consume_stream
 from repro.hashing.kwise import SignHash
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 class AMSSketch:
@@ -36,7 +37,6 @@ class AMSSketch:
         self.r = self.per_group * self.groups
         self.z = np.zeros(self.r, dtype=np.int64)
         self._signs = [SignHash(n, rng, k=4) for _ in range(self.r)]
-        self._max_abs = 0
         self._gross_weight = 0
 
     def update(self, item: int, delta: int) -> None:
@@ -45,43 +45,33 @@ class AMSSketch:
             self.z[j] += self._signs[j](item) * delta
 
     def update_batch(self, items, deltas) -> None:
-        """Vectorised batch update: per atomic estimator, one array sign
-        evaluation and one integer dot product — exactly the scalar sum."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._gross_weight += exact_sum(np.abs(deltas_arr))
-        # The reshape must alias z (guaranteed for a contiguous vector)
-        # or the kernel would scatter into a copy.
-        if self.z.flags.c_contiguous and _kernels.try_table_update(
-                self.z.reshape(self.r, 1), None, self._signs,
-                items_arr, deltas_arr):
-            return
-        for j in range(self.r):
-            signs = self._signs[j].hash_array(items_arr)
-            self.z[j] += int(np.dot(signs, deltas_arr))
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Each Z_j is a ℤ-linear functional of the stream, so in-chunk
     # duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
-        """Planned batch update: per atomic estimator, one cached sign
-        evaluation over the chunk's *unique* items and one dot product
-        against the per-item summed deltas — the same integer sum as
-        :meth:`update_batch`, an order of magnitude fewer hash
-        evaluations on skewed chunks."""
+        """Vectorised update: per atomic estimator, one sign evaluation
+        over the chunk's unique items (cached on a planned chunk) and
+        one dot product against the per-item summed deltas — the
+        scalar loop's integer sum, with an order of magnitude fewer
+        hash evaluations on skewed planned chunks."""
         if not plan.coalesce_safe:
-            self.update_batch(plan.items, plan.deltas)
-            return
+            plan = ChunkPlan.unplanned(plan.items, plan.deltas, self.n)
         self._gross_weight += plan.gross_weight
         sums = plan.summed_deltas
-        # coalesce_safe bounds |sum signs*sums| under 2^62, so both the
-        # exact_sum int64 path and the kernel's sequential adds are the
-        # same exact integer.
+        # The reshape must alias z (guaranteed for a contiguous vector)
+        # or the kernel would scatter into a copy.
         if self.z.flags.c_contiguous and _kernels.try_table_update(
                 self.z.reshape(self.r, 1), None, self._signs,
                 plan.unique_items, sums):
             return
+        # |Σ signs·sums| is at most the gross weight, under 2^62 on a
+        # coalesced chunk, so the int64 dot product is exact there; on
+        # an unplanned one it wraps exactly where the scalar loop's
+        # int64 adds (and the kernel's) do.
         for j in range(self.r):
             signs = plan.unique_values(self._signs[j])
-            self.z[j] += exact_sum(signs * sums)
+            self.z[j] += int(np.dot(signs, sums))
 
     def consume(self, stream) -> "AMSSketch":
         return consume_stream(self, stream)
@@ -117,9 +107,6 @@ class AMSSketch:
         ):
             raise ValueError("sketches do not share sign functions")
         self.z += other.z
-        self._max_abs = max(
-            self._max_abs, other._max_abs, int(np.abs(self.z).max(initial=0))
-        )
         self._gross_weight += other._gross_weight
         return self
 
@@ -131,13 +118,12 @@ class AMSSketch:
         clone.r = self.r
         clone.z = np.zeros_like(self.z)
         clone._signs = self._signs
-        clone._max_abs = 0
         clone._gross_weight = 0
         return clone
 
     def space_bits(self) -> int:
         # Capacity accounting, as for CountSketch (|Z_j| never exceeds the
-        # gross weight, so the capacity term dominates).
-        per = counter_bits(max(self._max_abs, self._gross_weight))
+        # gross weight).
+        per = counter_bits(self._gross_weight)
         seeds = sum(s.space_bits() for s in self._signs)
         return self.r * per + seeds

@@ -25,9 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kernels as _kernels
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import consume_stream
 from repro.hashing.kwise import KWiseHash
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 _ANGLE_RESOLUTION = 1 << 24
 
@@ -116,74 +117,50 @@ class CauchyL1Sketch:
             self.y_prime[j] += row.entry(item) * delta
         self._gross_weight += abs(delta)
 
-    def _accumulate_batch(
-        self, acc: np.ndarray, rows, deltas: np.ndarray, entries_of,
-        unique_of=None, inverse=None,
-    ) -> None:
+    def _accumulate_batch(self, acc: np.ndarray, rows, plan) -> None:
         # Floating-point addition is not associative, so a vectorised
         # sum() would depend on the chunking.  A running (left-fold)
         # accumulation via cumsum performs exactly the scalar loop's
         # ((y + c_0) + c_1) + ... at C speed — bit-identical for every
-        # chunk size.  ``entries_of(row)`` supplies the per-update entry
-        # array (direct evaluation, or the plan's cached gather) — one
-        # fold implementation for both paths, so the bit-identity-
-        # critical sequence cannot drift between them.
+        # chunk size.
         #
         # The compiled backend runs the same fold (one rounded multiply
         # + one rounded add per term, left to right, no FMA) over the
         # same precomputed entry arrays — tan stays in NumPy, whose
         # np.tan differs from libm by an ulp on part of the angle grid.
-        # The plan path hands the kernel the *unique* entries plus the
-        # inverse gather, skipping the per-update gather copy entirely.
+        # It takes the *unique* entries plus the plan's inverse gather
+        # (``None`` on an unplanned chunk), skipping the per-update
+        # gather copy entirely.
+        deltas = plan.deltas
         if _kernels.backend().active:
-            if unique_of is not None and inverse is not None:
-                entries = [unique_of(row) for row in rows]
-                if _kernels.try_cauchy_fold(acc, entries, deltas, inverse):
-                    return
-            else:
-                entries = [entries_of(row) for row in rows]
-                if _kernels.try_cauchy_fold(acc, entries, deltas):
-                    return
+            entries = [plan.unique_values(row, row.entries) for row in rows]
+            if _kernels.try_cauchy_fold(acc, entries, deltas, plan.inverse):
+                return
         buf = np.empty(len(deltas) + 1, dtype=np.float64)
         for j, row in enumerate(rows):
             buf[0] = acc[j]
-            np.multiply(entries_of(row), deltas, out=buf[1:])
+            np.multiply(plan.values(row, row.entries), deltas, out=buf[1:])
             # repro: allow[overflow-discipline] -- float64 left-fold: the
             # Cauchy accumulators are floats, integer wrap cannot occur
             acc[j] = np.cumsum(buf)[-1]
 
     def update_batch(self, items, deltas) -> None:
-        """Vectorised batch update, bit-identical to the scalar loop."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        entries_of = lambda row: row.entries(items_arr)  # noqa: E731
-        self._accumulate_batch(self.y, self._rows, deltas_arr, entries_of)
-        self._accumulate_batch(
-            self.y_prime, self._cal_rows, deltas_arr, entries_of
-        )
-        self._gross_weight += exact_sum(np.abs(deltas_arr))
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # Reads no summed view: the y accumulators are float and the batch
     # contract is *bitwise* — regrouping e(i)·(Δ₁+Δ₂) differs from
     # e(i)·Δ₁ + e(i)·Δ₂ in the last ulp, so duplicates must stay
-    # separate.  The plan still pays off through entry-evaluation reuse.
+    # separate.  A planned chunk still pays off through entry reuse.
     def update_plan(self, plan) -> None:
-        """Planned batch update: the per-row hash/tan entry pipeline —
-        the dominant cost — runs once over the chunk's *unique* items
-        (cached on the plan, shared with value-equal rows of any other
-        consumer) and is gathered back to per-update order; the shared
-        cumsum fold then sees exactly the arrays :meth:`update_batch`
-        builds, so the state is bit-identical."""
-        entries_of = lambda row: plan.values(row, row.entries)  # noqa: E731
-        unique_of = lambda row: plan.unique_values(row, row.entries)  # noqa: E731
-        self._accumulate_batch(
-            self.y, self._rows, plan.deltas, entries_of,
-            unique_of=unique_of, inverse=plan.inverse,
-        )
-        self._accumulate_batch(
-            self.y_prime, self._cal_rows, plan.deltas, entries_of,
-            unique_of=unique_of, inverse=plan.inverse,
-        )
-        self._gross_weight += exact_sum(plan.abs_deltas)
+        """Vectorised update: the per-row hash/tan entry pipeline — the
+        dominant cost — runs over the chunk's unique items (cached on a
+        planned chunk, shared with value-equal rows of any other
+        consumer) and the left fold of :meth:`_accumulate_batch` folds the
+        per-update terms in stream order, bit-identical to the scalar
+        loop."""
+        self._accumulate_batch(self.y, self._rows, plan)
+        self._accumulate_batch(self.y_prime, self._cal_rows, plan)
+        self._gross_weight += plan.gross_weight
 
     def consume(self, stream) -> "CauchyL1Sketch":
         return consume_stream(self, stream)

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kernels as _kernels
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import consume_stream
 from repro.hashing.kwise import PairwiseHash
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 class CountMin:
@@ -31,7 +32,6 @@ class CountMin:
         self.depth = int(depth)
         self.table = np.zeros((depth, width), dtype=np.int64)
         self._hashes = [PairwiseHash(n, width, rng) for _ in range(depth)]
-        self._max_abs_counter = 0
         self._gross_weight = 0
 
     def update(self, item: int, delta: int) -> None:
@@ -40,28 +40,18 @@ class CountMin:
             self.table[r, self._hashes[r](item)] += delta
 
     def update_batch(self, items, deltas) -> None:
-        """Vectorised batch update; the final table equals the scalar
-        update loop exactly (integer scatter-adds commute)."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._gross_weight += exact_sum(np.abs(deltas_arr))
-        if _kernels.try_table_update(self.table, self._hashes, None,
-                                     items_arr, deltas_arr):
-            return
-        for r in range(self.depth):
-            buckets = self._hashes[r].hash_array(items_arr)
-            np.add.at(self.table[r], buckets, deltas_arr)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # ℤ-linear table: in-chunk duplicates coalesce bit-identically.
     def update_plan(self, plan) -> None:
-        """Planned batch update: one cached hash evaluation over the
-        chunk's unique items per row, one coalesced scatter-add —
-        bit-identical to :meth:`update_batch` by linearity."""
+        """Vectorised update: one hash evaluation per row over the
+        chunk's unique items (cached on a planned chunk) and one
+        scatter-add of the per-item summed deltas.  Integer adds
+        commute, so the table equals the scalar loop's exactly."""
         if not plan.coalesce_safe:
-            self.update_batch(plan.items, plan.deltas)
-            return
+            plan = ChunkPlan.unplanned(plan.items, plan.deltas, self.n)
         self._gross_weight += plan.gross_weight
         sums = plan.summed_deltas
-        nz = plan.nonzero_sums
         # Fused kernel over the coalesced view (zero sums are identity
         # adds, so the nz mask is unnecessary there).
         if _kernels.try_table_update(self.table, self._hashes, None,
@@ -69,6 +59,7 @@ class CountMin:
             return
         # The filtered sum view is row-invariant — hoist it out of the
         # row loop instead of re-slicing per row.
+        nz = plan.nonzero_sums
         sums_nz = sums if nz is None else sums[nz]
         for r in range(self.depth):
             buckets = plan.unique_values(self._hashes[r])
@@ -107,11 +98,6 @@ class CountMin:
         ):
             raise ValueError("sketches do not share hash functions")
         self.table += other.table
-        self._max_abs_counter = max(
-            self._max_abs_counter,
-            other._max_abs_counter,
-            int(np.abs(self.table).max(initial=0)),
-        )
         self._gross_weight += other._gross_weight
         return self
 
@@ -122,16 +108,13 @@ class CountMin:
         clone.depth = self.depth
         clone.table = np.zeros_like(self.table)
         clone._hashes = self._hashes
-        clone._max_abs_counter = 0
         clone._gross_weight = 0
         return clone
 
     def space_bits(self) -> int:
-        # Capacity accounting: a bucket can absorb the whole stream (and
-        # no bucket magnitude can ever exceed the gross weight).
-        per_counter = counter_bits(
-            max(self._max_abs_counter, self._gross_weight), signed=False
-        )
+        # Capacity accounting: a bucket can absorb the whole stream, and
+        # no bucket magnitude can ever exceed the gross weight.
+        per_counter = counter_bits(self._gross_weight, signed=False)
         seeds = sum(h.space_bits() for h in self._hashes)
         return self.depth * self.width * per_counter + seeds
 

@@ -17,9 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 import repro.kernels as _kernels
-from repro.batch import as_update_arrays, consume_stream, exact_sum
+from repro.batch import consume_stream
 from repro.hashing.kwise import FourWiseHash, SignHash
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 def median_scan_survivors(n, bucket_hashes, magnitudes, threshold) -> np.ndarray:
@@ -91,7 +92,6 @@ class CountSketch:
         self.table = np.zeros((depth, width), dtype=np.int64)
         self._bucket_hashes = [FourWiseHash(n, width, rng) for _ in range(depth)]
         self._sign_hashes = [SignHash(n, rng, k=4) for _ in range(depth)]
-        self._max_abs_counter = 0
         self._gross_weight = 0
 
     def update(self, item: int, delta: int) -> None:
@@ -102,43 +102,25 @@ class CountSketch:
             self.table[r, b] += self._sign_hashes[r](item) * delta
 
     def update_batch(self, items, deltas) -> None:
-        """Vectorised batch update: per row, one array hash evaluation and
-        one scatter-add.  Integer adds commute, so the final table equals
-        the scalar update loop exactly."""
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._gross_weight += exact_sum(np.abs(deltas_arr))
-        if _kernels.try_table_update(self.table, self._bucket_hashes,
-                                     self._sign_hashes, items_arr,
-                                     deltas_arr):
-            return
-        for r in range(self.depth):
-            buckets = self._bucket_hashes[r].hash_array(items_arr)
-            signed = self._sign_hashes[r].hash_array(items_arr) * deltas_arr
-            np.add.at(self.table[r], buckets, signed)
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     # The table is ℤ-linear in the updates: duplicate items within a
     # chunk coalesce to one (item, summed-delta) pair bit-identically.
     def update_plan(self, plan) -> None:
-        """Planned batch update: hash the chunk's *unique* items (one
-        cached evaluation per hash function, shared with any value-equal
-        consumer of the same plan) and scatter-add per-item summed
-        deltas — bit-identical to :meth:`update_batch` by linearity."""
+        """Vectorised update: per row, one bucket and one sign hash
+        evaluation over the chunk's unique items (cached on a planned
+        chunk, shared with any value-equal consumer of it) and one
+        scatter-add of the per-item summed deltas.  Integer adds
+        commute, so the table equals the scalar loop's exactly."""
         self._apply_plan(plan, signed=True)
 
     def _apply_plan(self, plan, signed: bool) -> None:
         """Shared plan fold; ``signed=False`` feeds the insertion-only
         image ``|Δ|`` instead (the L2 heavy hitters candidate sketch)."""
         if not plan.coalesce_safe:
-            deltas = plan.deltas if signed else np.abs(plan.deltas)
-            self.update_batch(plan.items, deltas)
-            return
+            plan = ChunkPlan.unplanned(plan.items, plan.deltas, self.n)
         self._gross_weight += plan.gross_weight
-        if signed:
-            sums = plan.summed_deltas
-            nz = plan.nonzero_sums
-        else:
-            sums = plan.summed_magnitudes  # > 0: nothing cancels
-            nz = None
+        sums = plan.summed_deltas if signed else plan.summed_magnitudes
         # Fused kernel over the coalesced view: zero sums pass straight
         # through (adding zero is the identity), so the table matches
         # the nz-masked scatter below bit for bit.
@@ -149,6 +131,7 @@ class CountSketch:
         # The filtered sum view is row-invariant — compute it once, not
         # per row (the per-row fancy-index copies only exist for the
         # buckets/signs, which genuinely differ by row).
+        nz = plan.nonzero_sums if signed else None  # |Δ| sums are > 0
         sums_nz = sums if nz is None else sums[nz]
         for r in range(self.depth):
             buckets = plan.unique_values(self._bucket_hashes[r])
@@ -230,11 +213,6 @@ class CountSketch:
         ):
             raise ValueError("sketches do not share hash functions")
         self.table += other.table
-        self._max_abs_counter = max(
-            self._max_abs_counter,
-            other._max_abs_counter,
-            int(np.abs(self.table).max(initial=0)),
-        )
         self._gross_weight += other._gross_weight
         return self
 
@@ -255,7 +233,6 @@ class CountSketch:
         clone.table = np.zeros_like(self.table)
         clone._bucket_hashes = self._bucket_hashes
         clone._sign_hashes = self._sign_hashes
-        clone._max_abs_counter = 0
         clone._gross_weight = 0
         return clone
 
@@ -266,10 +243,9 @@ class CountSketch:
         bucket can absorb the stream's entire gross weight, so the sketch
         must allocate for it.  (This is exactly the cost the alpha-property
         structures avoid — their counters are capped by the sample budget.)
-        No bucket magnitude can exceed the gross weight, so the capacity
-        term dominates any observed peak.
+        No bucket magnitude can exceed the gross weight.
         """
-        per_counter = counter_bits(max(self._max_abs_counter, self._gross_weight))
+        per_counter = counter_bits(self._gross_weight)
         seeds = sum(h.space_bits() for h in self._bucket_hashes)
         seeds += sum(g.space_bits() for g in self._sign_hashes)
         return self.depth * self.width * per_counter + seeds

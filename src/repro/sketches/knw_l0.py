@@ -41,6 +41,7 @@ from repro.hashing.kwise import KWiseHash, PairwiseHash
 from repro.hashing.modhash import capped_lsb, lsb_array
 from repro.hashing.primes import random_prime_in_range
 from repro.space.accounting import counter_bits
+from repro.streams.plan import ChunkPlan
 
 
 class ExactSmallL0:
@@ -114,27 +115,17 @@ class ExactSmallL0:
                 self._tables[t] = None  # a new bucket past the bound
 
     def update_batch(self, items, deltas) -> None:
-        """Batch update with vectorised bucket hashing.
-
-        The residue tables are dicts, so the accumulation is a loop — but
-        per trial it folds the *per-bucket sums* in (:meth:`_fold`),
-        which is equivalent to the scalar sequence because modular
-        addition commutes.  Retired trials are not hashed.
-        """
-        items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        self._fold(deltas_arr, [
-            None if tbl is None
-            else np.unique(h.hash_array(items_arr), return_inverse=True)
-            for h, tbl in zip(self._hashes, self._tables)
-        ])
+        self.update_plan(ChunkPlan.unplanned(items, deltas, self.n))
 
     def update_plan(self, plan) -> None:
-        """Planned update: each live trial hashes the chunk's unique
-        items once (cached on the plan) and reaches its buckets through
-        the plan's inverse index.  The per-update deltas are grouped by
-        bucket exactly as in :meth:`update_batch` (never the plan's
-        ``summed_*`` views), so the tables end bit-identical.  Retired
-        trials cost nothing."""
+        """Vectorised update: each live trial hashes the chunk's unique
+        items once (cached on a planned chunk) and reaches its buckets
+        through the plan's gather.  The residue tables are dicts, so the
+        accumulation is a loop, but per trial it folds the *per-bucket
+        sums* of the per-update deltas in (:meth:`_fold`; never the
+        plan's ``summed_*`` views), which equals the scalar sequence
+        because modular addition commutes.  Retired trials cost
+        nothing."""
         groups = []
         for h, tbl in zip(self._hashes, self._tables):
             if tbl is None:
@@ -143,7 +134,7 @@ class ExactSmallL0:
             buckets, index = np.unique(
                 plan.unique_values(h), return_inverse=True
             )
-            groups.append((buckets, index[plan.inverse]))
+            groups.append((buckets, plan.gather(index)))
         self._fold(plan.deltas, groups)
 
     def _fold(self, deltas: np.ndarray, groups) -> None:

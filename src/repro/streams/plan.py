@@ -24,17 +24,24 @@ remaining redundancy in a hot replay is *inside* each chunk:
   costs array passes, not allocations.
 
 :class:`ChunkPlan` packages one validated chunk plus all of the above,
-computed lazily and at most once.  :class:`ChunkPlanner` owns the
+computed lazily and at most once (:meth:`ChunkPlan.unplanned` packages a
+bare one, with none of it).  :class:`ChunkPlanner` owns the
 workspaces and builds one plan per chunk; the engine
 (:mod:`repro.streams.engine`) threads plans to every structure that
 implements ``update_plan(plan)`` (see :func:`repro.batch.supports_plan`).
 Plans are built only for consumers the engine's chunk driver admitted
 over the plan's universe, so ``update_plan`` never re-checks it.
-The contract mirrors the batch contract: ``update_plan(plan)`` MUST
-leave the structure bit-identical to ``update_batch(plan.items,
-plan.deltas)`` — coalescing is only consumed by structures whose state
-is linear over the integers, and sampling structures read the full
-per-update columns so their RNG consumption never depends on planning.
+
+``update_plan`` is each such structure's one vectorised body: its
+``update_batch`` is ``update_plan`` over :meth:`ChunkPlan.unplanned`, a
+plan whose unique view is the bare chunk (identity gathers, per-update
+"sums", no cache).  ``update_plan(plan)`` and ``update_batch(plan.items,
+plan.deltas)`` therefore run the same code, and they leave the structure
+bit-identical because the two plans' views agree: a gathered
+unique-item evaluation is the per-update one, coalescing is only
+consumed by structures whose state is linear over the integers, and
+sampling structures read the full per-update columns so their RNG
+consumption never depends on planning.
 
 >>> import numpy as np
 >>> planner = ChunkPlanner(universe=8)
@@ -55,7 +62,7 @@ from repro.batch import as_update_arrays, exact_sum
 
 #: Summed coalesced deltas are folded in int64; a chunk whose gross
 #: weight reaches this bound could wrap, so coalescing is refused and
-#: consumers fall back to the (exact) uncoalesced batch path.
+#: consumers fall back to an unplanned plan of the same chunk.
 _INT64_SAFE_BOUND = 2**62
 
 #: Dense unique/sum workspaces pay O(universe) per chunk; above this
@@ -98,6 +105,30 @@ class ChunkPlan:
         self._abs: np.ndarray | None = None
         self._signs: np.ndarray | None = None
 
+    @classmethod
+    def unplanned(
+        cls, items: np.ndarray, deltas: np.ndarray, universe: int | None
+    ) -> "ChunkPlan":
+        """A plan over a bare chunk, read by one structure.
+
+        Every ``update_batch`` of a plan consumer is its ``update_plan``
+        over one of these.  The chunk is validated as by the constructor
+        and is its own unique view: :attr:`inverse` is ``None``,
+        :meth:`gather` is the identity, and the summed views are the
+        per-update columns (nothing is summed, so :attr:`coalesce_safe`
+        holds at any weight).  :meth:`unique_values` evaluates without
+        caching, since no other consumer shares the plan, and neither
+        column is frozen: they may be the caller's own arrays.
+
+        >>> plan = ChunkPlan.unplanned(np.array([3, 1, 3]),
+        ...                            np.array([2, -1, 5]), 8)
+        >>> plan.unique_items.tolist(), plan.inverse
+        ([3, 1, 3], None)
+        >>> plan.summed_deltas.tolist(), plan.gather(plan.deltas).tolist()
+        ([2, -1, 5], [2, -1, 5])
+        """
+        return _UnplannedChunk(items, deltas, universe)
+
     # -- chunk-level views ---------------------------------------------------
     @property
     def size(self) -> int:
@@ -128,8 +159,8 @@ class ChunkPlan:
     def coalesce_safe(self) -> bool:
         """True when per-item delta sums provably fit int64.
 
-        Coalescing consumers MUST check this and fall back to the
-        uncoalesced batch path when False (the scalar/batch contract is
+        Coalescing consumers MUST check this and fall back to
+        :meth:`unplanned` when False (the scalar/batch contract is
         exact at any magnitude; the coalesced fold is int64)."""
         return self.gross_weight < _INT64_SAFE_BOUND
 
@@ -164,7 +195,7 @@ class ChunkPlan:
         if not self.coalesce_safe:
             raise ValueError(
                 "chunk gross weight exceeds the int64-safe coalescing "
-                "bound; consumers must fall back to update_batch"
+                "bound; consumers must fall back to ChunkPlan.unplanned"
             )
 
     @property
@@ -246,6 +277,23 @@ class ChunkPlan:
         """Per-update expansion of :meth:`unique_values` (one hash pass
         over the distinct items, one O(chunk) gather per consumer)."""
         return self.gather(self.unique_values(key, fn))
+
+
+class _UnplannedChunk(ChunkPlan):
+    """:meth:`ChunkPlan.unplanned`: the chunk is its own unique view."""
+
+    inverse = None
+    coalesce_safe = True  # nothing is summed
+    nonzero_sums = None  # validated deltas are never zero
+    unique_items = property(lambda self: self.items)
+    summed_deltas = property(lambda self: self.deltas)
+    summed_magnitudes = property(lambda self: self.abs_deltas)
+
+    def gather(self, unique_values: np.ndarray) -> np.ndarray:
+        return unique_values
+
+    def unique_values(self, key, fn=None) -> np.ndarray:
+        return (fn or key.hash_array)(self.items)
 
 
 class ChunkPlanner:

@@ -449,24 +449,35 @@ class TestRecover:
         assert by_path["countmin"].query(9) == 4
         assert by_store.updates_processed == by_path.updates_processed
 
+    @pytest.mark.parametrize("attr, refusal", [
+        ("_pos", "_pos"),
+        ("_halve_rng", "never defines"),
+    ], ids=["_pos", "_halve_rng"])
     def test_recover_all_skips_a_session_restore_refuses(
-            self, tmp_path, drop_state):
+            self, tmp_path, drop_state, attr, refusal):
         """A session whose checkpoint ``restore`` refuses (a consumer
-        missing state its class sets at construction) is skipped with a
-        warning, and the others still recover: a durable service
-        starts instead of failing on one session."""
+        missing state its class sets at construction; without
+        ``_halve_rng`` the payload also refers to an object id it never
+        defines, which used to escape as a bare ``KeyError``) is
+        skipped with a warning, and the others still recover: a
+        durable service starts instead of failing on one session."""
+        from repro.service import SketchService
+
         for name in ("good", "legacy"):
             session = StreamSession(N, params=PARAMS).track(
                 "sampled_frequencies")
             payload = session.push([9], [4]).snapshot()
             if name == "legacy":
-                drop_state(payload, "SampledFrequencies", "_pos")
+                drop_state(payload, "SampledFrequencies", attr)
             CheckpointStore(tmp_path / name).save(payload, updates=1)
-        with pytest.warns(RuntimeWarning, match="'legacy'.*_pos"):
+        with pytest.warns(RuntimeWarning, match=f"'legacy'.*{refusal}"):
             recovered = recover_all(tmp_path)
         assert list(recovered) == ["good"]
-        with pytest.raises(ValueError, match="_pos"):
+        with pytest.raises(ValueError, match=refusal):
             recover(tmp_path / "legacy")
+        with pytest.warns(RuntimeWarning, match="'legacy'"):
+            assert list(SketchService(checkpoint_dir=tmp_path).sessions) == [
+                "good"]
 
 
 # -- the CLI durable path ----------------------------------------------------

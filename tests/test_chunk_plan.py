@@ -3,7 +3,9 @@
 The plan contract (:mod:`repro.streams.plan`): feeding a structure
 pre-planned chunks through ``update_plan`` must leave it bit-identical
 to the plain ``update_batch`` replay (and hence, by the batch contract,
-to the scalar loop) at every chunk size.  This module enforces:
+to the scalar loop) at every chunk size.  Every plan consumer's
+``update_batch`` is its ``update_plan`` over an unplanned plan, so the
+two run one body; this module checks the views they read agree:
 
 * planned replay == chunk-by-chunk ``update_batch``, bit-for-bit, for
   every structure with an ``update_plan`` path, at chunk sizes
@@ -11,6 +13,8 @@ to the scalar loop) at every chunk size.  This module enforces:
 * a guard that non-coalescable structures (sampling/schedules-backed)
   are never handed a coalesced view — their plans must not even
   *compute* per-item sums;
+* the unplanned plan: ``update_batch`` never builds a unique view, and
+  an unplanned plan caches and freezes nothing;
 * cross-sketch hash memoization: ``replay_many`` over several consumers
   evaluates each distinct hash function once per chunk (value-equal
   hash functions share one evaluation), asserted via a call counter;
@@ -25,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.registry import Params, get_spec, specs
 from repro.batch import supports_plan
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
@@ -47,7 +52,7 @@ from repro.streams.generators import (
 from repro.streams.model import Stream, Update
 from repro.streams.plan import ChunkPlan, ChunkPlanner
 
-from test_batch_equivalence import _feed_batch, assert_same_state
+from test_batch_equivalence import _feed_batch, _feed_scalar, assert_same_state
 
 N = 512
 M = 1500
@@ -192,11 +197,15 @@ def test_non_coalescable_structures_never_read_coalesced_views(name):
         sketch.update_plan(plan)  # must not touch summed_* accessors
 
 
-def test_coalescing_refused_when_sums_could_wrap_int64():
-    """Huge-delta chunks fall back to the exact batch path: the plan
-    refuses per-item sums and a ℤ-linear consumer must produce the
-    same state as its batch replay (the gross weight stays under 2^63,
-    so no table cell can wrap on either path)."""
+@pytest.mark.parametrize(
+    "name", [k for k, (_, linear) in PLAN_CASES.items() if linear],
+)
+def test_coalescing_refused_when_sums_could_wrap_int64(name):
+    """Huge-delta chunks fall back to an unplanned plan: the plan
+    refuses per-item sums and every ℤ-linear consumer lands where its
+    batch replay and the scalar loop do (the gross weight stays under
+    2^63, so no table cell can wrap on any path)."""
+    factory, _ = PLAN_CASES[name]
     big = (1 << 61) + 7
     pairs = [(3, big), (3, big), (5, -1), (3, -3), (5, 1)]
     stream = Stream(N, (Update(i, d) for i, d in pairs))
@@ -204,11 +213,11 @@ def test_coalescing_refused_when_sums_could_wrap_int64():
     assert not plan.coalesce_safe
     with pytest.raises(ValueError, match="int64-safe"):
         plan.summed_deltas
-    reference = _feed_batch(
-        CountSketch(N, 48, 4, np.random.default_rng(SEED)), stream, None)
-    planned = replay(stream,
-                     CountSketch(N, 48, 4, np.random.default_rng(SEED)))
-    assert_same_state(reference, planned)
+    scalar = _feed_scalar(factory(np.random.default_rng(SEED)), stream)
+    batch = _feed_batch(factory(np.random.default_rng(SEED)), stream, None)
+    planned = replay(stream, factory(np.random.default_rng(SEED)))
+    assert_same_state(scalar, batch)
+    assert_same_state(scalar, planned)
 
 
 def test_l0_plan_paths_take_the_exact_paths_on_huge_chunks():
@@ -234,6 +243,50 @@ def test_l0_plan_paths_take_the_exact_paths_on_huge_chunks():
         planned.update_plan(plan)
         assert_same_state(scalar, batch)
         assert_same_state(scalar, planned)
+
+
+# -- the unplanned plan ------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(spec.name for spec in specs()))
+def test_update_batch_never_plans_the_chunk(monkeypatch, name):
+    """``update_batch`` hands its structure an unplanned plan, whose
+    unique view is the chunk itself: with the unique-item pass patched
+    to raise, every registry spec still absorbs a 4096-update chunk,
+    while a planned chunk does reach the patch."""
+    def refuse(plan):
+        raise AssertionError("the chunk was planned")
+
+    monkeypatch.setattr(ChunkPlan, "_build_unique", refuse)
+    params = Params(n=N, eps=0.25, delta=0.25, alpha=4.0, seed=SEED)
+    items, deltas = zipfian_insertion_stream(
+        N, 4096, skew=1.1, seed=5).as_arrays()
+    get_spec(name).build(params).update_batch(items, deltas)
+    sketch = get_spec(name).build(params)
+    if supports_plan(sketch):
+        with pytest.raises(AssertionError, match="planned"):
+            sketch.update_plan(ChunkPlanner(N).plan(items, deltas))
+
+
+def test_unplanned_plan_caches_and_freezes_nothing():
+    """An unplanned plan is read by one structure: it answers the chunk
+    as its own unique view, caches no hash evaluation, and freezes
+    neither its own per-update expansions nor the caller's columns."""
+    items = np.array([7, 3, 7, 9, 3, 7, 11])
+    deltas = np.array([5, 2, -5, 1, -2, 3, -2])
+    plan = ChunkPlan.unplanned(items, deltas, N)
+    for factory, _ in PLAN_CASES.values():
+        factory(np.random.default_rng(SEED)).update_plan(plan)
+    assert plan._cache == {}
+    assert plan.unique_items is items and plan.inverse is None
+    assert plan.summed_deltas is deltas and plan.nonzero_sums is None
+    assert plan.coalesce_safe and plan.gather(deltas) is deltas
+    assert plan.summed_magnitudes.tolist() == np.abs(deltas).tolist()
+    h = KWiseHash(N, 8, k=2, rng=np.random.default_rng(0))
+    values = plan.values(h)
+    assert values.tolist() == h.hash_array(items).tolist()
+    values[0] = values[1]
+    items[0], deltas[0] = items[1], deltas[1]
+    assert plan._cache == {}
 
 
 # -- plan internals ----------------------------------------------------------

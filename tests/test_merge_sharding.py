@@ -6,8 +6,9 @@ concatenation of both input streams.  This harness checks, for every
 :class:`~repro.batch.Mergeable` sketch:
 
 * **linear integer sketches** (FrequencyVector, CountSketch, CountMin,
-  AMS): merged shards are *bit-identical* to a single-shard replay —
-  integer scatter-adds commute, so there is no tolerance to grant;
+  AMS): merged shards are *bit-identical*, whole state included, to a
+  single-shard replay — integer scatter-adds commute, so there is no
+  tolerance to grant;
 * **float linear sketches** (Cauchy L1): identical up to float-addition
   associativity (estimates agree to machine precision);
 * **sampling sketches** (CSSS): the merged sketch is a *valid* CSSS of
@@ -48,6 +49,8 @@ from repro.streams.generators import (
     zipfian_insertion_stream,
 )
 from repro.streams.model import FrequencyVector, Stream
+
+from test_batch_equivalence import assert_same_state
 
 N = 1 << 10
 M = 6_000
@@ -101,13 +104,10 @@ def _make_hh_general():
 
 #: name -> (factory, exact integer state extractor or None)
 EXACT_LINEAR = {
-    "frequency_vector": (
-        _make_frequency_vector,
-        lambda s: (s.f, s.insertions, s.deletions, s.num_updates),
-    ),
-    "countsketch": (_make_countsketch, lambda s: (s.table,)),
-    "countmin": (_make_countmin, lambda s: (s.table,)),
-    "ams": (_make_ams, lambda s: (s.z,)),
+    "frequency_vector": _make_frequency_vector,
+    "countsketch": _make_countsketch,
+    "countmin": _make_countmin,
+    "ams": _make_ams,
 }
 
 
@@ -141,32 +141,23 @@ class TestExactLinearMerges:
     @pytest.mark.parametrize("name", sorted(EXACT_LINEAR))
     @pytest.mark.parametrize("shards", [2, 4, 7])
     def test_merged_shards_bit_identical(self, stream, name, shards):
-        factory, state = EXACT_LINEAR[name]
+        factory = EXACT_LINEAR[name]
         single = replay(stream, factory())
         merged = _shard_replay(stream, factory, shards)
-        for a, b in zip(state(single), state(merged)):
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b), name
-            else:
-                assert a == b, name
+        assert_same_state(single, merged)
 
     @pytest.mark.parametrize("name", sorted(EXACT_LINEAR))
     def test_merge_survives_pickle_round_trip(self, stream, name):
         """A sketch shipped across a process boundary (pickled) still
         merges: hash functions compare by value, not identity."""
-        factory, state = EXACT_LINEAR[name]
+        factory = EXACT_LINEAR[name]
         items, deltas = stream.as_arrays()
         half = len(items) // 2
         a, b = factory(), factory()
         a.update_batch(items[:half], deltas[:half])
         b.update_batch(items[half:], deltas[half:])
         merged = a.merge(pickle.loads(pickle.dumps(b)))
-        single = replay(stream, factory())
-        for x, y in zip(state(single), state(merged)):
-            if isinstance(x, np.ndarray):
-                assert np.array_equal(x, y)
-            else:
-                assert x == y
+        assert_same_state(replay(stream, factory()), merged)
 
     def test_merge_rejects_foreign_seeds(self):
         for make, other in [

@@ -113,26 +113,13 @@ def assert_served_matches(restored, offline, specs):
         assert_same_state(restored[spec], offline[spec])
 
 
-#: The linear content of each ℤ-linear consumer — the arrays that are
-#: the sketch, as opposed to space-accounting bookkeeping
-#: (``_max_abs*``), which merge() advances but plain replay does not.
-_CONTENT_ATTR = {"countmin": "table", "countsketch": "table", "ams": "z"}
-
-
 def assert_matches_single_replay(restored, single):
     """A *merged* served session against one offline replay of the
-    concatenated stream: every linear consumer's content must be
-    bit-identical (tables add; order is unobservable).  The exact
-    frequency vector is compared in full; the sketches are compared on
-    their linear state, since merge-only bookkeeping legitimately
-    differs from a replay that never merged."""
+    concatenated stream: every linear consumer's whole state must be
+    bit-identical (tables add; order is unobservable)."""
     single.flush()
-    assert_same_state(restored["frequency_vector"],
-                      single["frequency_vector"])
-    for spec, attr in _CONTENT_ATTR.items():
-        np.testing.assert_array_equal(
-            getattr(restored[spec], attr), getattr(single[spec], attr)
-        )
+    for spec in LINEAR:
+        assert_same_state(restored[spec], single[spec])
 
 
 def scrape(client, metric):

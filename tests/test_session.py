@@ -563,10 +563,11 @@ class TestPersistencePathBugSweep:
             self, monkeypatch, general_stream, legacy_flag):
         """Snapshots written while the engine had a ``coalesce`` switch
         still carry it in their session meta (and those written while
-        ``add`` took custom query hooks, a ``custom_queries`` list), and
-        a durable service recovers every session from such files.
-        Either value restores, the restored session still plans its
-        chunks, answers through the registry hooks, and ends
+        ``add`` took custom query hooks, a ``custom_queries`` list, and
+        while CountSketch kept a merge-only ``_max_abs_counter``, that
+        attribute), and a durable service recovers every session from
+        such files.  Either value restores, the restored session still
+        plans its chunks, answers through the registry hooks, and ends
         bit-identical to an uninterrupted session."""
         from repro.streams.plan import ChunkPlanner
 
@@ -588,6 +589,11 @@ class TestPersistencePathBugSweep:
         payload["session"]["coalesce"] = legacy_flag
         payload["session"]["custom_queries"] = (
             ["frequency_vector"] if legacy_flag else [])
+        if legacy_flag:
+            [sketch] = [node for name, node in
+                        payload["consumers"]["root"]["v"]
+                        if name == "countsketch"]
+            sketch["state"]["_max_abs_counter"] = 7
         planned = []
         original = ChunkPlanner.plan
 
@@ -601,24 +607,33 @@ class TestPersistencePathBugSweep:
         restored.flush()
         rest = len(items) - half
         assert len(planned) == -(-rest // chunk) and sum(planned) == rest
+        if legacy_flag:  # the extra attribute restores, and nothing reads it
+            assert vars(restored["countsketch"]).pop("_max_abs_counter") == 7
         for name in names:
             assert_bit_identical(reference[name], restored[name], name)
         assert restored.query_all() == reference.query_all()
 
+    @pytest.mark.parametrize("attr, refusal", [
+        ("_pos", "'sf' .*'sampled_frequencies'.*'_pos'"),
+        ("_halve_rng", r"object id \d+, which it never defines"),
+    ], ids=["_pos", "_halve_rng"])
     def test_restore_refuses_a_consumer_missing_built_state(
-            self, drop_state):
+            self, drop_state, attr, refusal):
         """A ``SampledFrequencies`` payload without ``_pos`` (what a
         snapshot from the deleted dense mode holds) used to restore,
         and every later flush raised ``AttributeError`` after the
         consumers before it had applied the chunk.  ``restore`` refuses
-        it, naming the consumer, its spec and what is missing."""
+        it, naming the consumer, its spec and what is missing.  One
+        without ``_halve_rng`` leaves a later reference to that
+        generator's object id undefined, and the decoder refuses it
+        with ``ValueError`` too, naming the id (it used to raise a bare
+        ``KeyError``)."""
         session = (StreamSession(N, params=PARAMS)
                    .track("fv", "frequency_vector")
                    .track("sf", "sampled_frequencies"))
         payload = session.push([1, 2, 3], [1, 1, 1]).snapshot()
-        assert drop_state(payload, "SampledFrequencies", "_pos") == 1
-        with pytest.raises(ValueError,
-                           match="'sf' .*'sampled_frequencies'.*'_pos'"):
+        assert drop_state(payload, "SampledFrequencies", attr) == 1
+        with pytest.raises(ValueError, match=refusal):
             StreamSession.restore(payload)
 
     @pytest.mark.parametrize("name", sorted(spec.name for spec in specs()))
