@@ -39,12 +39,12 @@ gated figure records its interquartile range beside it under
 acceptance bar is checked on the medians by :func:`gate_failures`, and
 the JSON artifact is written only when all of them pass
 (:func:`write_if_passing`); a failing gate exits non-zero and leaves
-the committed artifact untouched.  Run as a script to (re)generate
-it::
+the committed artifact untouched.  The script is the one regenerator::
 
     PYTHONPATH=src python benchmarks/bench_throughput.py
 
-or under pytest (the test asserts every gate, then writes the JSON)::
+Under pytest the same battery asserts every gate on its medians and
+writes nothing, so a test run never rewrites a tracked file::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_throughput.py -q
 """
@@ -430,8 +430,9 @@ def write_artifact(report: dict) -> None:
 def gate_failures(report: dict) -> list[str]:
     """Every acceptance bar ``report`` misses (empty when all pass).
 
-    The one gate for the artifact: the script and the pytest entry
-    both write ``BENCH_throughput.json`` only when this is empty."""
+    The one gate for the artifact: the script writes
+    ``BENCH_throughput.json`` only when this is empty, and the pytest
+    entry asserts that it is."""
     failures = []
     for name, bar in REQUIRED_SPEEDUP.items():
         speedup = report["results"][name]["speedup"]
@@ -526,9 +527,9 @@ def write_if_passing(report: dict) -> list[str]:
 
 
 def test_throughput_artifact():
-    """Measure :data:`RUNS` battery runs, assert every acceptance gate
-    on their medians, and (only then) regenerate BENCH_throughput.json."""
-    failures = write_if_passing(
+    """Measure :data:`RUNS` battery runs and assert every acceptance
+    gate on their medians; the artifact is left as it is."""
+    failures = gate_failures(
         median_report([_measure_all() for _ in range(RUNS)]))
     assert not failures, "\n".join(failures)
 

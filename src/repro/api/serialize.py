@@ -179,52 +179,62 @@ class _Decoder:
         if node is None or isinstance(node, (bool, int, float, str)):
             return node
         if isinstance(node, dict):
-            kind = node.get(_TAG)
-            if kind == "ndarray":
-                out = np.asarray(node["data"], dtype=node["dtype"]).copy()
-                self._register(node, out)
-                return out
-            if kind == "npscalar":
-                return np.dtype(node["dtype"]).type(node["v"])
-            if kind == "list":
-                # Containers register before their children decode so
-                # shared references (and cycles through them) resolve
-                # to the same object.
-                out: list = []
-                self._register(node, out)
-                out.extend(self.decode(x) for x in node["v"])
-                return out
-            if kind == "tuple":
-                return tuple(self.decode(x) for x in node["v"])
-            if kind == "set":
-                out = set()
-                self._register(node, out)
-                out.update(self.decode(x) for x in node["v"])
-                return out
-            if kind == "frozenset":
-                return frozenset(self.decode(x) for x in node["v"])
-            if kind == "dict":
-                out = {}
-                self._register(node, out)
-                for k, v in node["v"]:
-                    out[self.decode(k)] = self.decode(v)
-                return out
-            if kind == "rng":
-                return self._decode_rng(node)
-            if kind == "obj":
-                return self._decode_object(node)
-            if kind == "ref":
-                try:
-                    return self._memo[node["id"]]
-                except KeyError:
-                    raise ValueError(
-                        f"snapshot refers to object id {node['id']!r}, "
-                        "which it never defines"
-                    ) from None
-            raise ValueError(f"unknown snapshot node tag {kind!r}")
+            try:
+                return self._decode_node(node)
+            except KeyError as exc:
+                # A node missing one of its own fields: refused like
+                # every other malformed payload, naming what is missing.
+                raise ValueError(
+                    f"snapshot {node.get(_TAG)!r} node lacks its "
+                    f"{exc.args[0]!r} field"
+                ) from None
         if isinstance(node, np.ndarray):  # bare array (inside "data")
             return node
         raise ValueError(f"malformed snapshot node of type {type(node)}")
+
+    def _decode_node(self, node: dict) -> Any:
+        kind = node.get(_TAG)
+        if kind == "ndarray":
+            out = np.asarray(node["data"], dtype=node["dtype"]).copy()
+            self._register(node, out)
+            return out
+        if kind == "npscalar":
+            return np.dtype(node["dtype"]).type(node["v"])
+        if kind == "list":
+            # Containers register before their children decode so
+            # shared references (and cycles through them) resolve
+            # to the same object.
+            out: list = []
+            self._register(node, out)
+            out.extend(self.decode(x) for x in node["v"])
+            return out
+        if kind == "tuple":
+            return tuple(self.decode(x) for x in node["v"])
+        if kind == "set":
+            out = set()
+            self._register(node, out)
+            out.update(self.decode(x) for x in node["v"])
+            return out
+        if kind == "frozenset":
+            return frozenset(self.decode(x) for x in node["v"])
+        if kind == "dict":
+            out = {}
+            self._register(node, out)
+            for k, v in node["v"]:
+                out[self.decode(k)] = self.decode(v)
+            return out
+        if kind == "rng":
+            return self._decode_rng(node)
+        if kind == "obj":
+            return self._decode_object(node)
+        if kind == "ref":
+            if node["id"] not in self._memo:
+                raise ValueError(
+                    f"snapshot refers to object id {node['id']!r}, "
+                    "which it never defines"
+                )
+            return self._memo[node["id"]]
+        raise ValueError(f"unknown snapshot node tag {kind!r}")
 
     def _decode_rng(self, node: dict) -> np.random.Generator:
         name = node["bit_generator"]

@@ -17,7 +17,10 @@ Components:
   rough F0 estimates.
 * :class:`AlphaL0Estimator` — Figure 7: the (1 ± ε) estimator holding a
   sliding window of KNW rows, combined with the small-L0 machinery
-  (Lemmas 17 & 19) inherited from the baseline implementation.
+  (Lemmas 17 & 19).
+
+Both run their baseline's machinery from :mod:`repro.sketches.knw_l0`
+(Lemma 14's ``level_scan``, Figure 6's ``_KNWTable``) on what they store.
 
 A stored row only accumulates updates from its creation time ``t_j``
 onward; Theorem 10's argument shows the missed prefix carries an O(ε²)
@@ -35,10 +38,14 @@ from repro.batch import (
     scaled_mod_increments,
 )
 from repro.core.schedules import windowed_segments
-from repro.hashing.kwise import KWiseHash, PairwiseHash
+from repro.hashing.kwise import PairwiseHash
 from repro.hashing.modhash import capped_lsb, lsb_array
-from repro.hashing.primes import random_prime_in_range
-from repro.sketches.knw_l0 import ExactSmallL0, RoughF0Estimator
+from repro.sketches.knw_l0 import (
+    ExactSmallL0,
+    RoughF0Estimator,
+    _KNWTable,
+    level_scan,
+)
 from repro.streams.plan import ChunkPlan
 
 
@@ -118,13 +125,13 @@ class AlphaConstL0Estimator:
     as in the scalar loop, keeping the state bit-identical.
 
     The structure of :class:`~repro.sketches.knw_l0.RoughL0Estimator`
-    (one ExactSmallL0 per lsb level), but a level is only *instantiated*
-    while its index lies in ``log2(R^t) ± (2 log2(α/ε) + slack)``, where
-    R^t comes from :class:`AlphaRoughL0Estimate`.  Space:
+    (one ExactSmallL0 per lsb level, decoded by
+    :func:`~repro.sketches.knw_l0.level_scan`), but a level is only
+    *instantiated* while its index lies in
+    ``log2(R^t) ± (2 log2(α/ε) + slack)``, where R^t comes from
+    :class:`AlphaRoughL0Estimate`.  Space:
     ``O(log α · log log n + log n)`` bits.
     """
-
-    SURVIVOR_THRESHOLD = 8
 
     def __init__(
         self,
@@ -230,24 +237,15 @@ class AlphaConstL0Estimator:
         return consume_stream(self, stream)
 
     def estimate(self) -> float:
-        """Deepest live level with > 8 survivors, scaled by its rate."""
-        best_j = None
-        for j in sorted(self._levels, reverse=True):
-            if self._levels[j].estimate() > self.SURVIVOR_THRESHOLD:
-                best_j = j
-                break
-        if best_j is None:
-            shallow = min(self._levels) if self._levels else 0
-            count = self._levels[shallow].estimate() if self._levels else 0
-            return max(1.0, float(count) * 2.0 ** (shallow + 1))
-        return float(self._levels[best_j].estimate()) * 2.0 ** (best_j + 1)
+        """Lemma 14's level scan over the live levels."""
+        return level_scan(self._levels)
 
     def space_bits(self) -> int:
         live = sum(l.space_bits() for l in self._levels.values())
         return live + self._h.space_bits() + self._rough.space_bits()
 
 
-class AlphaL0Estimator:
+class AlphaL0Estimator(_KNWTable):
     """Figure 7: (1 ± ε) L0 estimation storing O(log(α/ε)) KNW rows.
 
     Parameters
@@ -264,8 +262,6 @@ class AlphaL0Estimator:
         Extra rows kept on each side of ``log2(16 R^t / K)`` beyond the
         paper's ``2 log(4α/ε)``.
     """
-
-    SATURATION = 0.6
 
     def __init__(
         self,
@@ -294,23 +290,16 @@ class AlphaL0Estimator:
         )
         self._rng = rng
         k_ind = max(4, int(np.ceil(np.log2(1 / eps) + 1)))
-        self._h1 = PairwiseHash(n, n, rng)
-        self._h2 = PairwiseHash(n, self.K**3, rng)
-        self._h3 = KWiseHash(self.K**3, self.K, k=k_ind, rng=rng)
-        self._h4 = PairwiseHash(self.K**3, self.K, rng)
-        d_lo = 100 * self.K * 32
-        self.p = random_prime_in_range(d_lo, d_lo**2, rng)
-        self._u = rng.integers(1, self.p, size=self.K)
+        self._h1, self._h2, self._h3, self._h4, self.p, self._u = (
+            self._draw_table(k_ind, rng))
         self._rough = AlphaRoughL0Estimate(n, rng)
         # Live rows: index -> bucket array (mod p).  Rows are created when
         # they enter the window (missing the prefix before creation; the
         # Theorem 10 analysis bounds that prefix's L0 contribution).
         self._rows: dict[int, np.ndarray] = {}
         # Small-L0 machinery (Lemma 17 / 19) — always cheap, always on.
-        self.K_small = 2 * self.K
-        self._h3_small = KWiseHash(self.K**3, self.K_small, k=k_ind, rng=rng)
-        self.B_small = np.zeros(self.K_small, dtype=np.int64)
-        self._exact_small = ExactSmallL0(n, c=100, rng=rng, alpha=alpha)
+        (self.K_small, self._h3_small, self.B_small,
+         self._exact_small) = self._draw_small(k_ind, rng, alpha)
         self._sync_rows()
 
     # -- window management ----------------------------------------------------
@@ -460,60 +449,13 @@ class AlphaL0Estimator:
         return self
 
     # -- queries ----------------------------------------------------------------
-    @staticmethod
-    def _invert_occupancy(T: int, K: int) -> float:
-        T = min(T, K - 1)
-        if T <= 0:
-            return 0.0
-        return float(np.log(1.0 - T / K) / np.log(1.0 - 1.0 / K))
-
-    def _window_estimate(self) -> float:
-        """Tail decoder over the stored window (same as the baseline's
-        decoder, restricted to live rows)."""
-        rows = sorted(self._rows)
-        occ = {j: int(np.count_nonzero(self._rows[j])) for j in rows}
-        j0 = None
-        for j in rows:
-            if occ[j] <= self.SATURATION * self.K:
-                j0 = j
-                break
-        if j0 is None:
-            j = rows[-1]
-            return (2.0 ** (j + 1)) * self._invert_occupancy(occ[j], self.K)
-        tail = sum(
-            self._invert_occupancy(occ[j], self.K) for j in rows if j >= j0
-        )
-        return (2.0**j0) * tail
-
     def estimate(self) -> float:
-        small_occ = int(np.count_nonzero(self.B_small))
-        exact = self._exact_small.estimate()
-        if exact <= 100 and small_occ <= 0.55 * self.K_small:
-            small = self._invert_occupancy(small_occ, self.K_small)
-            if small <= 150:
-                return float(exact)
-        if small_occ <= 0.55 * self.K_small:
-            return self._invert_occupancy(small_occ, self.K_small)
-        return self._window_estimate()
+        """Lemma 17's small-L0 paths, then the stored window's tail."""
+        return self._decode(self._rows.items())
 
     def live_rows(self) -> list[int]:
         """Indices of currently stored rows (the O(log(α/ε)) window)."""
         return sorted(self._rows)
 
     def space_bits(self) -> int:
-        val_bits = max(1, int(self.p).bit_length())
-        table = (len(self._rows) * self.K + self.K_small) * val_bits
-        seeds = (
-            self._h1.space_bits()
-            + self._h2.space_bits()
-            + self._h3.space_bits()
-            + self._h4.space_bits()
-            + self._h3_small.space_bits()
-            + self.K * val_bits
-        )
-        return (
-            table
-            + seeds
-            + self._rough.space_bits()
-            + self._exact_small.space_bits()
-        )
+        return self._space_bits(len(self._rows), self._rough)

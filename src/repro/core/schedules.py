@@ -26,8 +26,11 @@ Primitives
   inverse CDF; when the retained budget overflows mid-chunk the caller
   halves its structure and the *tail of the chunk is re-quantised from
   the same uniforms* at the new rate.  Extracted from ``core/csss.py``;
-  CSSS rows, ``SampledFrequencies``, and the Theorem 8 counters all run
-  on it.
+  CSSS rows and ``SampledFrequencies`` run on it.  The Theorem 8
+  counters do not: :meth:`~repro.core.l1_estimation.
+  AlphaL1EstimatorGeneral.update_plan` thins each (update, row) pair
+  with one ``binomial_thin`` call from one generator, in a Python loop
+  (about 1.6M calls per 4096-update chunk at n = 2^16, ε = 1/8).
 * :class:`PrecisionSamplingSchedule` — per-key threshold acceptance
   (Section 4): deterministic fixed-point weights ``round(1/t_i)`` from
   :class:`~repro.hashing.kwise.UniformScalars.inverse_weight_array`,

@@ -2,9 +2,7 @@
 
 In the strict turnstile model, ``‖f‖_1`` can be tracked *exactly* with a
 single O(log n)-bit counter (the paper uses this in Theorem 4 and in the
-αL1Sampler's recovery step).  ``F0Tracker`` maintains the number of
-distinct items ever touched — exactly for testing and with a bounded-memory
-mode for the exact-small-F0 subroutine of Lemma 19.
+αL1Sampler's recovery step).
 """
 
 from __future__ import annotations
@@ -12,8 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.batch import as_update_arrays, running_sum_extrema
-from repro.hashing.kwise import PairwiseHash
-from repro.hashing.primes import random_prime_in_range
 
 
 class SignedCounter:
@@ -82,58 +78,3 @@ class ExactL1Counter:
     def space_bits(self) -> int:
         return self._c.space_bits()
 
-
-class F0Tracker:
-    """Exact distinct-touched count with a bounded-memory LARGE mode.
-
-    This is the Lemma 19 subroutine: with a budget of ``c`` identities it
-    reports F0 exactly while ``F0 <= c`` and returns LARGE beyond.  Hashed
-    fingerprints (pairwise hash into ``[C]``, ``C = Theta(c^2)``) replace
-    full identities, and per-identity frequency fingerprints are kept
-    modulo a random prime so a zeroed coordinate is recognised — this is
-    where the ``O(c log c + c log log n + log n)`` space bound comes from.
-    """
-
-    LARGE = "LARGE"
-
-    def __init__(
-        self,
-        n: int,
-        capacity: int,
-        rng: np.random.Generator,
-        collision_space_factor: int = 16,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.n = int(n)
-        self.capacity = int(capacity)
-        big = max(4, collision_space_factor * capacity * capacity)
-        self._h = PairwiseHash(n, big, rng)
-        # Random prime p in [P, P^3], P = Theta(c log(mM)); we take a
-        # generous fixed window that keeps fingerprints small.
-        p_lo = max(64, capacity * 64)
-        self._p = random_prime_in_range(p_lo, p_lo**3, rng)
-        self._counters: dict[int, int] = {}
-        self._overflow = False
-
-    def update(self, item: int, delta: int) -> None:
-        if self._overflow:
-            return
-        key = self._h(item)
-        if key not in self._counters and len(self._counters) >= self.capacity:
-            self._overflow = True
-            self._counters.clear()
-            return
-        self._counters[key] = (self._counters.get(key, 0) + delta) % self._p
-
-    def result(self) -> int | str:
-        """Number of non-zero fingerprint counters, or ``LARGE``."""
-        if self._overflow:
-            return self.LARGE
-        return sum(1 for v in self._counters.values() if v != 0)
-
-    def space_bits(self) -> int:
-        key_bits = max(1, int(self._h.range_size - 1).bit_length())
-        val_bits = max(1, int(self._p).bit_length())
-        stored = self.capacity  # budgeted slots, as the paper charges
-        return stored * (key_bits + val_bits) + self._h.space_bits()

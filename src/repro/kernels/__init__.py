@@ -368,8 +368,9 @@ def backend() -> KernelBackend:
 
 @contextmanager
 def override(mode: str):
-    """Swap the singleton for the duration of a ``with`` block — the
-    test fixtures' and CLI's backend selector."""
+    """Swap the singleton for the duration of a ``with`` block, as the
+    test fixtures and ``bench_throughput.py`` do to compare backends in
+    one process (``REPRO_KERNELS`` is the process-wide selector)."""
     global _backend
     with _lock:
         previous = _backend

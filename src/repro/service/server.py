@@ -159,7 +159,6 @@ class SketchService:
     def __init__(self, metrics: ServiceMetrics | None = None, *,
                  checkpoint_dir: str | Path | None = None,
                  checkpoint_every_updates: int | None = None,
-                 checkpoint_every_seconds: float | None = None,
                  checkpoint_keep_last: int = 3,
                  ingest_deadline: float | None = None,
                  clock: Callable[[], float] = time.monotonic) -> None:
@@ -175,8 +174,10 @@ class SketchService:
         self.checkpoint_dir = (
             Path(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self._checkpoint_every_updates = checkpoint_every_updates
-        self._checkpoint_every_seconds = checkpoint_every_seconds
+        self._checkpoint_every_updates = (
+            _DEFAULT_CHECKPOINT_EVERY if checkpoint_every_updates is None
+            else checkpoint_every_updates
+        )
         self._checkpoint_keep_last = int(checkpoint_keep_last)
         self._checkpointers: dict[str, Checkpointer] = {}
         #: Graceful degradation: shedding refuses new ingest with a
@@ -212,16 +213,9 @@ class SketchService:
             self.checkpoint_dir / name,
             keep_last=self._checkpoint_keep_last,
         )
-        every_updates = self._checkpoint_every_updates
-        if every_updates is None and self._checkpoint_every_seconds is None:
-            every_updates = _DEFAULT_CHECKPOINT_EVERY
         checkpointer = Checkpointer(
-            session, store,
-            every_updates=every_updates,
-            every_seconds=self._checkpoint_every_seconds,
+            session, store, every_updates=self._checkpoint_every_updates
         )
-        if self._checkpoint_every_seconds is not None:
-            checkpointer.start()
         if not store.checkpoint_paths():
             checkpointer.checkpoint()
         self._checkpointers[name] = checkpointer

@@ -5,18 +5,16 @@ Three cooperating structures, all implemented from scratch:
 * :class:`ExactSmallL0` (Lemma 21): exact L0 while ``L0 <= c`` using
   ``Theta(c^2)`` counters stored modulo a random prime (so cancelled
   coordinates are recognised), O(c^2 log log n) bits.
-* :class:`RoughL0Estimator` (Lemma 14): constant-factor L0 — subsample the
-  universe at ``log n`` lsb-levels, run a small ExactSmallL0 (c = 132) per
-  level, output ``(20000/99) * 2^j`` for the deepest level still reporting
-  more than 8 survivors.
+* :class:`RoughL0Estimator` (Lemma 14): constant-factor L0 — subsample
+  the universe at ``log n`` lsb-levels, run a small ExactSmallL0
+  (c = 132) per level, and decode with :func:`level_scan`.
 * :class:`KNWL0Estimator` (Figure 6 + Lemma 17): the (1 ± eps) estimator.
   A ``log n x K`` matrix, K = 1/eps^2; item i lands in row ``lsb(h1(i))``,
   bucket ``h3(h2(i))``, with contents scaled by a random vector over F_p to
   defeat insert/delete cancellation across different items (Lemma 16).  At
-  query time the row matching a constant-factor estimate R is inverted via
-  the balls-into-bins expectation (Lemma 15).  Small L0 is handled by a
-  collapsed single row (Lemma 17) and an exact structure for L0 <= 100.
-
+  query time the rows are inverted via the balls-into-bins expectation
+  (Lemma 15).  Small L0 is handled by a collapsed single row (Lemma 17)
+  and an exact structure for L0 <= 100.
 * :class:`RoughF0Estimator` (Lemma 18): non-decreasing O(1)-factor
   estimates of the *F0* (distinct items ever touched) at every point in
   the stream.  **Substitution (documented in DESIGN.md):** [40]'s
@@ -25,6 +23,10 @@ Three cooperating structures, all implemented from scratch:
   decreases), gives the same O(1)-factor guarantee in O(k log n) bits with
   constant k, and exercises the identical consumer code path (the α
   algorithms only need non-decreasing estimates in ``[F0^t, 8 F0^t]``).
+
+Lemma 20 and Figure 7 (:mod:`repro.core.l0_estimation`) run
+:func:`level_scan` and :class:`_KNWTable` on the levels and rows they
+keep, so each of these subroutines is defined once.
 """
 
 from __future__ import annotations
@@ -226,18 +228,39 @@ class ExactSmallL0:
         return self.trials * entries * (bucket_bits + val_bits) + seeds
 
 
+#: A level with more than this many survivors is deep enough to
+#: decode (Lemma 14).
+SURVIVOR_THRESHOLD = 8
+
+
+def level_scan(levels: dict[int, ExactSmallL0]) -> float:
+    """Lemma 14's decoder over stored lsb levels ``{j: ExactSmallL0}``.
+
+    The paper returns ``(20000/99) * 2^j`` for the deepest level j with
+    more than :data:`SURVIVOR_THRESHOLD` survivors (``R in [L0, 110 L0]``,
+    a slack for proof convenience).  The level rule is kept, but the
+    *observed* count is scaled: ``T_j * 2^(j+1)`` (level j samples at rate
+    2^-(j+1)) is within a small constant factor of L0 with the same
+    failure probability.  With no such level, the shallowest stored
+    level's count, scaled the same way, answers (at least 1).
+    """
+    for j in sorted(levels, reverse=True):
+        count = levels[j].estimate()
+        if count > SURVIVOR_THRESHOLD:
+            return float(count) * 2.0 ** (j + 1)
+    if not levels:
+        return 1.0
+    j = min(levels)
+    return max(1.0, float(levels[j].estimate()) * 2.0 ** (j + 1))
+
+
 class RoughL0Estimator:
     """Lemma 14: output R with ``L0 <= R <= 110 L0`` w.h.p.
 
     Universe subsampled at lsb-levels of a pairwise hash; level j holds an
-    :class:`ExactSmallL0` with c = 132.  The deepest level whose structure
-    reports more than 8 survivors determines the estimate
-    ``(20000/99) * 2^j`` (constants from [40] / Section 6.4); with no such
-    level the estimate is 50.
+    :class:`ExactSmallL0` with c = 132, and :func:`level_scan` decodes
+    them (constants from [40] / Section 6.4).
     """
-
-    SURVIVOR_THRESHOLD = 8
-    SCALE = 20000.0 / 99.0
 
     def __init__(self, n: int, rng: np.random.Generator, trials: int = 3) -> None:
         self.n = int(n)
@@ -268,28 +291,8 @@ class RoughL0Estimator:
         return consume_stream(self, stream)
 
     def estimate(self) -> float:
-        """Constant-factor L0 estimate.
-
-        The paper's analysis returns ``(20000/99) * 2^j`` for the deepest
-        level j still reporting > 8 survivors, guaranteeing
-        ``R in [L0, 110 L0]`` — a slack chosen for proof convenience, not
-        tightness.  We keep the same level-selection rule but scale by the
-        *observed* survivor count ``T_j * 2^(j+1)`` (level j samples at
-        rate 2^-(j+1)), which estimates L0 within a small constant factor
-        with the same failure probability; downstream consumers only
-        assume a constant-factor band, so this is strictly better.
-        """
-        best_j = None
-        for j in range(self.log_n, -1, -1):
-            if self._levels[j].estimate() > self.SURVIVOR_THRESHOLD:
-                best_j = j
-                break
-        if best_j is None:
-            # Nothing deep survived: L0 is small; level 0 holds roughly
-            # half the support (or all of it if its count is exact).
-            t0 = self._levels[0].estimate()
-            return max(1.0, 2.0 * t0) if t0 > 0 else 1.0
-        return float(self._levels[best_j].estimate()) * 2.0 ** (best_j + 1)
+        """Constant-factor L0 estimate (:func:`level_scan`)."""
+        return level_scan(dict(enumerate(self._levels)))
 
     def space_bits(self) -> int:
         return self._h.space_bits() + sum(l.space_bits() for l in self._levels)
@@ -471,8 +474,114 @@ class RoughF0Estimator:
         return self.k * (self._M.bit_length() - 1) + self._h.space_bits()
 
 
-class KNWL0Estimator:
+#: Occupancy above which the Lemma 15 inversion is unreliable.
+SATURATION = 0.6
+
+
+def _invert_occupancy(T: int, K: int) -> float:
+    """Balls-into-bins inversion: number of balls C from T non-empty of
+    K bins, ``C = ln(1 - T/K) / ln(1 - 1/K)`` (Lemma 15 / Theorem 9)."""
+    T = min(T, K - 1)
+    if T <= 0:
+        return 0.0
+    return float(np.log(1.0 - T / K) / np.log(1.0 - 1.0 / K))
+
+
+def _row_tail_estimate(rows, K: int) -> float:
+    """Decode stored subsampling rows, ``(j, buckets)`` pairs, into an
+    L0 estimate.
+
+    The paper inverts the occupancy of the *single* row
+    ``i* = log(16R/K)``; with its 110x-slack rough estimate the analysis
+    needs astronomically large K for concentration.  This decoder reads
+    the same rows with less variance: rows partition the support by lsb
+    level (row j holds a ``2^-(j+1)`` fraction), so for the shallowest
+    *unsaturated* stored row ``j0`` (occupancy <= :data:`SATURATION`,
+    where the Lemma 15 inversion is accurate), the summed inverted
+    counts of the stored rows ``j0, j0+1, ...`` estimate
+    ``L0 * 2^-j0``; scaling by ``2^j0`` estimates L0 from the whole
+    unsaturated tail instead of one row.  When every row is saturated it
+    falls back to the paper's single-row formula on the deepest row.
+    """
+    occupancy = sorted((j, int(np.count_nonzero(row))) for j, row in rows)
+    j0 = next((j for j, occ in occupancy if occ <= SATURATION * K), None)
+    if j0 is None:
+        j, occ = occupancy[-1]
+        return (2.0 ** (j + 1)) * _invert_occupancy(occ, K)
+    tail = sum(_invert_occupancy(occ, K) for j, occ in occupancy if j >= j0)
+    return (2.0**j0) * tail
+
+
+class _KNWTable:
+    """What Figure 6 shares with Figure 7
+    (:class:`~repro.core.l0_estimation.AlphaL0Estimator`): the hash
+    draws, the Lemma 17 path, the row-tail decoder and the space charge.
+    Each passes in what differs: the bucket hashes' independence ``k``,
+    and its stored rows (all of them, or a window) as ``(j, buckets)``.
+    """
+
+    def _draw_table(self, k: int, rng: np.random.Generator) -> tuple:
+        """Figure 6's draws, in order, for ``(h1, h2, h3, h4, p, u)``:
+        ``h1`` routes item i to row ``lsb(h1(i))``, ``h2`` maps it into
+        ``[K^3]``, the k-wise ``h3`` picks its bucket, and ``h4`` its
+        scale from the random vector ``u`` over ``F_p``."""
+        n, K = self.n, self.K
+        h1 = PairwiseHash(n, n, rng)
+        h2 = PairwiseHash(n, K**3, rng)
+        h3 = KWiseHash(K**3, K, k=k, rng=rng)
+        h4 = PairwiseHash(K**3, K, rng)
+        d_lo = 100 * K * 32
+        p = random_prime_in_range(d_lo, d_lo**2, rng)
+        return h1, h2, h3, h4, p, rng.integers(1, p, size=K)
+
+    def _draw_small(self, k: int, rng: np.random.Generator,
+                    alpha: float | None = None) -> tuple:
+        """Lemma 17's small-L0 path, ``(K', h3', B', exact)``: one
+        collapsed row of ``K' = 2K`` buckets with its own k-wise bucket
+        hash, plus exact recovery for L0 <= 100 (:class:`ExactSmallL0`,
+        α-bounded given ``alpha``)."""
+        K_small = 2 * self.K
+        return (K_small, KWiseHash(self.K**3, K_small, k=k, rng=rng),
+                np.zeros(K_small, dtype=np.int64),
+                ExactSmallL0(self.n, c=100, rng=rng, alpha=alpha))
+
+    def _decode(self, rows) -> float:
+        """The Lemma 17 + Figure 6 decision procedure over the stored
+        ``rows``.
+
+        Try, in order: the exact structure (valid while L0 <= 100), the
+        collapsed single row (valid while its occupancy stays below ~55%,
+        i.e. L0 up to ~0.8 K'), then :func:`_row_tail_estimate`.
+        """
+        small_occ = int(np.count_nonzero(self.B_small))
+        if small_occ > 0.55 * self.K_small:
+            return _row_tail_estimate(rows, self.K)
+        small = _invert_occupancy(small_occ, self.K_small)
+        # The two small-regime views agree unless the exact structure
+        # overflowed its perfect-hashing regime.
+        exact = self._exact_small.estimate()
+        return float(exact) if exact <= 100 and small <= 150 else small
+
+    def _space_bits(self, stored_rows: int, rough) -> int:
+        """``stored_rows`` rows and the collapsed row at ``log p`` bits a
+        bucket, the hash seeds and ``u``, the rough estimate, and the
+        exact small structure."""
+        val_bits = max(1, int(self.p).bit_length())
+        table = (stored_rows * self.K + self.K_small) * val_bits
+        seeds = self.K * val_bits + sum(
+            h.space_bits()
+            for h in (self._h1, self._h2, self._h3, self._h4, self._h3_small)
+        )
+        return table + seeds + rough.space_bits() + self._exact_small.space_bits()
+
+
+class KNWL0Estimator(_KNWTable):
     """Figure 6: (1 ± eps) L0 estimation for general turnstile streams.
+
+    Stores all ``log2(n) + 1`` subsampling rows (Figure 7 stores
+    O(log(α/eps))).  It maintains and charges the Lemma 14 estimate R
+    (:attr:`rough`) by which the paper picks its row, but the decoder
+    reads every row, so R steers nothing here.
 
     Parameters
     ----------
@@ -482,58 +591,33 @@ class KNWL0Estimator:
         Target relative error; K = ceil(1/eps^2) buckets per row.
     rng:
         Randomness source.
-    rough:
-        Optional externally-supplied constant-factor estimator (the
-        α-property algorithm of Figure 7 injects its own); defaults to a
-        fresh :class:`RoughL0Estimator`.
-    rows:
-        Number of subsampling rows; defaults to log2(n) + 1 (the baseline
-        cost the α algorithm reduces to O(log(α/eps))).
     """
 
-    def __init__(
-        self,
-        n: int,
-        eps: float,
-        rng: np.random.Generator,
-        rough: RoughL0Estimator | None = None,
-        rows: int | None = None,
-    ) -> None:
+    def __init__(self, n: int, eps: float, rng: np.random.Generator) -> None:
         if not 0 < eps < 1:
             raise ValueError("eps must be in (0, 1)")
         self.n = int(n)
         self.eps = float(eps)
         self.K = max(4, int(np.ceil(1.0 / eps**2)))
         self.log_n = max(1, int(np.ceil(np.log2(self.n))))
-        self.rows = rows if rows is not None else self.log_n + 1
-        k_ind = max(
-            2, int(np.ceil(np.log(1 / eps) / max(1.0, np.log(np.log(1 / eps) + 2))))
+        self.rows = self.log_n + 1
+        k = max(
+            4, int(np.ceil(np.log(1 / eps) / max(1.0, np.log(np.log(1 / eps) + 2))))
         )
-        self._h1 = PairwiseHash(n, n, rng)
-        self._h2 = PairwiseHash(n, self.K**3, rng)
-        self._h3 = KWiseHash(self.K**3, self.K, k=max(4, k_ind), rng=rng)
-        self._h4 = PairwiseHash(self.K**3, self.K, rng)
-        d_lo = 100 * self.K * 32
-        self.p = random_prime_in_range(d_lo, d_lo**2, rng)
-        self._u = rng.integers(1, self.p, size=self.K)
+        self._h1, self._h2, self._h3, self._h4, self.p, self._u = (
+            self._draw_table(k, rng))
         self.B = np.zeros((self.rows, self.K), dtype=np.int64)
-        self.rough = rough if rough is not None else RoughL0Estimator(n, rng)
-        self._own_rough = rough is None
-        # Lemma 17 small-L0 path: one collapsed row of K' = 2K buckets with
-        # its own hashing, plus exact recovery for L0 <= 100.
-        self.K_small = 2 * self.K
-        self._h3_small = KWiseHash(self.K**3, self.K_small, k=max(4, k_ind), rng=rng)
-        self.B_small = np.zeros(self.K_small, dtype=np.int64)
-        self._exact_small = ExactSmallL0(n, c=100, rng=rng)
+        self.rough = RoughL0Estimator(n, rng)
+        (self.K_small, self._h3_small, self.B_small,
+         self._exact_small) = self._draw_small(k, rng)
 
     # -- updates -------------------------------------------------------------
     def update(self, item: int, delta: int) -> None:
-        if self._own_rough:
-            self.rough.update(item, delta)
+        self.rough.update(item, delta)
         j2 = self._h2(item)
         scale = int(self._u[self._h4(j2)])
         inc = (delta * scale) % self.p
-        row = min(capped_lsb(self._h1(item), self.log_n), self.rows - 1)
+        row = capped_lsb(self._h1(item), self.log_n)
         col = self._h3(j2)
         self.B[row, col] = (int(self.B[row, col]) + inc) % self.p
         col_s = self._h3_small(j2)
@@ -551,16 +635,11 @@ class KNWL0Estimator:
         63 bits) before reduction.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
-        if self._own_rough:
-            self.rough.update_batch(items_arr, deltas_arr)
+        self.rough.update_batch(items_arr, deltas_arr)
         j2 = self._h2.hash_array(items_arr)
         scales = self._u[self._h4.hash_array(j2)]
         incs = scaled_mod_increments(deltas_arr, scales, self.p)
-        rows = lsb_array(
-            self._h1.hash_array(items_arr),
-            zero_value=self.log_n,
-            cap=self.rows - 1,
-        )
+        rows = lsb_array(self._h1.hash_array(items_arr), cap=self.log_n)
         cols = self._h3.hash_array(j2)
         mod_scatter_add(self.B, (rows, cols), incs, self.p)
         cols_s = self._h3_small.hash_array(j2)
@@ -571,95 +650,9 @@ class KNWL0Estimator:
         return consume_stream(self, stream)
 
     # -- queries -------------------------------------------------------------
-    @staticmethod
-    def _invert_occupancy(T: int, K: int) -> float:
-        """Balls-into-bins inversion: number of balls C from T non-empty of
-        K bins, ``C = ln(1 - T/K) / ln(1 - 1/K)`` (Lemma 15 / Theorem 9)."""
-        T = min(T, K - 1)
-        if T <= 0:
-            return 0.0
-        return float(np.log(1.0 - T / K) / np.log(1.0 - 1.0 / K))
-
-    SATURATION = 0.6  # occupancy above which the inversion is unreliable
-
-    def _main_estimate(self, R: float) -> float:
-        """Decode the subsampling rows into an L0 estimate.
-
-        The paper inverts the occupancy of the *single* row
-        ``i* = log(16R/K)``; with its 110x-slack rough estimate the
-        analysis needs astronomically large K for concentration.  We use
-        the same matrix but a lower-variance decoder: rows partition the
-        support by lsb level (row j holds a ``2^-(j+1)`` fraction), so for
-        the shallowest *unsaturated* row ``j0`` (occupancy <= 60%, where
-        the balls-into-bins inversion of Lemma 15 is accurate), the summed
-        inverted counts of rows ``j0, j0+1, ...`` estimate
-        ``L0 * 2^-j0``; scaling by ``2^j0`` estimates L0 using the entire
-        unsaturated tail instead of one row.  When every row is saturated
-        we fall back to the paper's single-row formula on the deepest row.
-
-        R steers nothing here (all rows are stored); the α-property
-        variant (Figure 7) passes the same decoder a *window* of rows
-        positioned by R.
-        """
-        return self._decode_row_tail(range(self.rows))
-
-    def _decode_row_tail(self, row_indices) -> float:
-        rows = sorted(row_indices)
-        occupancies = {j: int(np.count_nonzero(self.B[j])) for j in rows}
-        j0 = None
-        for j in rows:
-            if occupancies[j] <= self.SATURATION * self.K:
-                j0 = j
-                break
-        if j0 is None:
-            # Everything saturated: deepest row, paper-style single-row.
-            j = rows[-1]
-            return (2.0 ** (j + 1)) * self._invert_occupancy(
-                occupancies[j], self.K
-            )
-        tail = sum(
-            self._invert_occupancy(occupancies[j], self.K)
-            for j in rows
-            if j >= j0
-        )
-        return (2.0**j0) * tail
-
-    def _small_occupancy(self) -> int:
-        return int(np.count_nonzero(self.B_small))
-
-    def _small_estimate(self) -> float:
-        return self._invert_occupancy(self._small_occupancy(), self.K_small)
-
     def estimate(self) -> float:
-        """The Lemma 17 + Figure 6 decision procedure.
-
-        Try, in order: the exact structure (valid while L0 <= 100), the
-        collapsed single row (valid while its occupancy stays below ~55%,
-        i.e. L0 up to ~0.8 K'), then the row-steered main estimator.
-        """
-        small_occ = self._small_occupancy()
-        exact = self._exact_small.estimate()
-        if exact <= 100 and small_occ <= 0.55 * self.K_small:
-            small = self._small_estimate()
-            # The two small-regime views should agree if the exact
-            # structure did not overflow its perfect-hashing regime.
-            if small <= 150:
-                return float(exact)
-        if small_occ <= 0.55 * self.K_small:
-            return self._small_estimate()
-        R = max(1.0, float(self.rough.estimate()))
-        return self._main_estimate(R)
+        """Lemma 17's small-L0 paths, then every row's tail."""
+        return self._decode(enumerate(self.B))
 
     def space_bits(self) -> int:
-        val_bits = max(1, int(self.p).bit_length())
-        table = self.rows * self.K * val_bits + self.K_small * val_bits
-        seeds = (
-            self._h1.space_bits()
-            + self._h2.space_bits()
-            + self._h3.space_bits()
-            + self._h4.space_bits()
-            + self._h3_small.space_bits()
-            + self.K * val_bits  # the random vector u
-        )
-        own_rough = self.rough.space_bits() if self._own_rough else 0
-        return table + seeds + own_rough + self._exact_small.space_bits()
+        return self._space_bits(self.rows, self.rough)

@@ -23,14 +23,16 @@ remaining redundancy in a hot replay is *inside* each chunk:
   the universe is known and small (ROADMAP lever d), so chunk planning
   costs array passes, not allocations.
 
-:class:`ChunkPlan` packages one validated chunk plus all of the above,
-computed lazily and at most once (:meth:`ChunkPlan.unplanned` packages a
-bare one, with none of it).  :class:`ChunkPlanner` owns the
+:class:`ChunkPlan` packages one admitted chunk plus all of the above,
+computed lazily and at most once (:meth:`ChunkPlan.unplanned` validates
+and packages a bare one, with none of it).  :class:`ChunkPlanner` owns the
 workspaces and builds one plan per chunk; the engine
 (:mod:`repro.streams.engine`) threads plans to every structure that
 implements ``update_plan(plan)`` (see :func:`repro.batch.supports_plan`).
-Plans are built only for consumers the engine's chunk driver admitted
-over the plan's universe, so ``update_plan`` never re-checks it.
+Plans are built only from columns admitted before the driver saw them
+(``StreamSession.push`` and ``Stream`` construction validate them) and
+only for consumers the driver admitted over the plan's universe, so
+neither the plan nor ``update_plan`` re-checks them.
 
 ``update_plan`` is each such structure's one vectorised body: its
 ``update_batch`` is ``update_plan`` over :meth:`ChunkPlan.unplanned`, a
@@ -78,11 +80,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 class ChunkPlan:
-    """One validated chunk plus its lazily computed shared views.
+    """One admitted chunk plus its lazily computed shared views.
 
-    Built by :class:`ChunkPlanner`; consumed by ``update_plan``
-    implementations.  Everything is computed at most once per chunk and
-    shared by every consumer fed from the same plan.
+    Built by :class:`ChunkPlanner` over ``int64`` columns that were
+    validated upstream; consumed by ``update_plan`` implementations.
+    Everything is computed at most once per chunk and shared by every
+    consumer fed from the same plan.
     """
 
     def __init__(
@@ -92,7 +95,7 @@ class ChunkPlan:
         universe: int | None,
         planner: "ChunkPlanner | None" = None,
     ) -> None:
-        self.items, self.deltas = as_update_arrays(items, deltas, universe)
+        self.items, self.deltas = items, deltas
         self.n = universe
         self._planner = planner
         self._cache: dict = {}
@@ -112,11 +115,12 @@ class ChunkPlan:
         """A plan over a bare chunk, read by one structure.
 
         Every ``update_batch`` of a plan consumer is its ``update_plan``
-        over one of these.  The chunk is validated as by the constructor
-        and is its own unique view: :attr:`inverse` is ``None``,
-        :meth:`gather` is the identity, and the summed views are the
-        per-update columns (nothing is summed, so :attr:`coalesce_safe`
-        holds at any weight).  :meth:`unique_values` evaluates without
+        over one of these, so this is where a direct ``update_batch``
+        validates its raw columns (:func:`~repro.batch.as_update_arrays`
+        against ``universe``).  The chunk is its own unique view:
+        :attr:`inverse` is ``None``, :meth:`gather` is the identity, and
+        the summed views are the per-update columns (nothing is summed,
+        so :attr:`coalesce_safe` holds at any weight).  :meth:`unique_values` evaluates without
         caching, since no other consumer shares the plan, and neither
         column is frozen: they may be the caller's own arrays.
 
@@ -127,7 +131,9 @@ class ChunkPlan:
         >>> plan.summed_deltas.tolist(), plan.gather(plan.deltas).tolist()
         ([2, -1, 5], [2, -1, 5])
         """
-        return _UnplannedChunk(items, deltas, universe)
+        return _UnplannedChunk(
+            *as_update_arrays(items, deltas, universe), universe
+        )
 
     # -- chunk-level views ---------------------------------------------------
     @property
@@ -311,7 +317,7 @@ class ChunkPlanner:
         self._rank: np.ndarray | None = None
 
     def plan(self, items: np.ndarray, deltas: np.ndarray) -> ChunkPlan:
-        """Validate one chunk and wrap it in a plan."""
+        """Wrap one admitted chunk in a plan."""
         return ChunkPlan(items, deltas, self.universe, self)
 
     # -- dense unique workspace ----------------------------------------------

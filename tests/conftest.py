@@ -98,6 +98,30 @@ def drop_state():
     return drop
 
 
+def _tagged_nodes(node):
+    """Every tagged node of a snapshot payload, depth first."""
+    if isinstance(node, dict):
+        if "~t" in node:
+            yield node
+        for value in node.values():
+            yield from _tagged_nodes(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _tagged_nodes(value)
+
+
+@pytest.fixture
+def drop_field():
+    """``drop_field(payload, tag, field)`` deletes ``field`` from the
+    first node tagged ``tag`` (depth first) that holds it, as a
+    truncated or hand-edited payload would lack it."""
+    def drop(payload, tag, field):
+        node = next(node for node in _tagged_nodes(payload)
+                    if node["~t"] == tag and field in node)
+        del node[field]
+    return drop
+
+
 def median_over_seeds(fn, seeds, *args, **kwargs):
     """Run ``fn(seed, ...)`` over seeds and return the median result."""
     vals = [fn(seed, *args, **kwargs) for seed in seeds]

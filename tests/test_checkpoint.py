@@ -452,22 +452,26 @@ class TestRecover:
     @pytest.mark.parametrize("attr, refusal", [
         ("_pos", "_pos"),
         ("_halve_rng", "never defines"),
-    ], ids=["_pos", "_halve_rng"])
+        ("dtype", "'ndarray' node lacks its 'dtype' field"),
+    ], ids=["_pos", "_halve_rng", "missing_field"])
     def test_recover_all_skips_a_session_restore_refuses(
-            self, tmp_path, drop_state, attr, refusal):
+            self, tmp_path, drop_state, drop_field, attr, refusal):
         """A session whose checkpoint ``restore`` refuses (a consumer
         missing state its class sets at construction; without
         ``_halve_rng`` the payload also refers to an object id it never
-        defines, which used to escape as a bare ``KeyError``) is
-        skipped with a warning, and the others still recover: a
-        durable service starts instead of failing on one session."""
+        defines; an array node without its dtype — the last two used to
+        escape as a bare ``KeyError``) is skipped with a warning, and
+        the others still recover: a durable service starts instead of
+        failing on one session."""
         from repro.service import SketchService
 
         for name in ("good", "legacy"):
-            session = StreamSession(N, params=PARAMS).track(
-                "sampled_frequencies")
+            session = (StreamSession(N, params=PARAMS).track("countmin")
+                       .track("sampled_frequencies"))
             payload = session.push([9], [4]).snapshot()
-            if name == "legacy":
+            if name == "legacy" and attr == "dtype":
+                drop_field(payload, "ndarray", "dtype")
+            elif name == "legacy":
                 drop_state(payload, "SampledFrequencies", attr)
             CheckpointStore(tmp_path / name).save(payload, updates=1)
         with pytest.warns(RuntimeWarning, match=f"'legacy'.*{refusal}"):

@@ -341,6 +341,31 @@ def test_plan_views_dense_and_sorted_paths_agree():
     assert plan.nonzero_sums.tolist() == [False, True]
 
 
+def test_admitted_chunks_are_validated_once(monkeypatch):
+    """``push`` admits a batch before it is buffered, so the plans the
+    driver builds from it take the columns as they are: no call of the
+    plan module's validator for whole-chunk pushes.  A direct
+    ``update_batch`` still validates its raw columns there, through
+    :meth:`ChunkPlan.unplanned`."""
+    import repro.streams.plan as plan_module
+    from repro.api.session import StreamSession
+
+    original = plan_module.as_update_arrays
+    calls = []
+
+    def counting(items, deltas, universe=None):
+        calls.append(len(items))
+        return original(items, deltas, universe)
+
+    monkeypatch.setattr(plan_module, "as_update_arrays", counting)
+    session = StreamSession(N, chunk_size=64).track("countmin")
+    for _ in range(3):
+        session.push(np.arange(128), np.ones(128, dtype=np.int64))
+    assert session.pending == 0 and calls == []
+    session["countmin"].update_batch([1, 2], [1, 1])
+    assert calls == [2]
+
+
 def test_planner_workspaces_are_reused_across_chunks():
     """Back-to-back plans from one planner share the dense workspaces
     and still produce correct (reset) views; chunks much shorter than

@@ -1,11 +1,11 @@
-"""Tests for repro.counters (Morris counter, exact counters, F0 tracker)."""
+"""Tests for repro.counters (Morris counter, exact counters)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.counters.exact import ExactL1Counter, F0Tracker, SignedCounter
+from repro.counters.exact import ExactL1Counter, SignedCounter
 from repro.counters.morris import MorrisCounter
 
 
@@ -92,40 +92,3 @@ class TestExactL1Counter:
             c.update(item, delta)
         assert c.value == 6
 
-
-class TestF0Tracker:
-    def test_exact_below_capacity(self):
-        rng = np.random.default_rng(7)
-        t = F0Tracker(1024, capacity=32, rng=rng)
-        for i in range(20):
-            t.update(i, 1)
-        assert t.result() == 20
-
-    def test_counts_distinct_not_updates(self):
-        rng = np.random.default_rng(8)
-        t = F0Tracker(1024, capacity=32, rng=rng)
-        for _ in range(50):
-            t.update(7, 1)
-        assert t.result() == 1
-
-    def test_cancelled_item_leaves_f0_unchanged_view(self):
-        """The tracker reports the number of non-zero fingerprints (the
-        live L0 of the tracked set)."""
-        rng = np.random.default_rng(9)
-        t = F0Tracker(1024, capacity=32, rng=rng)
-        t.update(3, 1)
-        t.update(3, -1)
-        assert t.result() == 0
-
-    def test_overflow_returns_large(self):
-        rng = np.random.default_rng(10)
-        t = F0Tracker(1 << 16, capacity=8, rng=rng)
-        for i in range(100):
-            t.update(i, 1)
-        assert t.result() == F0Tracker.LARGE
-
-    def test_space_scales_with_capacity(self):
-        rng = np.random.default_rng(11)
-        small = F0Tracker(1024, capacity=8, rng=rng)
-        big = F0Tracker(1024, capacity=64, rng=rng)
-        assert big.space_bits() > small.space_bits()

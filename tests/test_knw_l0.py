@@ -290,10 +290,8 @@ class TestKNWL0Estimator:
             KNWL0Estimator(64, eps=0, rng=np.random.default_rng(0))
 
     def test_space_charges_rows(self):
-        shallow = KNWL0Estimator(
-            1 << 10, eps=0.25, rng=np.random.default_rng(31), rows=3
-        )
-        deep = KNWL0Estimator(
-            1 << 10, eps=0.25, rng=np.random.default_rng(31), rows=11
-        )
+        """All log2(n) + 1 rows are stored and charged."""
+        shallow = KNWL0Estimator(1 << 4, eps=0.25, rng=np.random.default_rng(31))
+        deep = KNWL0Estimator(1 << 14, eps=0.25, rng=np.random.default_rng(31))
+        assert (shallow.B.shape[0], deep.B.shape[0]) == (5, 15)
         assert deep.space_bits() > shallow.space_bits()

@@ -137,6 +137,30 @@ class TestPayloadShape:
         with pytest.raises(ValueError, match="repro"):
             restore(payload)
 
+    @pytest.mark.parametrize("tag, field", [
+        ("dict", "v"), ("frozenset", "v"), ("list", "v"), ("set", "v"),
+        ("tuple", "v"), ("ndarray", "data"), ("ndarray", "dtype"),
+        ("npscalar", "dtype"), ("npscalar", "v"), ("obj", "cls"),
+        ("obj", "id"), ("obj", "state"), ("ref", "id"),
+        ("rng", "bit_generator"), ("rng", "state"),
+    ])
+    def test_a_node_missing_a_field_is_refused(self, drop_field, tag, field):
+        """Every field the decoder reads from a node: a node without it
+        is a ``ValueError`` naming the node's tag and the field, never
+        a bare ``KeyError``."""
+        from repro.sketches.countmin import CountMin
+
+        arr = np.arange(3)
+        payload = snapshot({
+            "t": (1, np.int64(2)), "s": {3}, "f": frozenset({4}),
+            "a": arr, "again": arr, "l": [5], "g": np.random.default_rng(0),
+            "cm": CountMin(16, 8, 2, np.random.default_rng(1)),
+        })
+        drop_field(payload["root"], tag, field)
+        with pytest.raises(ValueError,
+                           match=f"'{tag}' node lacks its '{field}' field"):
+            restore(payload)
+
     def test_unsnapshotable_objects_raise(self):
         with pytest.raises(TypeError, match="cannot snapshot"):
             snapshot(object())

@@ -414,16 +414,17 @@ class TestMergeIsAllOrNothing:
             c.ingest(name, np.arange(50), np.ones(50, dtype=np.int64))
             return c.snapshot(name)
 
-    @pytest.mark.parametrize("refusal",
-                             ["alpha", "missing_state", "dangling_ref"])
+    @pytest.mark.parametrize("refusal", ["alpha", "missing_state",
+                                         "dangling_ref", "missing_field"])
     def test_refused_merge_leaves_the_session_unchanged(
-            self, server, client, drop_state, refusal):
+            self, server, client, drop_state, drop_field, refusal):
         """Refused by αL0 (the sibling's α differs, which no pre-check
         sees; ``frequency_vector`` and ``sampled_frequencies`` would
         merge first) or at restore (a ``SampledFrequencies`` without
         the ``_pos`` table its class sets at construction, or without
         its ``_halve_rng``, whose object id a later attribute still
-        refers to: the answer names the undefined id)."""
+        refers to: the answer names the undefined id; or an array node
+        without its dtype)."""
         from repro.api.serialize import payload_equal
         from repro.streams.io import payload_from_bytes, payload_to_bytes
 
@@ -436,13 +437,19 @@ class TestMergeIsAllOrNothing:
         else:
             payload = payload_from_bytes(
                 self._feed(server, "b", "west", node=1))
-            attr = "_pos" if refusal == "missing_state" else "_halve_rng"
-            assert drop_state(payload, "SampledFrequencies", attr) == 1
+            if refusal == "missing_field":
+                drop_field(payload, "ndarray", "dtype")
+            else:
+                attr = ("_pos" if refusal == "missing_state"
+                        else "_halve_rng")
+                assert drop_state(payload, "SampledFrequencies", attr) == 1
             container = payload_to_bytes(payload)
         with pytest.raises(ServiceClientError, match="bad_merge") as err:
             client.merge("a", container)
         if refusal == "dangling_ref":
             assert "never defines" in err.value.message
+        if refusal == "missing_field":
+            assert "lacks its 'dtype' field" in err.value.message
         assert payload_equal(payload_from_bytes(client.snapshot("a")),
                              before)
         assert client.info("a") == info
