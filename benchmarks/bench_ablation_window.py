@@ -1,11 +1,12 @@
 """Experiment A3 — window-width ablation for the L0 and support samplers.
 
-DESIGN.md calls out the ``±2 log(4α/ε)`` row window as a proof-driven
-constant.  This ablation sweeps the window multiplier and records the
-accuracy/space trade: shrinking the window saves rows linearly while the
-estimate stays correct until the window no longer covers the occupancy
-transition, at which point accuracy collapses — exactly the behaviour the
-Theorem 10 analysis predicts.
+Figure 7's ``±2 log(4α/ε)`` row window carries a proof-driven constant
+(``AlphaL0Estimator``'s ``window_constant``, default 1).  This ablation
+sweeps the window multiplier and records the accuracy/space trade:
+shrinking the window saves rows linearly while the estimate stays
+correct until the window no longer covers the occupancy transition, at
+which point accuracy collapses — exactly the behaviour the Theorem 10
+analysis predicts.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Benchmark harness configuration.
 
 Each ``bench_*.py`` file regenerates one artifact from the paper (see the
-experiment index in DESIGN.md).  Numbers that correspond to the paper's
+benchmark column of docs/PAPER_MAP.md).  Numbers that correspond to the paper's
 claims — errors, space ratios, recalls — are attached to each benchmark's
 ``extra_info`` and asserted at the "shape" level (who wins, how things
 scale); timings come from pytest-benchmark as usual.

@@ -167,6 +167,17 @@ class _Encoder:
         }
 
 
+def _dtype(node: dict) -> np.dtype:
+    """The dtype an ``ndarray`` or ``npscalar`` node names."""
+    try:
+        return np.dtype(node["dtype"])
+    except TypeError:
+        raise ValueError(
+            f"snapshot {node[_TAG]!r} node names dtype {node['dtype']!r}, "
+            "which NumPy does not define"
+        ) from None
+
+
 class _Decoder:
     def __init__(self) -> None:
         self._memo: dict[int, Any] = {}
@@ -195,11 +206,11 @@ class _Decoder:
     def _decode_node(self, node: dict) -> Any:
         kind = node.get(_TAG)
         if kind == "ndarray":
-            out = np.asarray(node["data"], dtype=node["dtype"]).copy()
+            out = np.asarray(node["data"], dtype=_dtype(node)).copy()
             self._register(node, out)
             return out
         if kind == "npscalar":
-            return np.dtype(node["dtype"]).type(node["v"])
+            return _dtype(node).type(node["v"])
         if kind == "list":
             # Containers register before their children decode so
             # shared references (and cycles through them) resolve
@@ -275,9 +286,16 @@ class _Decoder:
                 f"snapshot names class {node['cls']!r} outside the "
                 "allowed repro.* namespace"
             )
-        target: Any = importlib.import_module(module_name)
-        for part in qualname.split("."):
-            target = getattr(target, part)
+        try:
+            target: Any = importlib.import_module(module_name)
+            for part in qualname.split("."):
+                target = getattr(target, part)
+        except (ImportError, AttributeError):
+            # A checkpoint of a class this version deleted.
+            raise ValueError(
+                f"snapshot names class {node['cls']!r}, which this "
+                "version does not define"
+            ) from None
         # The module prefix check above covers only the payload string;
         # a qualname could traverse module attributes (re-exported
         # numpy, importlib, ...) to reach a foreign class.  The

@@ -6,8 +6,9 @@ Each module implements one section of Jayaram-Woodruff PODS'18:
   and the adaptive Lemma 1 frequency sample with counter halving.
 * :mod:`repro.core.schedules` — the order-insensitive schedule core:
   paced-counter (Morris) pacing, budgeted adaptive acceptance,
-  precision-sampling weights, and estimate-steered window segmentation —
-  the machinery behind every vectorised ``update_batch``.
+  precision-sampling weights, and the live-window machine (one
+  placement, one level sync, one segment loop) — the machinery behind
+  every vectorised ``update_batch``.
 * :mod:`repro.core.csss` — CSSampSim, Countsketch simulated on per-row
   uniform samples (Figure 2, Theorem 1) plus the tail-error estimator of
   Lemma 5.
@@ -30,7 +31,6 @@ from repro.core.schedules import (
     AdaptiveSamplingSchedule,
     PacedCounterSchedule,
     PrecisionSamplingSchedule,
-    windowed_segments,
 )
 from repro.core.csss import CSSS, CSSSWithTailEstimate
 from repro.core.heavy_hitters import AlphaHeavyHitters
@@ -52,7 +52,6 @@ __all__ = [
     "AdaptiveSamplingSchedule",
     "PacedCounterSchedule",
     "PrecisionSamplingSchedule",
-    "windowed_segments",
     "SampledFrequencies",
     "lemma1_sampling_probability",
     "binomial_thin",

@@ -44,8 +44,8 @@ class AlphaHeavyHitters:
         Cauchy norm estimator supplies ``R`` (Theorem 3, Fact 1).
     k_constant, sens_constant:
         Practical stand-ins for the paper's ``k = 32/ε`` and sensitivity
-        ``ε/32``; defaults keep the same functional form with smaller
-        constants (documented in DESIGN.md).
+        ``ε/32``; the defaults (8 and 8, so ``k = 8/ε`` and sensitivity
+        ``ε/8``) keep the same functional form with smaller constants.
     depth, sample_budget, sampling_seed:
         Forwarded to :class:`~repro.core.csss.CSSS` (``sampling_seed``
         decorrelates per-node sampling streams while hash seeds stay

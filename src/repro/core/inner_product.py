@@ -31,9 +31,10 @@ import numpy as np
 from repro.batch import consume_stream, signed_scatter_add_peak
 from repro.core.schedules import (
     IntervalAcceptance,
-    drive_interval_segments,
+    drive_segments,
     exponential_interval_changes,
     exponential_interval_window,
+    sync_window,
 )
 from repro.hashing.kwise import KWiseHash, SignHash
 from repro.hashing.modhash import StreamingModReducer
@@ -138,9 +139,9 @@ class _IntervalSketch(IntervalAcceptance):
         ctx: AlphaInnerProduct,
         level: int,
         birth: int,
-        rng: np.random.Generator | None,
+        parent: np.random.Generator,
     ) -> None:
-        super().__init__(float(ctx.s) ** (-level), rng)
+        super().__init__(float(ctx.s) ** (-level), parent)
         self.ctx = ctx
         self.level = level  # sampling rate is s^-level (capped at 1)
         self.birth = birth  # stream position when this interval started
@@ -196,9 +197,8 @@ class AlphaInnerProductSketch:
             int(ctx.prime) % (2**32) + 17
         )  # sampling coins are private per stream, derived deterministically
         self.t = 0
-        self._live: dict[int, _IntervalSketch] = {
-            0: _IntervalSketch(ctx, level=0, birth=0, rng=None)
-        }
+        self._live: dict[int, _IntervalSketch] = {}
+        self._sync(self._window(), 0)
         # Rescaled vectors folded in from merged shards (see merge()).
         self._merged_rescaled: np.ndarray | None = None
 
@@ -207,28 +207,19 @@ class AlphaInnerProductSketch:
         """The universe, the shared context's."""
         return self.ctx.n
 
-    def _levels_for(self, t: int) -> range:
-        """Levels r with ``t ∈ I_r = [s^r, s^(r+2)]`` (level 0 covers the
-        prefix before ``s``)."""
-        return exponential_interval_window(float(t), self.ctx.s)
+    def _window(self) -> range:
+        """Levels r with ``t ∈ I_r = [s^r, s^(r+2)]`` at the position t
+        (level 0 covers the prefix before ``s``)."""
+        return exponential_interval_window(float(self.t), self.ctx.s)
 
-    def _current_window(self) -> range:
-        keys = sorted(self._live)
-        return range(keys[0], keys[-1] + 1)
-
-    def _sync_levels(self, wanted: range, birth: int) -> None:
-        for lvl in wanted:
-            if lvl not in self._live:
-                child = self._rng.spawn(1)[0] if lvl > 0 else None
-                self._live[lvl] = _IntervalSketch(self.ctx, lvl, birth, child)
-        for lvl in list(self._live):
-            if lvl not in wanted:
-                del self._live[lvl]
+    def _sync(self, wanted: range, birth: int) -> None:
+        sync_window(self._live, wanted, lambda lvl: _IntervalSketch(
+            self.ctx, lvl, birth, self._rng))
 
     def update(self, item: int, delta: int) -> None:
         self.t += 1
-        wanted = self._levels_for(self.t)
-        self._sync_levels(wanted, self.t)
+        wanted = self._window()
+        self._sync(wanted, self.t)
         reduced = self.ctx._reducer.reduce(item)
         bucket = self.ctx._bucket_hash(reduced)
         signed_unit = self.ctx._sign_hash(reduced) * (1 if delta > 0 else -1)
@@ -272,16 +263,12 @@ class AlphaInnerProductSketch:
         ) * plan.delta_signs
         mags = plan.abs_deltas
         t0 = self.t
+        current = self._window()
         self.t = t0 + m
-        changes = exponential_interval_changes(
-            t0, m, ctx.s, self._current_window()
-        )
-        drive_interval_segments(
-            m,
-            changes,
-            self._current_window(),
+        drive_segments(
+            m, exponential_interval_changes(t0, m, ctx.s, current), current,
             lambda a, b: self._route_segment(a, b, buckets, eff_signs, mags),
-            lambda wanted, t: self._sync_levels(wanted, t0 + t + 1),
+            lambda wanted, t: self._sync(wanted, t0 + t + 1),
         )
 
     def _route_segment(
@@ -292,8 +279,6 @@ class AlphaInnerProductSketch:
         eff_signs: np.ndarray,
         mags: np.ndarray,
     ) -> None:
-        if a >= b:
-            return
         for lvl in sorted(self._live):
             self._live[lvl].offer_batch(
                 buckets[a:b], eff_signs[a:b], mags[a:b]

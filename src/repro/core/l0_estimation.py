@@ -37,7 +37,12 @@ from repro.batch import (
     mod_scatter_add,
     scaled_mod_increments,
 )
-from repro.core.schedules import windowed_segments
+from repro.core.schedules import (
+    drive_segments,
+    estimate_changes,
+    log_window,
+    sync_window,
+)
 from repro.hashing.kwise import PairwiseHash
 from repro.hashing.modhash import capped_lsb, lsb_array
 from repro.sketches.knw_l0 import (
@@ -115,15 +120,6 @@ class AlphaRoughL0Estimate:
 class AlphaConstL0Estimator:
     """Lemma 20: O(1)-factor L0 estimation with O(log α) live levels.
 
-    ``update_batch`` uses segmented array routing: the level window can
-    only move when the rough F0 estimate moves, which can only happen at
-    KMV *fold candidates* (:meth:`AlphaRoughL0Estimate.fold_candidates`).
-    Between consecutive candidates the live-level set is constant, so
-    whole segments are routed to levels as arrays; level churn (which
-    constructs fresh ``ExactSmallL0`` instances, drawing hash seeds from
-    the shared generator) happens at exactly the same stream positions
-    as in the scalar loop, keeping the state bit-identical.
-
     The structure of :class:`~repro.sketches.knw_l0.RoughL0Estimator`
     (one ExactSmallL0 per lsb level, decoded by
     :func:`~repro.sketches.knw_l0.level_scan`), but a level is only
@@ -163,28 +159,19 @@ class AlphaConstL0Estimator:
         # Materialise the initial window now (as AlphaL0Estimator does):
         # the batch path only re-syncs when the window *moves*, so the
         # levels must already exist for the pre-first-move prefix.
-        self._sync_levels()
+        self._sync(self._window())
 
-    def _window_for(self, r_t: float) -> range:
-        center = int(np.round(np.log2(max(1.0, r_t))))
-        lo = max(0, center - self.half_window)
-        hi = min(self.log_n, center + self.half_window)
-        return range(lo, hi + 1)
+    def _window(self) -> range:
+        return log_window(
+            self._rough.estimate(), self.half_window, self.log_n)
 
-    def _sync_levels(self) -> None:
-        wanted = self._window_for(self._rough.estimate())
-        for j in wanted:
-            if j not in self._levels:
-                self._levels[j] = ExactSmallL0(
-                    self.n, c=132, rng=self._rng, trials=self._trials
-                )
-        for j in list(self._levels):
-            if j not in wanted:
-                del self._levels[j]
+    def _sync(self, wanted: range) -> None:
+        sync_window(self._levels, wanted, lambda j: ExactSmallL0(
+            self.n, c=132, rng=self._rng, trials=self._trials))
 
     def update(self, item: int, delta: int) -> None:
         self._rough.update(item, delta)
-        self._sync_levels()
+        self._sync(self._window())
         j = capped_lsb(self._h(item), self.log_n)
         if j in self._levels:
             self._levels[j].update(item, delta)
@@ -198,8 +185,6 @@ class AlphaConstL0Estimator:
         stop: int,
     ) -> None:
         """Feed updates ``[start, stop)`` to the (constant) live levels."""
-        if start >= stop:
-            return
         seg = levels[start:stop]
         for j, level in self._levels.items():
             mask = seg == j
@@ -212,26 +197,25 @@ class AlphaConstL0Estimator:
         """Segmented batch update, bit-identical to the scalar loop.
 
         One vectorised pass computes the KMV hash values and the lsb
-        level of every update.  The chunk is then walked candidate-to-
-        candidate: each inter-candidate segment is routed to the live
-        levels as arrays (level updates commute within a segment — the
-        levels' own batch paths are order-exact), and at each candidate
-        the rough estimate is folded and the level window re-synced,
-        constructing/retiring levels at exactly the scalar stream
-        positions (so shared-generator seed draws happen in the same
-        order).
+        level of every update; then
+        :func:`~repro.core.schedules.drive_segments` routes each
+        constant-window segment to the live levels as arrays (their own
+        batch paths are order-exact) and builds fresh levels — drawing
+        their seeds from the shared generator — at the scalar stream
+        positions.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         if items_arr.size == 0:
             return
         hvs = self._rough.kmv_hash.hash_array(items_arr)
         levels = lsb_array(self._h.hash_array(items_arr), cap=self.log_n)
-        window_fn = lambda: self._window_for(self._rough.estimate())  # noqa: E731
-        for a, b in windowed_segments(self._rough, hvs, window_fn):
-            # Flush each constant-window segment, then sync (seed draws
-            # for new levels happen at exactly the scalar position).
-            self._route_segment(items_arr, deltas_arr, levels, a, b)
-            self._sync_levels()
+        drive_segments(
+            len(hvs), estimate_changes(self._rough, hvs, self._window),
+            self._window(),
+            lambda a, b: self._route_segment(
+                items_arr, deltas_arr, levels, a, b),
+            lambda wanted, t: self._sync(wanted),
+        )
 
     def consume(self, stream) -> "AlphaConstL0Estimator":
         return consume_stream(self, stream)
@@ -300,29 +284,21 @@ class AlphaL0Estimator(_KNWTable):
         # Small-L0 machinery (Lemma 17 / 19) — always cheap, always on.
         (self.K_small, self._h3_small, self.B_small,
          self._exact_small) = self._draw_small(k_ind, rng, alpha)
-        self._sync_rows()
+        self._sync(self._window())
 
     # -- window management ----------------------------------------------------
     def _window(self) -> range:
-        r_t = self._rough.estimate()
-        center = int(np.round(np.log2(max(1.0, 16.0 * r_t / self.K))))
-        lo = max(0, center - self.half_window)
-        hi = min(self.log_n, center + self.half_window)
-        return range(lo, hi + 1)
+        return log_window(
+            16.0 * self._rough.estimate() / self.K, self.half_window, self.log_n)
 
-    def _sync_rows(self) -> None:
-        wanted = self._window()
-        for j in wanted:
-            if j not in self._rows:
-                self._rows[j] = np.zeros(self.K, dtype=np.int64)
-        for j in list(self._rows):
-            if j not in wanted:
-                del self._rows[j]
+    def _sync(self, wanted: range) -> None:
+        sync_window(
+            self._rows, wanted, lambda j: np.zeros(self.K, dtype=np.int64))
 
     # -- updates ----------------------------------------------------------------
     def update(self, item: int, delta: int) -> None:
         self._rough.update(item, delta)
-        self._sync_rows()
+        self._sync(self._window())
         j2 = self._h2(item)
         inc = (delta * int(self._u[self._h4(j2)])) % self.p
         row = capped_lsb(self._h1(item), self.log_n)
@@ -343,8 +319,6 @@ class AlphaL0Estimator(_KNWTable):
     ) -> None:
         """Scatter updates ``[start, stop)`` into the (constant) live
         rows; modular adds commute, so within-segment order is free."""
-        if start >= stop:
-            return
         seg_rows = rows[start:stop]
         for j, bucket_row in self._rows.items():
             mask = seg_rows == j
@@ -369,15 +343,12 @@ class AlphaL0Estimator(_KNWTable):
         not ℤ-linear as a whole (rows are born mid-chunk), so the deltas
         stay per update.
 
-        The row window only moves when the rough estimate moves, which
-        only happens at KMV fold candidates
-        (:meth:`AlphaRoughL0Estimate.fold_candidates`) — so instead of
-        walking every update, the chunk is walked candidate-to-candidate:
-        each inter-candidate segment is scatter-added into the live rows
-        in one vectorised pass per row, and the window is re-synced at
-        exactly the scalar stream positions.  The collapsed small row
-        and the exact small L0 absorb the whole chunk afterwards; they
-        share no state with the rows, so the reordering is unobservable.
+        :func:`~repro.core.schedules.drive_segments` scatter-adds each
+        constant-window segment into the live rows, one vectorised pass
+        per row, and creates rows at the scalar stream positions.  The
+        collapsed small row and the exact small L0 absorb the whole
+        chunk afterwards; they share no state with the rows, so the
+        reordering is unobservable.
         """
         if plan.size == 0:
             return
@@ -391,11 +362,12 @@ class AlphaL0Estimator(_KNWTable):
             self.p,
         )
         hvs = plan.values(self._rough.kmv_hash)
-        for a, b in windowed_segments(self._rough, hvs, self._window):
-            # Flush each constant-window segment, then sync (row creation
-            # happens at exactly the scalar stream position).
-            self._route_segment(rows, cols, incs, a, b)
-            self._sync_rows()
+        drive_segments(
+            plan.size, estimate_changes(self._rough, hvs, self._window),
+            self._window(),
+            lambda a, b: self._route_segment(rows, cols, incs, a, b),
+            lambda wanted, t: self._sync(wanted),
+        )
         mod_scatter_add(
             self.B_small, plan.gather(self._h3_small.hash_array(j2)), incs,
             self.p,
@@ -443,7 +415,7 @@ class AlphaL0Estimator(_KNWTable):
                 self._rows[j] = (self._rows[j] + row) % self.p
             else:
                 self._rows[j] = row.copy()
-        self._sync_rows()
+        self._sync(self._window())
         self.B_small = (self.B_small + other.B_small) % self.p
         self._exact_small.merge(other._exact_small)
         return self

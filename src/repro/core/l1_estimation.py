@@ -31,9 +31,10 @@ from repro.core.sampling import binomial_thin
 from repro.core.schedules import (
     IntervalAcceptance,
     PacedCounterSchedule,
-    drive_interval_segments,
+    drive_segments,
     exponential_interval_changes,
     exponential_interval_window,
+    sync_window,
 )
 from repro.sketches.cauchy import _CauchyRow
 from repro.space.accounting import counter_bits
@@ -46,10 +47,9 @@ class _SampledIntervalLevel(IntervalAcceptance):
     (level 0 samples at rate 1 and owns no generator)."""
 
     def __init__(
-        self, j: int, rate: float, birth: int,
-        rng: np.random.Generator | None,
+        self, j: int, s: int, birth: int, parent: np.random.Generator,
     ) -> None:
-        super().__init__(rate, rng)
+        super().__init__(float(s) ** (-j), parent)
         self.j = j
         self.birth = birth
         self.c_plus = 0
@@ -111,45 +111,32 @@ class AlphaL1EstimatorStrict:
         )
         self._morris = self._pace.counter if self._pace is not None else None
         self._t_exact = 0
-        self._levels: dict[int, _SampledIntervalLevel] = {
-            0: _SampledIntervalLevel(0, 1.0, 0, None)
-        }
+        self._levels: dict[int, _SampledIntervalLevel] = {}
+        self._sync(self._window(), 0)
         self._max_counter = 0
         # Sum of merged shards' interval estimates (see merge()).
         self._merged_estimate = 0.0
         self._merged_shards = 0
 
-    def _position_estimate(self) -> float:
-        if self._pace is not None:
-            return max(1.0, self._pace.estimate)
-        return float(max(1, self._t_exact))
-
-    def _levels_for(self, v: float) -> range:
-        """Levels j with ``v ∈ I_j = [s^j, s^(j+2)]``."""
+    def _window(self) -> range:
+        """Levels j with ``v ∈ I_j = [s^j, s^(j+2)]`` at the position
+        estimate v."""
+        v = (max(1.0, self._pace.estimate) if self._pace is not None
+             else float(max(1, self._t_exact)))
         return exponential_interval_window(v, self.s)
 
-    def _current_window(self) -> range:
-        keys = sorted(self._levels)
-        return range(keys[0], keys[-1] + 1)
-
-    def _sync_levels(self, wanted: range, birth: int) -> None:
-        """Create/retire levels; new levels spawn their sampling stream
-        from the shared generator at this exact stream position."""
-        for j in wanted:
-            if j not in self._levels:
-                rate = min(1.0, float(self.s) ** (-j))
-                child = self._rng.spawn(1)[0] if rate < 1.0 else None
-                self._levels[j] = _SampledIntervalLevel(j, rate, birth, child)
-        for j in list(self._levels):
-            if j not in wanted:
-                del self._levels[j]
+    def _sync(self, wanted: range, birth: int) -> None:
+        """New levels spawn their sampling stream from the shared
+        generator at this exact stream position."""
+        sync_window(self._levels, wanted, lambda j: _SampledIntervalLevel(
+            j, self.s, birth, self._rng))
 
     def update(self, item: int, delta: int) -> None:
         self._t_exact += 1
         if self._pace is not None:
             self._pace.advance()
-        wanted = self._levels_for(self._position_estimate())
-        self._sync_levels(wanted, self._t_exact)
+        wanted = self._window()
+        self._sync(wanted, self._t_exact)
         mag = abs(delta)
         for j in wanted:
             lvl = self._levels[j]
@@ -169,8 +156,6 @@ class AlphaL1EstimatorStrict:
         """Fold updates ``[a, b)`` (constant window) into every live
         level vectorised; exact Python-int folds keep the counters from
         wrapping where the scalar loop would not."""
-        if a >= b:
-            return
         seg_mags = mags[a:b]
         seg_pos = positive[a:b]
         for j in sorted(self._levels):
@@ -189,15 +174,13 @@ class AlphaL1EstimatorStrict:
     def update_batch(self, items, deltas) -> None:
         """Segmented batch update, bit-identical to the scalar loop.
 
-        The interval window can only move when the position estimate
-        moves: at Morris pacing bumps (``advance_batch`` locates them
-        from the chunk's block of pacing uniforms) or, under exact
-        pacing, at analytically computed ``s^j`` crossings.  Between
-        moves the live-level set is constant, so each segment folds into
-        every level in one inverse-CDF pass over the level's own
-        acceptance uniforms; counter sums within a segment commute, and
-        level churn (including spawning a fresh level's sampling stream)
-        happens at exactly the scalar stream positions.
+        The interval window moves only at Morris pacing bumps
+        (``advance_batch`` locates them from the chunk's block of pacing
+        uniforms) or, under exact pacing, at ``s^j`` crossings.
+        :func:`~repro.core.schedules.drive_segments` folds each segment
+        into every level in one inverse-CDF pass over the level's own
+        acceptance uniforms and builds fresh levels (spawning their
+        sampling streams) at the scalar stream positions.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas)
         m = len(items_arr)
@@ -206,24 +189,21 @@ class AlphaL1EstimatorStrict:
         mags = np.abs(deltas_arr)
         positive = deltas_arr > 0
         t0 = self._t_exact
+        current = self._window()
         self._t_exact = t0 + m
         if self._pace is not None:
             v0 = self._pace.v
-            bumps = self._pace.advance_batch(m)
-            changes = []
-            for i, t in enumerate(bumps.tolist()):
-                est = max(1.0, self._pace.estimate_at(v0 + i + 1))
-                changes.append((t, self._levels_for(est)))
-        else:
-            changes = exponential_interval_changes(
-                t0, m, self.s, self._current_window()
+            changes = (
+                (t, exponential_interval_window(
+                    max(1.0, self._pace.estimate_at(v0 + i + 1)), self.s))
+                for i, t in enumerate(self._pace.advance_batch(m).tolist())
             )
-        drive_interval_segments(
-            m,
-            changes,
-            self._current_window(),
+        else:
+            changes = exponential_interval_changes(t0, m, self.s, current)
+        drive_segments(
+            m, changes, current,
             lambda a, b: self._route_segment(a, b, mags, positive),
-            lambda wanted, t: self._sync_levels(wanted, t0 + t + 1),
+            lambda wanted, t: self._sync(wanted, t0 + t + 1),
         )
 
     def consume(self, stream) -> "AlphaL1EstimatorStrict":

@@ -36,14 +36,15 @@ Primitives
   :class:`~repro.hashing.kwise.UniformScalars.inverse_weight_array`,
   plus exact span-splitting around the rare updates whose scaled
   magnitude would overflow int64.
-* :func:`windowed_segments` — estimate-steered window segmentation: the
-  window can only move when the rough F0 estimate moves, which can only
-  happen at KMV fold candidates, so a chunk splits into few segments of
-  constant window (αL0, α-const-L0, the Figure 8 support sampler).
-* :func:`exponential_interval_window` — the shared ``I_r = [s^r,
-  s^(r+2)]`` live-level rule of Figure 4 and Theorem 2, with a
-  vectorised form for locating in-chunk window moves under exact
-  position pacing.
+* Live windows — the levels or rows that Lemma 20, Figures 4, 7 and 8
+  and Theorem 2 store.  :func:`log_window` places the estimate-steered
+  windows and :func:`exponential_interval_window` the ``I_r = [s^r,
+  s^(r+2)]`` interval rule; :func:`sync_window` is the one place a
+  level is born or retired; and :func:`drive_segments` is the one
+  batch loop, fed ``(t, wanted)`` window moves by
+  :func:`estimate_changes` (the rough estimate moves only at KMV fold
+  candidates), by :func:`exponential_interval_changes` (exact position
+  pacing) or by the Morris bumps.
 
 ``tests/test_schedules.py`` pins the chunking-invariance of each
 primitive directly; ``tests/test_batch_equivalence.py`` pins it end to
@@ -52,7 +53,7 @@ end through every consuming structure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -284,17 +285,18 @@ class IntervalAcceptance:
     """One live interval level's acceptance stream.
 
     A fixed rate and — for rates below 1 — a level-private uniform
-    stream spawned at level birth: exactly one uniform per offered
-    update, scalar (:meth:`accept`) or block (:meth:`accept_batch`), so
-    scalar and chunked feeding consume identically.  The shared
-    primitive under the Figure 4 interval counters and the Theorem 2
-    interval CountSketch vectors — one implementation, one
-    bit-identity contract.
+    stream spawned from ``parent`` at level birth: exactly one uniform
+    per offered update, scalar (:meth:`accept`) or block
+    (:meth:`accept_batch`), so scalar and chunked feeding consume
+    identically.  The shared primitive under the Figure 4 interval
+    counters and the Theorem 2 interval CountSketch vectors — one
+    implementation, one bit-identity contract.
     """
 
-    def __init__(self, rate: float, rng: np.random.Generator | None) -> None:
+    def __init__(self, rate: float, parent: np.random.Generator) -> None:
         self.rate = float(min(1.0, rate))
-        self.rng = rng  # None at rate 1: nothing to draw
+        # None at rate 1: nothing to draw, and nothing spawned.
+        self.rng = parent.spawn(1)[0] if self.rate < 1.0 else None
 
     def accept(self, mag: int) -> int:
         """Retained magnitude of one update (one uniform at rate < 1)."""
@@ -311,73 +313,94 @@ class IntervalAcceptance:
         )
 
 
-def drive_interval_segments(
-    m: int,
-    changes: list[tuple[int, range]],
-    current: range,
-    route: Callable[[int, int], None],
-    sync: Callable[[range, int], None],
-) -> None:
-    """Shared segment loop for paced interval schedules.
+def sync_window(live: dict, wanted, make: Callable[[int], object]) -> None:
+    """Build each key of ``wanted`` that ``live`` lacks, then delete the
+    keys outside ``wanted``.
 
-    Routes each constant-window span ``[start, t)`` against the live
-    levels, then hands ``(wanted, t)`` to ``sync`` so the host
-    creates/retires levels (and spawns their acceptance streams) at
-    exactly the scalar stream position; the trailing span closes the
-    chunk.  Both Figure 4 and Theorem 2 batch paths run on this one
-    driver, so their window-birth bookkeeping cannot drift apart.
+    The one place a windowed level or row is born or retired (Lemma 20,
+    Figures 4, 7 and 8, Theorem 2).  Keys are built in ``wanted``'s own
+    iteration order: factories draw seeds or spawn streams from a shared
+    generator, so that order is part of the random realisation.
+
+    >>> live = {0: "a", 1: "b"}
+    >>> sync_window(live, range(1, 4), lambda j: f"new{j}")
+    >>> live
+    {1: 'b', 2: 'new2', 3: 'new3'}
+    """
+    for j in wanted:
+        if j not in live:
+            live[j] = make(j)
+    for j in [j for j in live if j not in wanted]:
+        del live[j]
+
+
+def log_window(x: float, half: int, top: int) -> range:
+    """Levels within ``half`` of ``round(log2 x)``, clamped to
+    ``[0, top]`` (``x`` below 1 counts as 1): the placement of every
+    estimate-steered window (Lemma 20, Figures 7 and 8).
+
+    >>> log_window(1000.0, 2, 16), log_window(0.5, 2, 16), log_window(2**15, 2, 16)
+    (range(8, 13), range(0, 3), range(13, 17))
+    """
+    center = int(np.round(np.log2(max(1.0, x))))
+    return range(max(0, center - half), min(top, center + half) + 1)
+
+
+def drive_segments(
+    m: int,
+    changes: Iterable[tuple[int, object]],
+    current: object,
+    route: Callable[[int, int], None],
+    sync: Callable[[object, int], None],
+) -> None:
+    """The one segment loop of every live-window batch path.
+
+    ``changes`` yields ``(t, wanted)``: the window the scalar loop holds
+    from chunk position ``t`` on, in stream order (entries that repeat
+    the window are skipped).  Each non-empty constant-window span
+    ``[start, t)`` is routed against the live levels, then
+    ``sync(wanted, t)`` creates and retires levels at exactly the scalar
+    stream position; the trailing span closes the chunk.  ``current`` is
+    the window the chunk starts under.
     """
     start = 0
     window = current
     for t, wanted in changes:
         if wanted != window:
-            route(start, t)
+            if t > start:
+                route(start, t)
             sync(wanted, t)
             window = wanted
             start = t
     route(start, m)
 
 
-def windowed_segments(
-    rough, hash_values: np.ndarray, window_fn: Callable[[], object]
-) -> Iterator[tuple[int, int]]:
-    """Estimate-steered window segmentation of a chunk.
+def estimate_changes(
+    rough, hash_values: np.ndarray, window: Callable[[], object]
+) -> Iterator[tuple[int, object]]:
+    """Lazy ``(t, window())`` source for :func:`drive_segments` over a
+    rough-F0-steered chunk (Lemma 20, Figures 7 and 8).
 
-    The live-window structures (αL0, α-const-L0, Figure 8 support
-    sampler) re-derive their window from a rough F0 estimate on every
-    update, but the estimate can only move at KMV *fold candidates* —
-    everything between consecutive candidates is provably constant.
-    This generator walks the candidates, folds the state-changing hash
-    values, and yields maximal ``[start, stop)`` segments over which the
-    window is constant.  After each yield the caller routes the segment
-    against the *old* window and re-syncs its level set (constructing
-    new levels — and drawing their seeds — at exactly the scalar stream
-    position); the final segment is followed by a no-op sync.
+    The rough estimate can only move at KMV *fold candidates*, so this
+    walks the candidates, folds the state-changing hash values and
+    yields at each estimate move.  ``window`` reads the estimate; the
+    fold at ``t`` happens just before its yield, so the window is the
+    one the scalar loop holds from ``t`` on.
 
     ``rough`` must expose ``fold_candidates`` / ``would_change`` /
     ``observe_hash`` / ``estimate`` (see
-    :class:`repro.core.l0_estimation.AlphaRoughL0Estimate`);
-    ``window_fn`` returns a comparable window object (range or set)
-    computed from the rough estimate's current state.
+    :class:`repro.core.l0_estimation.AlphaRoughL0Estimate`).
     """
-    last_estimate = rough.estimate()
-    window = window_fn()
-    start = 0
+    last = rough.estimate()
     for t in rough.fold_candidates(hash_values).tolist():
         hv = int(hash_values[t])
         if not rough.would_change(hv):
-            continue  # no-op fold: the segment stays open
+            continue  # no-op fold
         rough.observe_hash(hv)
         estimate = rough.estimate()
-        if estimate == last_estimate:
-            continue  # estimate unchanged => window unchanged
-        last_estimate = estimate
-        wanted = window_fn()
-        if wanted != window:
-            yield start, t
-            window = wanted
-            start = t
-    yield start, len(hash_values)
+        if estimate != last:
+            last = estimate
+            yield t, window()
 
 
 def exponential_interval_window(v: float, s: int) -> range:

@@ -22,22 +22,18 @@ import numpy as np
 
 from repro.batch import as_update_arrays, consume_stream
 from repro.core.l0_estimation import AlphaRoughL0Estimate
-from repro.core.schedules import windowed_segments
+from repro.core.schedules import (
+    drive_segments,
+    estimate_changes,
+    log_window,
+    sync_window,
+)
 from repro.hashing.kwise import PairwiseHash
 from repro.sketches.sparse_recovery import DenseError, SparseRecovery
 
 
 class AlphaSupportSampler:
     """Figure 8 support sampler.
-
-    ``update_batch`` uses segmented window routing
-    (:func:`repro.core.schedules.windowed_segments`): the level window
-    can only move when the rough F0 estimate moves, which can only
-    happen at KMV fold candidates, so whole inter-candidate segments are
-    routed to the live ``SparseRecovery`` levels as arrays; level churn
-    (which draws hash seeds from the shared generator) happens at
-    exactly the scalar stream positions, keeping the state bit-identical
-    to the scalar loop at every chunk size.
 
     This structure is the package's documented **order-sensitive
     holdout** for merging: its output certificate — strictly
@@ -120,26 +116,21 @@ class AlphaSupportSampler:
             ),
         )
         self._levels: dict[int, SparseRecovery] = {}
-        self._sync_levels()
+        self._sync(self._window())
 
     # -- level management -------------------------------------------------------
     def _window(self) -> set[int]:
-        r_t = max(1.0, self._rough.estimate())
-        center = int(np.round(np.log2(max(1.0, self.n * self.s / (3.0 * r_t)))))
-        lo = max(0, center - self.half_window)
-        hi = min(self.log_n, center + self.half_window)
-        window = set(range(lo, hi + 1))
+        # A set, iterated in its own order when levels are built: above
+        # log n = 31 that order is not ascending, and it fixes the seeds.
+        window = set(log_window(
+            self.n * self.s / (3.0 * self._rough.estimate()),
+            self.half_window, self.log_n))
         window |= set(range(self.deep_floor, self.log_n + 1))
         return window
 
-    def _sync_levels(self) -> None:
-        wanted = self._window()
-        for j in wanted:
-            if j not in self._levels:
-                self._levels[j] = SparseRecovery(self.n, s=self.s, rng=self._rng)
-        for j in list(self._levels):
-            if j not in wanted:
-                del self._levels[j]
+    def _sync(self, wanted: set[int]) -> None:
+        sync_window(self._levels, wanted,
+                    lambda j: SparseRecovery(self.n, s=self.s, rng=self._rng))
 
     # -- stream interface ---------------------------------------------------------
     def _member_levels(self, item: int) -> list[int]:
@@ -166,7 +157,7 @@ class AlphaSupportSampler:
 
     def update(self, item: int, delta: int) -> None:
         self._rough.update(item, delta)
-        self._sync_levels()
+        self._sync(self._window())
         for j in self._member_levels(item):
             self._levels[j].update(item, delta)
 
@@ -174,29 +165,33 @@ class AlphaSupportSampler:
         """Segmented batch update, bit-identical to the scalar loop.
 
         One vectorised pass computes the KMV hash values and each
-        update's smallest member level.  The chunk is then walked fold-
-        candidate to fold-candidate (`windowed_segments`): each segment
-        of constant window routes to every live level as arrays (a level
+        update's smallest member level; then
+        :func:`~repro.core.schedules.drive_segments` routes each
+        constant-window segment to every live level as arrays (level
         ``j`` receives the updates with ``min_level <= j``; the levels'
-        own batch paths are order-exact), and the window re-syncs —
-        constructing/retiring ``SparseRecovery`` sketches and drawing
-        their seeds — at exactly the scalar stream positions.
+        own batch paths are order-exact) and builds fresh
+        ``SparseRecovery`` levels — drawing their seeds — at the scalar
+        stream positions.
         """
         items_arr, deltas_arr = as_update_arrays(items, deltas, self.n)
         if items_arr.size == 0:
             return
         hvs = self._rough.kmv_hash.hash_array(items_arr)
         min_levels = self._min_levels_array(items_arr)
-        for a, b in windowed_segments(self._rough, hvs, self._window):
-            if a < b:
-                seg_levels = min_levels[a:b]
-                for j in sorted(self._levels):
-                    mask = seg_levels <= j
-                    if mask.any():
-                        self._levels[j].update_batch(
-                            items_arr[a:b][mask], deltas_arr[a:b][mask]
-                        )
-            self._sync_levels()
+
+        def route(a: int, b: int) -> None:
+            seg_levels = min_levels[a:b]
+            for j in sorted(self._levels):
+                mask = seg_levels <= j
+                if mask.any():
+                    self._levels[j].update_batch(
+                        items_arr[a:b][mask], deltas_arr[a:b][mask]
+                    )
+
+        drive_segments(
+            len(hvs), estimate_changes(self._rough, hvs, self._window),
+            self._window(), route, lambda wanted, t: self._sync(wanted),
+        )
 
     def consume(self, stream) -> "AlphaSupportSampler":
         return consume_stream(self, stream)

@@ -17,7 +17,7 @@ Three cooperating structures, all implemented from scratch:
   and an exact structure for L0 <= 100.
 * :class:`RoughF0Estimator` (Lemma 18): non-decreasing O(1)-factor
   estimates of the *F0* (distinct items ever touched) at every point in
-  the stream.  **Substitution (documented in DESIGN.md):** [40]'s
+  the stream.  **Substitution (PAPER_MAP.md's Lemma 18 row):** [40]'s
   construction is replaced by a k-minimum-values estimator over a k-wise
   hash; it is monotone by construction (the k-th smallest hash value only
   decreases), gives the same O(1)-factor guarantee in O(k log n) bits with

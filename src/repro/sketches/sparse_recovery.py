@@ -108,8 +108,10 @@ class SparseRecovery:
                 counts[r, b] -= weight
                 ids[r, b] -= weight * item
 
-        progress = True
-        while progress and len(recovered) <= self.s:
+        # A bucket that only looks pure decodes a phantom item whose
+        # negation a later row can decode, forever.  An s-sparse vector
+        # peels within s + 1 passes; past them the residual is DENSE.
+        for _ in range(self.s + 1):
             progress = False
             for r in range(self.rows):
                 for b in range(self.buckets):
@@ -130,6 +132,8 @@ class SparseRecovery:
                         del recovered[item]
                     peel(item, int(w))
                     progress = True
+            if not progress or len(recovered) > self.s:
+                break
         if any(w != 0 for w in counts.flat):
             raise DenseError(
                 f"residual mass remains after peeling (> {self.s}-sparse "

@@ -122,6 +122,20 @@ def drop_field():
     return drop
 
 
+@pytest.fixture
+def relabel_class():
+    """``relabel_class(payload, cls_name, cls)`` renames every
+    ``cls_name`` object of a snapshot payload to ``cls`` (a class a
+    later version deleted) and returns how many it renamed."""
+    def relabel(payload, cls_name, cls):
+        nodes = [node for node in _tagged_nodes(payload)
+                 if str(node.get("cls", "")).endswith(f":{cls_name}")]
+        for node in nodes:
+            node["cls"] = cls
+        return len(nodes)
+    return relabel
+
+
 def median_over_seeds(fn, seeds, *args, **kwargs):
     """Run ``fn(seed, ...)`` over seeds and return the median result."""
     vals = [fn(seed, *args, **kwargs) for seed in seeds]

@@ -114,8 +114,8 @@ def assert_same_state(a, b) -> None:
 
 # -- structure registry -------------------------------------------------------
 
-def _inner_product_sketch(rng):
-    ctx = AlphaInnerProduct(N, eps=0.25, alpha=4, rng=rng)
+def _inner_product_sketch(rng, **kw):
+    ctx = AlphaInnerProduct(N, eps=0.25, alpha=4, rng=rng, **kw)
     return ctx.make_sketch()
 
 
@@ -148,6 +148,15 @@ CASES = {
         lambda rng: AlphaConstL0Estimator(N, alpha=4, rng=rng), "general"),
     "alpha_l1_strict": (
         lambda rng: AlphaL1EstimatorStrict(alpha=4, eps=0.2, rng=rng), "strict"),
+    # A small interval base (and below, a small sample budget) moves the
+    # Figure 4 / Theorem 2 window on these 1,500-update streams: levels
+    # are born mid-stream, and they reach levels [1, 2] and [0, 1].
+    "alpha_l1_strict_s16": (
+        lambda rng: AlphaL1EstimatorStrict(alpha=4, eps=0.2, rng=rng, s=16),
+        "strict"),
+    "alpha_l1_strict_s16_exact": (
+        lambda rng: AlphaL1EstimatorStrict(
+            alpha=4, eps=0.2, rng=rng, s=16, use_morris=False), "strict"),
     "alpha_l1_general": (
         lambda rng: AlphaL1EstimatorGeneral(
             N, eps=0.4, alpha=4, rng=rng), "general"),
@@ -170,6 +179,8 @@ CASES = {
     "sampled_frequencies": (
         lambda rng: SampledFrequencies(budget=400, rng=rng), "general"),
     "inner_product": (_inner_product_sketch, "general"),
+    "inner_product_budget64": (
+        lambda rng: _inner_product_sketch(rng, sample_budget=64), "general"),
     "misra_gries": (lambda rng: MisraGries(N, eps=0.1), "insertion"),
     "exact_l1": (lambda rng: ExactL1Counter(), "strict"),
 }
@@ -395,6 +406,9 @@ GOLDEN = {
     "csss_query_7": 1.0,
     "alpha_l0_estimate": 95.5940068355736,
     "knw_l0_estimate": 95.5940068355736,
+    "alpha_l1_strict_s16_estimate": 240.0,
+    "alpha_l1_strict_s16_exact_estimate": 240.0,
+    "inner_product_budget64_estimate": 10364.0,
 }
 
 
@@ -422,6 +436,15 @@ def _golden_values() -> dict:
         KNWL0Estimator(N, eps=0.3, rng=np.random.default_rng(SEED)),
         stream, 1024)
     out["knw_l0_estimate"] = knw.estimate()
+    for name in ("alpha_l1_strict_s16", "alpha_l1_strict_s16_exact"):
+        factory, kind = CASES[name]
+        l1 = _feed_batch(
+            factory(np.random.default_rng(SEED)), STREAMS[kind], 1024)
+        out[f"{name}_estimate"] = l1.estimate()
+    ip = _feed_batch(
+        _inner_product_sketch(np.random.default_rng(SEED), sample_budget=64),
+        stream, 1024)
+    out["inner_product_budget64_estimate"] = ip.ctx.estimate(ip, ip)
     return out
 
 

@@ -453,16 +453,19 @@ class TestRecover:
         ("_pos", "_pos"),
         ("_halve_rng", "never defines"),
         ("dtype", "'ndarray' node lacks its 'dtype' field"),
-    ], ids=["_pos", "_halve_rng", "missing_field"])
+        ("cls", "F0Tracker"),
+    ], ids=["_pos", "_halve_rng", "missing_field", "deleted_class"])
     def test_recover_all_skips_a_session_restore_refuses(
-            self, tmp_path, drop_state, drop_field, attr, refusal):
+            self, tmp_path, drop_state, drop_field, relabel_class, attr,
+            refusal):
         """A session whose checkpoint ``restore`` refuses (a consumer
         missing state its class sets at construction; without
         ``_halve_rng`` the payload also refers to an object id it never
-        defines; an array node without its dtype — the last two used to
-        escape as a bare ``KeyError``) is skipped with a warning, and
-        the others still recover: a durable service starts instead of
-        failing on one session."""
+        defines; an array node without its dtype; a class this version
+        no longer has — the last three used to escape as a bare
+        ``KeyError`` or ``AttributeError``) is skipped with a warning,
+        and the others still recover: a durable service starts instead
+        of failing on one session."""
         from repro.service import SketchService
 
         for name in ("good", "legacy"):
@@ -471,6 +474,9 @@ class TestRecover:
             payload = session.push([9], [4]).snapshot()
             if name == "legacy" and attr == "dtype":
                 drop_field(payload, "ndarray", "dtype")
+            elif name == "legacy" and attr == "cls":
+                relabel_class(payload, "SampledFrequencies",
+                              "repro.sketches.knw_l0:F0Tracker")
             elif name == "legacy":
                 drop_state(payload, "SampledFrequencies", attr)
             CheckpointStore(tmp_path / name).save(payload, updates=1)

@@ -20,9 +20,12 @@ from repro.core.schedules import (
     AdaptiveSamplingSchedule,
     PacedCounterSchedule,
     PrecisionSamplingSchedule,
+    drive_segments,
+    estimate_changes,
     exponential_interval_changes,
     exponential_interval_window,
-    windowed_segments,
+    log_window,
+    sync_window,
 )
 from repro.counters.morris import MorrisCounter
 from repro.hashing.kwise import UniformScalars
@@ -373,7 +376,7 @@ class TestIntervalWindows:
 
 
 class _FakeRough:
-    """Minimal rough-estimate stub driving windowed_segments."""
+    """Minimal rough-estimate stub driving estimate_changes."""
 
     def __init__(self, estimates_by_position):
         self._by_pos = estimates_by_position
@@ -392,18 +395,67 @@ class _FakeRough:
         return self._estimate
 
 
-class TestWindowedSegments:
+def _segments(rough, hvs, window_fn):
+    """The ``[start, stop)`` spans drive_segments routes for a chunk."""
+    spans = []
+    drive_segments(
+        len(hvs), estimate_changes(rough, hvs, window_fn), window_fn(),
+        lambda a, b: spans.append((a, b)), lambda wanted, t: None,
+    )
+    return spans
+
+
+class TestEstimateChanges:
     def test_segments_split_at_window_moves(self):
         # Positions are their own hash values; the estimate jumps at
         # position 3 (window moves) and at position 7 (window constant).
         rough = _FakeRough({3: 10.0, 7: 11.0})
         hvs = np.arange(10)
         window_fn = lambda: range(int(rough.estimate()) // 10, 2)  # noqa: E731
-        segments = list(windowed_segments(rough, hvs, window_fn))
-        assert segments == [(0, 3), (3, 10)]
+        assert _segments(rough, hvs, window_fn) == [(0, 3), (3, 10)]
 
     def test_single_segment_when_window_never_moves(self):
         rough = _FakeRough({})
         hvs = np.arange(5)
-        segments = list(windowed_segments(rough, hvs, lambda: range(0, 1)))
-        assert segments == [(0, 5)]
+        assert _segments(rough, hvs, lambda: range(0, 1)) == [(0, 5)]
+
+    def test_changes_are_lazy_and_read_the_folded_estimate(self):
+        # Each window is read right after its own fold, and no fold runs
+        # ahead of the consumer.
+        rough = _FakeRough({2: 5.0, 4: 9.0})
+        changes = estimate_changes(rough, np.arange(6), rough.estimate)
+        assert next(changes) == (2, 5.0)
+        assert rough.estimate() == 5.0
+        assert list(changes) == [(4, 9.0)]
+
+
+class TestLiveWindow:
+    def test_log_window_clamps_to_the_level_range(self):
+        assert log_window(1.0, 3, 10) == range(0, 4)
+        assert log_window(0.25, 3, 10) == range(0, 4)  # below 1 counts as 1
+        assert log_window(2.0**6, 3, 10) == range(3, 10)
+        assert log_window(2.0**9, 3, 10) == range(6, 11)
+
+    def test_sync_window_builds_in_wanted_order_then_retires(self):
+        live = {5: "old5", 9: "old9"}
+        built = []
+
+        def make(j):
+            built.append(j)
+            return f"new{j}"
+
+        sync_window(live, [7, 5, 3, 6], make)
+        assert built == [7, 3, 6]  # wanted's order, existing keys kept
+        assert live == {5: "old5", 7: "new7", 3: "new3", 6: "new6"}
+        assert list(live) == [5, 7, 3, 6]
+
+    def test_drive_segments_syncs_between_routes(self):
+        events = []
+        drive_segments(
+            10, [(2, "a"), (4, "a"), (7, "b")], "a",
+            lambda a, b: events.append(("route", a, b)),
+            lambda wanted, t: events.append(("sync", wanted, t)),
+        )
+        assert events == [
+            ("route", 0, 7), ("sync", "b", 7), ("route", 7, 10),
+        ]

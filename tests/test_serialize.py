@@ -129,13 +129,27 @@ class TestPayloadShape:
             restore({"format": 999, "root": None})
 
     def test_foreign_classes_are_refused(self):
-        payload = {
-            "format": FORMAT_VERSION,
-            "root": {"~t": "obj", "id": 0,
-                     "cls": "os:system", "state": {}},
-        }
-        with pytest.raises(ValueError, match="repro"):
-            restore(payload)
+        """A class outside ``repro.*``, or a class, module or dtype this
+        version does not define (a checkpoint of a deleted class), is a
+        ``ValueError`` naming it — never an import, attribute or type
+        error."""
+        for root, refusal in [
+            ({"~t": "obj", "id": 0, "cls": "os:system", "state": {}},
+             "repro"),
+            ({"~t": "obj", "id": 0, "state": {},
+              "cls": "repro.sketches.knw_l0:F0Tracker"}, "F0Tracker"),
+            ({"~t": "obj", "id": 0, "state": {},
+              "cls": "repro.core.sampling:AdaptiveUniformSampler"},
+             "AdaptiveUniformSampler"),
+            ({"~t": "obj", "id": 0, "state": {},
+              "cls": "repro.no_such_module:Thing"}, "no_such_module"),
+            ({"~t": "ndarray", "id": 0, "dtype": "float999",
+              "data": np.zeros(2)}, "'ndarray' node names dtype 'float999'"),
+            ({"~t": "npscalar", "dtype": "int3", "v": 1},
+             "'npscalar' node names dtype 'int3'"),
+        ]:
+            with pytest.raises(ValueError, match=refusal):
+                restore({"format": FORMAT_VERSION, "root": root})
 
     @pytest.mark.parametrize("tag, field", [
         ("dict", "v"), ("frozenset", "v"), ("list", "v"), ("set", "v"),

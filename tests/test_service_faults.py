@@ -415,16 +415,18 @@ class TestMergeIsAllOrNothing:
             return c.snapshot(name)
 
     @pytest.mark.parametrize("refusal", ["alpha", "missing_state",
-                                         "dangling_ref", "missing_field"])
+                                         "dangling_ref", "missing_field",
+                                         "deleted_class"])
     def test_refused_merge_leaves_the_session_unchanged(
-            self, server, client, drop_state, drop_field, refusal):
+            self, server, client, drop_state, drop_field, relabel_class,
+            refusal):
         """Refused by αL0 (the sibling's α differs, which no pre-check
         sees; ``frequency_vector`` and ``sampled_frequencies`` would
         merge first) or at restore (a ``SampledFrequencies`` without
         the ``_pos`` table its class sets at construction, or without
         its ``_halve_rng``, whose object id a later attribute still
-        refers to: the answer names the undefined id; or an array node
-        without its dtype)."""
+        refers to: the answer names the undefined id; an array node
+        without its dtype; or a class this version does not define)."""
         from repro.api.serialize import payload_equal
         from repro.streams.io import payload_from_bytes, payload_to_bytes
 
@@ -439,6 +441,10 @@ class TestMergeIsAllOrNothing:
                 self._feed(server, "b", "west", node=1))
             if refusal == "missing_field":
                 drop_field(payload, "ndarray", "dtype")
+            elif refusal == "deleted_class":
+                assert relabel_class(
+                    payload, "SampledFrequencies",
+                    "repro.sketches.knw_l0:F0Tracker") == 1
             else:
                 attr = ("_pos" if refusal == "missing_state"
                         else "_halve_rng")
@@ -450,6 +456,8 @@ class TestMergeIsAllOrNothing:
             assert "never defines" in err.value.message
         if refusal == "missing_field":
             assert "lacks its 'dtype' field" in err.value.message
+        if refusal == "deleted_class":
+            assert "F0Tracker" in err.value.message
         assert payload_equal(payload_from_bytes(client.snapshot("a")),
                              before)
         assert client.info("a") == info

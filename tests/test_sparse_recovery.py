@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api.session import StreamSession
 from repro.sketches.sparse_recovery import DenseError, SparseRecovery
+from repro.streams.generators import bounded_deletion_stream
 
 
 class TestExactRecovery:
@@ -96,3 +98,21 @@ def test_property_sparse_vectors_recover_exactly(seed, entries):
     for item, w in entries.items():
         sr.update(item, w)
     assert sr.recover() == entries
+
+
+@pytest.mark.parametrize("spec", ["support_sampler",
+                                  "turnstile_support_sampler"])
+def test_phantom_peels_cannot_cycle(spec):
+    """Regression: on this strict stream a level's peeling decoded a
+    phantom item from a bucket that only looked pure, a later row
+    decoded its negation, and the two peels alternated forever, so the
+    query never returned.  The pass budget ends the cycle; that level
+    answers DENSE and the sampler still returns k support items."""
+    n = 2**16
+    stream = bounded_deletion_stream(n, 20000, 4, seed=1, strict=True)
+    kw = {"alpha": 4} if spec == "support_sampler" else {}
+    session = StreamSession(n, seed=3).track("s", spec, eps=0.25, **kw)
+    session.push(*stream.as_arrays())
+    sample = session.query("s")
+    assert len(sample) >= 4  # k = ceil(1/eps)
+    assert set(sample) <= stream.frequency_vector().support()
